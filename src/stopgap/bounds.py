@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import BetaGrid, SmoothingParams, select_beta
+from . import criteria as crit
+from .criteria import SmoothingParams, select_beta
 from .errors import ConfigError, StopgapError
 
 INF = float("inf")
@@ -171,95 +172,55 @@ def bound_L6(G, beta, x, p, fe):
     return BoundReport("L6_SDG_floor", lhs, G if math.isfinite(G) else INF, beta_used=beta)
 
 
-def evaluate_bounds(problem, z, consts, eta_of=None, grid=None, sdg_values=None,
-                    t2_constant="proof"):
+def evaluate_bounds(problem, z, consts, eta_of=None, values=None, t2_constant="proof"):
     """All applicable bound reports at one point.
 
     Parameters
     ----------
     consts : RegularityConstants for the instance.
     eta_of : callable beta -> eta (defaults to the constant consts.eta).
-    grid : BetaGrid; built from the current feasibility error when omitted.
-    sdg_values : optional precomputed list of SDG CriterionValues over the
-        grid (saves recomputing proxes).
+    values : the point's ``criteria.PointValues``; evaluated here when omitted.
     """
-    from . import criteria as crit
-
     problem.check_point(z)
-    x_norm, y_norm = z.norms()
-    fe = float(np.linalg.norm(problem.constraint.residual(z.x)))
-    if grid is None:
-        grid = BetaGrid.build(fe)
-    if sdg_values is None:
-        sdg_values = crit.sdg_over_grid(problem, z, grid)
+    if values is None:
+        values = crit.evaluate_point(problem, z)
     if eta_of is None:
         eta_of = lambda beta: consts.eta
-    K = crit.kkt_error(problem, z).value
-    D = crit.projected_duality_gap(problem, z).value
-    og = None
-    if problem.reference is not None:
-        fx = problem.objective(z.x)
-        og = max(fx - problem.reference.f_star, 0.0) if math.isfinite(fx) else INF
-
-    pairs = [(cv.beta_used, cv) for cv in sdg_values]
+    x_norm, y_norm = z.norms()
+    og, fe, K, D = values.og, values.fe, values.kkt, values.pdg
     reports = {}
 
-    def pick(mode, rhs_of, lhs_of=None):
-        cands = []
-        for beta, cv in pairs:
-            rhs = rhs_of(beta, cv)
-            lhs = cv.value if lhs_of is None else lhs_of(beta, cv)
-            cands.append((beta, lhs, rhs))
-        beta, _ = select_beta(grid, cands, mode=mode)
-        cv = next(cv for b, cv in pairs if b == beta)
-        return beta, cv
+    def pick(mode, report_of):
+        """The report, built once per grid beta, at the beta select_beta picks."""
+        built = [report_of(cv.beta_used, cv.value) for cv in values.sdg]
+        beta, _ = select_beta(values.grid, [(r.beta_used, r.lhs, r.rhs) for r in built],
+                              mode=mode)
+        return next(r for r in built if r.beta_used == beta)
 
     if og is not None:
         reports["T1_OG_KKT"] = bound_T1(og, K, y_norm, consts.gamma)
-        beta, cv = pick("one-sided",
-                        lambda b, cv: bound_T2(og, cv.value, y_norm, b, eta_of(b),
-                                               t2_constant).rhs)
-        reports["T2_OG_SDG"] = bound_T2(og, cv.value, y_norm, beta, eta_of(beta), t2_constant)
-        beta, cv = pick("one-sided",
-                        lambda b, cv: bound_T3(og, D, x_norm, y_norm, b, eta_of(b)).rhs)
-        reports["T3_OG_PDG"] = bound_T3(og, D, x_norm, y_norm, beta, eta_of(beta))
+        reports["T2_OG_SDG"] = pick("one-sided", lambda b, G: bound_T2(
+            og, G, y_norm, b, eta_of(b), t2_constant))
+        reports["T3_OG_PDG"] = pick("one-sided", lambda b, G: bound_T3(
+            og, D, x_norm, y_norm, b, eta_of(b)))
 
-    beta, cv = pick("ratio", lambda b, cv: bound_T4(cv.value, K, b).rhs)
-    reports["T4_SDG_KKT"] = bound_T4(cv.value, K, beta)
-
-    L = consts.L
-    beta, cv = pick("one-sided", lambda b, cv: bound_T5(K, cv.value, b, L).rhs)
-    reports["T5_KKT_SDG"] = bound_T5(K, cv.value, beta, L)
-
-    beta, cv = pick("ratio", lambda b, cv: bound_T6(cv.value, D, x_norm, y_norm, b).rhs)
-    reports["T6_SDG_PDG"] = bound_T6(cv.value, D, x_norm, y_norm, beta)
-
+    reports["T4_SDG_KKT"] = pick("ratio", lambda b, G: bound_T4(G, K, b))
+    reports["T5_KKT_SDG"] = pick("one-sided", lambda b, G: bound_T5(K, G, b, consts.L))
+    reports["T6_SDG_PDG"] = pick("ratio", lambda b, G: bound_T6(G, D, x_norm, y_norm, b))
     if problem.objective.separable_conj and consts.L_g is not None:
-        beta, cv = pick("one-sided",
-                        lambda b, cv: bound_T7(D, cv.value, x_norm, y_norm, b,
-                                               consts.L_g, consts.L_f1_star).rhs)
-        reports["T7_PDG_SDG_manifold"] = bound_T7(D, cv.value, x_norm, y_norm, beta,
-                                                  consts.L_g, consts.L_f1_star)
+        reports["T7_PDG_SDG_manifold"] = pick("one-sided", lambda b, G: bound_T7(
+            D, G, x_norm, y_norm, b, consts.L_g, consts.L_f1_star))
     if consts.L_f_star is not None:
-        beta, cv = pick("one-sided",
-                        lambda b, cv: bound_P4(D, cv.value, x_norm, y_norm, b,
-                                               consts.L_f_star).rhs)
-        reports["P4_PDG_SDG_lipschitz"] = bound_P4(D, cv.value, x_norm, y_norm, beta,
-                                                   consts.L_f_star)
-
-    beta, cv = pick("one-sided", lambda b, cv: bound_C1(fe, cv.value, b).rhs)
-    reports["C1_FE_SDG"] = bound_C1(fe, cv.value, beta)
+        reports["P4_PDG_SDG_lipschitz"] = pick("one-sided", lambda b, G: bound_P4(
+            D, G, x_norm, y_norm, b, consts.L_f_star))
+    reports["C1_FE_SDG"] = pick("one-sided", lambda b, G: bound_C1(fe, G, b))
 
     # floor: lhs depends on beta through the prox witness; ratio selection
-    floor_cands = []
-    for beta, cv in pairs:
-        if "p" in cv.witnesses and math.isfinite(cv.value):
-            rep = bound_L6(cv.value, beta, z.x, cv.witnesses["p"], fe)
-            floor_cands.append((beta, rep))
+    floor_cands = [bound_L6(cv.value, cv.beta_used, z.x, cv.witnesses["p"], fe)
+                   for cv in values.sdg if "p" in cv.witnesses and math.isfinite(cv.value)]
     if floor_cands:
-        best = min(floor_cands,
-                   key=lambda t: (t[1].rhs / t[1].lhs) if t[1].lhs > 0 else INF)
-        reports["L6_SDG_floor"] = best[1]
+        reports["L6_SDG_floor"] = min(
+            floor_cands, key=lambda rep: rep.rhs / rep.lhs if rep.lhs > 0 else INF)
     return reports
 
 

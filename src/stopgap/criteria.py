@@ -91,11 +91,6 @@ def ogfe(problem: ProblemInstance, z: PrimalDualPoint):
     return (CriterionValue("OG", og), CriterionValue("FE", fe))
 
 
-def feasibility_error(problem: ProblemInstance, z: PrimalDualPoint):
-    problem.check_point(z)
-    return CriterionValue("FE", float(np.linalg.norm(problem.constraint.residual(z.x))))
-
-
 def kkt_error(problem: ProblemInstance, z: PrimalDualPoint):
     """||df(x) + A^T y||_0^2 + ||Ax - b||^2 (squared minimum-norm subgradient
     plus squared feasibility error); +inf propagates from the residual."""
@@ -179,6 +174,46 @@ def epsilon_solution_surrogate(value: CriterionValue):
     if not math.isfinite(g):
         return INF
     return max(g, math.sqrt(2.0 * value.beta_used.beta_y * g))
+
+
+def best_sdg(values, raw=False):
+    """The smoothed gap with the smallest certificate over a grid, and that
+    certificate: the surrogate max(G, sqrt(2 beta_y G)), or G itself when
+    ``raw``.  Ties go to the earlier entry, i.e. the smaller beta of a sorted
+    grid; an all-+inf grid returns its first entry."""
+    best, best_val = None, INF
+    for cv in values:
+        val = cv.value if raw else epsilon_solution_surrogate(cv)
+        if best is None or val < best_val:
+            best, best_val = cv, val
+    return best, best_val
+
+
+@dataclass(frozen=True)
+class PointValues:
+    """Every measure at one point: OG (None without a reference solution),
+    FE, KKT, PDG, and the smoothed gap at each entry of the beta grid built
+    from FE."""
+
+    og: float | None
+    fe: float
+    kkt: float
+    pdg: float
+    grid: BetaGrid
+    sdg: list
+
+
+def evaluate_point(problem: ProblemInstance, z: PrimalDualPoint):
+    """Evaluate every measure at ``z`` once, for the trace and the bounds."""
+    if problem.reference is not None:
+        og, fe = (cv.value for cv in ogfe(problem, z))
+    else:
+        problem.check_point(z)
+        og, fe = None, float(np.linalg.norm(problem.constraint.residual(z.x)))
+    grid = BetaGrid.build(fe)
+    return PointValues(og=og, fe=fe, kkt=kkt_error(problem, z).value,
+                       pdg=projected_duality_gap(problem, z).value,
+                       grid=grid, sdg=sdg_over_grid(problem, z, grid))
 
 
 def select_beta(grid: BetaGrid, candidates, mode="one-sided"):

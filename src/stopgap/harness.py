@@ -17,13 +17,10 @@ import numpy as np
 from . import criteria as crit
 from . import oracles
 from .bounds import THEOREMS, evaluate_bounds, ratio_stats
-from .criteria import BetaGrid, epsilon_solution_surrogate
 from .errors import ConfigError
 from .instances import make_instance
 from .pdhg import SolveConfig, default_step_sizes, solve
 from .regularity import EtaCache, lipschitz_constants
-
-INF = float("inf")
 
 # PDHG ordering per family: the splitting QP needs the prox-last version to
 # keep the slack block inside the nonnegativity domain
@@ -95,30 +92,6 @@ def _fmt(v):
     return str(v)
 
 
-def _criterion_row(problem, z, grid_values):
-    """Uniform per-iterate criterion values for the trace."""
-    row = {}
-    if problem.reference is not None:
-        og, fe = crit.ogfe(problem, z)
-        row["og"] = og.value
-        row["fe"] = fe.value
-    else:
-        row["og"] = None
-        row["fe"] = crit.feasibility_error(problem, z).value
-    row["kkt"] = crit.kkt_error(problem, z).value
-    row["pdg"] = crit.projected_duality_gap(problem, z).value
-    best = None
-    best_val = INF
-    for cv in grid_values:
-        val = epsilon_solution_surrogate(cv)
-        if best is None or val < best_val:
-            best, best_val = cv, val
-    row["sdg"] = best.value
-    row["sdg_beta"] = best.beta_used.beta_x
-    row["sdg_gate"] = best_val
-    return row
-
-
 def run_experiment(config: ExperimentConfig):
     """Run one configured experiment and write its artifacts.
 
@@ -159,16 +132,12 @@ def run_experiment(config: ExperimentConfig):
         writer = csv.writer(fh)
         writer.writerow(header)
         for k, z, _ in traj.iterates:
-            fe = float(np.linalg.norm(problem.constraint.residual(z.x)))
-            grid = BetaGrid.build(fe)
-            grid_values = crit.sdg_over_grid(problem, z, grid)
-            row = _criterion_row(problem, z, grid_values)
-            reports = evaluate_bounds(problem, z, consts, eta_of=eta_of, grid=grid,
-                                      sdg_values=grid_values,
+            pv = crit.evaluate_point(problem, z)
+            sdg, gate = crit.best_sdg(pv.sdg)
+            reports = evaluate_bounds(problem, z, consts, eta_of=eta_of, values=pv,
                                       t2_constant=config.t2_constant)
-            cells = [k, _fmt(row["og"]), _fmt(row["fe"]), _fmt(row["kkt"]),
-                     _fmt(row["pdg"]), _fmt(row["sdg"]), _fmt(row["sdg_beta"]),
-                     _fmt(row["sdg_gate"])]
+            cells = [k, _fmt(pv.og), _fmt(pv.fe), _fmt(pv.kkt), _fmt(pv.pdg),
+                     _fmt(sdg.value), _fmt(sdg.beta_used.beta_x), _fmt(gate)]
             for tid in config.bounds:
                 rep = reports.get(tid)
                 if rep is None:

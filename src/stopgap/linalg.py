@@ -53,22 +53,6 @@ def eigh_psd(G):
     return np.clip(lam, 0.0, None), V
 
 
-def positive_eigvals(w):
-    """Eigenvalues with magnitude above the relative rank cutoff."""
-    w = np.asarray(w, dtype=float)
-    scale = np.abs(w).max() if w.size else 0.0
-    return w[np.abs(w) > RANK_RTOL * scale]
-
-
-def min_abs_nonzero_eig(M):
-    """Smallest |lambda| over eigenvalues of a symmetric M above the cutoff."""
-    w = np.linalg.eigvalsh(0.5 * (M + M.T))
-    kept = positive_eigvals(w)
-    if kept.size == 0:
-        raise DegenerateProblemError("all eigenvalues are numerically zero")
-    return float(np.abs(kept).min())
-
-
 def pinv_solve(M, rhs):
     """Least-squares / pseudo-inverse solution of M z = rhs with rank cutoff."""
     z, *_ = np.linalg.lstsq(M, rhs, rcond=RANK_RTOL)

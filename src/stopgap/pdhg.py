@@ -11,11 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import criteria
-from .criteria import BetaGrid, epsilon_solution_surrogate
+from .criteria import BetaGrid
 from .errors import ConfigError, DegenerateProblemError, StopgapError
 from .problem import PrimalDualPoint
-
-INF = float("inf")
 
 CRITERIA = ("ogfe", "kkt", "pdg", "sdg")
 
@@ -53,7 +51,6 @@ class SolveConfig:
     max_iters: int = 100_000
     criterion: str = "sdg"          # which gate stops the run
     record_every: int = 1
-    seed: int = 0
     version: int = 1                # PDHG step ordering
     sdg_gate: str = "surrogate"     # surrogate: max(G, sqrt(2 by G)) <= eps
                                     # raw:       G <= eps^2
@@ -138,17 +135,11 @@ def _gate_value(problem, z, name, config):
         d = criteria.projected_duality_gap(problem, z)
         return d.value, config.epsilon ** 2, {"pdg": d}
     # sdg: best certificate over the per-iteration grid
+    raw = config.sdg_gate == "raw"
     fe = float(np.linalg.norm(problem.constraint.residual(z.x)))
-    grid = BetaGrid.build(fe)
-    best_val = INF
-    best_cv = None
-    for cv in criteria.sdg_over_grid(problem, z, grid):
-        val = cv.value if config.sdg_gate == "raw" else epsilon_solution_surrogate(cv)
-        if val < best_val or best_cv is None:
-            best_val = val
-            best_cv = cv
-    thr = config.epsilon ** 2 if config.sdg_gate == "raw" else config.epsilon
-    return best_val, thr, {"sdg": best_cv}
+    best, val = criteria.best_sdg(criteria.sdg_over_grid(problem, z, BetaGrid.build(fe)),
+                                  raw=raw)
+    return val, config.epsilon ** 2 if raw else config.epsilon, {"sdg": best}
 
 
 def solve(problem, config: SolveConfig, steps: StepSizes | None = None):

@@ -45,7 +45,6 @@ class QuadraticFormModel:
     H: np.ndarray
     v: np.ndarray
     constant: float
-    blocks: dict
 
     def value(self, z):
         z = np.asarray(z, dtype=float)
@@ -124,9 +123,7 @@ def qeb_eta(Q, c, A, b, beta, steps: StepSizes | None = None):
     resid = Q @ (Binv @ qtc) - c
     cst = (0.5 * float(c @ c) + (sigma / (2.0 * by)) * float(b @ b)
            - 0.5 * float(resid @ resid) - (r / 2.0) * float((Binv @ qtc) @ (Binv @ qtc)))
-    model = QuadraticFormModel(H=H, v=np.concatenate([vx, vy]), constant=cst,
-                               blocks={"B_inv": Binv, "M_xx": Mxx, "M_xy": Mxy,
-                                       "M_yy": Myy, "v_x": vx, "v_y": vy})
+    model = QuadraticFormModel(H=H, v=np.concatenate([vx, vy]), constant=cst)
     return eta, model
 
 
@@ -149,13 +146,15 @@ def lipschitz_constants(instance, beta=None, steps=None):
         eta = qeb_eta(Q, c, A, b, beta, steps)[0]
         prov = {"gamma": "computed", "eta": "computed", "L": "computed", "L_g": "computed"}
         return RegularityConstants(gamma=gamma, eta=eta, L=obj.smooth_lipschitz,
-                                   L_g=obj.conj_grad_lipschitz, L_f1_star=0.0,
+                                   L_g=obj.conj_grad_lipschitz,
+                                   L_f1_star=obj.conj_part_lipschitz,
                                    L_f_star=None, provenance=prov)
     if isinstance(obj, NonnegativeQuadratic):
         prov = {"gamma": "declared-default", "eta": "declared-default",
                 "L_g": "computed", "L_f1_star": "computed"}
         return RegularityConstants(gamma=DECLARED_DEFAULT, eta=DECLARED_DEFAULT, L=None,
-                                   L_g=obj.conj_grad_lipschitz, L_f1_star=0.0,
+                                   L_g=obj.conj_grad_lipschitz,
+                                   L_f1_star=obj.conj_part_lipschitz,
                                    L_f_star=None, provenance=prov)
     # basis pursuit and other nonsmooth objectives with Lipschitz conjugate
     prov = {"gamma": "declared-default", "eta": "declared-default", "L_f_star": "computed"}

@@ -1,13 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
 from stopgap.bounds import (BoundReport, bound_C1, bound_P4, bound_T1, bound_T2,
                             bound_T3, bound_T4, bound_T5, bound_T6, bound_T7,
                             evaluate_bounds, ratio_stats)
-from stopgap.criteria import SmoothingParams
+from stopgap.criteria import SmoothingParams, evaluate_point
 from stopgap.errors import ConfigError
 from stopgap.pdhg import SolveConfig, solve
+from stopgap.problem import PrimalDualPoint
 from stopgap.regularity import EtaCache, lipschitz_constants
 
 INF = float("inf")
@@ -153,6 +155,24 @@ class TestTrajectoryCertification:
 
     def test_iidg_pointwise(self, iidg):
         self.run_and_check(iidg, max_iters=250)
+
+
+@pytest.mark.parametrize("family", ["iidg", "pqp", "bp"])
+def test_precomputed_point_values_give_the_same_reports(family, request, rng):
+    problem = request.getfixturevalue(family)
+    consts = lipschitz_constants(problem)
+    eta_of = EtaCache(problem)
+    for _ in range(3):
+        # |x| keeps the pqp slack block inside its nonnegativity domain
+        z = PrimalDualPoint(np.abs(rng.standard_normal(problem.constraint.n)),
+                            rng.standard_normal(problem.constraint.m))
+        fresh = evaluate_bounds(problem, z, consts, eta_of=eta_of)
+        shared = evaluate_bounds(problem, z, consts, eta_of=eta_of,
+                                 values=evaluate_point(problem, z))
+        assert fresh.keys() == shared.keys()
+        for tid, rep in fresh.items():
+            assert (rep.lhs, rep.rhs, rep.beta_used) == \
+                   (shared[tid].lhs, shared[tid].rhs, shared[tid].beta_used), tid
 
 
 def test_t7_requires_separable_assumptions():

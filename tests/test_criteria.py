@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from stopgap.criteria import (GRID_VALUES, BetaGrid, SmoothingParams, kkt_error,
-                              ogfe, projected_duality_gap, sdg_over_grid,
-                              select_beta, smoothed_duality_gap)
+from stopgap.criteria import (GRID_VALUES, BetaGrid, CriterionValue, SmoothingParams,
+                              best_sdg, kkt_error, ogfe, projected_duality_gap,
+                              sdg_over_grid, select_beta, smoothed_duality_gap)
 from stopgap.errors import ConfigError
 from stopgap.instances import make_do
 from stopgap.objectives import L1Norm
@@ -193,6 +193,31 @@ class TestSelectBeta:
         g = BetaGrid.build(0.0)
         beta, ok = select_beta(g, [(1.0, 0.0, 5.0)], mode="ratio")
         assert not ok and beta.beta_x == pytest.approx(1e-8)
+
+
+class TestBestSdg:
+    @staticmethod
+    def gaps(*pairs):
+        return [CriterionValue("SDG", g, beta_used=SmoothingParams(b, b)) for b, g in pairs]
+
+    def test_tie_goes_to_smaller_beta(self):
+        # G = 1 dominates sqrt(2 beta G) at both betas, so both certify 1
+        values = self.gaps((0.1, 1.0), (0.2, 1.0))
+        best, val = best_sdg(values)
+        assert best is values[0] and val == 1.0
+
+    def test_raw_ranks_by_gap(self):
+        values = self.gaps((1e-8, 0.5), (100.0, 0.01))
+        best, val = best_sdg(values)
+        assert best is values[0] and val == 0.5   # surrogate of the second is sqrt(2)
+        best, val = best_sdg(values, raw=True)
+        assert best is values[1] and val == 0.01
+
+    def test_all_infinite_returns_first_entry(self):
+        values = self.gaps((1e-8, INF), (1.0, INF))
+        for raw in (False, True):
+            best, val = best_sdg(values, raw=raw)
+            assert best is values[0] and val == INF
 
 
 def test_sdg_grid_matches_pointwise(iidg, rng):

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +72,20 @@ class TestRunExperiment:
         rep = json.loads((tmp_path / "verification.json").read_text())
         assert rep["passed"] is True
         assert res["verification"]["sdg_direct_pass"]
+
+
+    def test_traced_run_keeps_the_benchmark_call_graph(self, tmp_path, monkeypatch):
+        # the benchmark's probes count calls at fixed call sites; a refactor
+        # that moves one of those calls fails here before it fails a benchmark run
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import probes
+        tracer = probes.Tracer()
+        with probes.patched(tracer, probes.layer_targets()):
+            res = tracer.wrap(probes.RUN_SPAN, run_experiment)(
+                ExperimentConfig(instance="1d", out_dir=str(tmp_path)))
+        traj = res["trajectory"]
+        assert probes.cross_check(tracer, traj.iterations_used, len(traj.iterates),
+                                  traj.crossings["sdg"] + 1) == []
 
 
 class TestPlotData:
