@@ -190,9 +190,13 @@ def evaluate_bounds(problem, z, consts, eta_of=None, values=None, t2_constant="p
     og, fe, K, D = values.og, values.fe, values.kkt, values.pdg
     reports = {}
 
+    sdg = values.sdg
+    betas = [SmoothingParams(b, b) for b in sdg.beta.tolist()]
+    gaps = sdg.gap.tolist()
+
     def pick(mode, report_of):
         """The report, built once per grid beta, at the beta select_beta picks."""
-        built = [report_of(cv.beta_used, cv.value) for cv in values.sdg]
+        built = [report_of(b, G) for b, G in zip(betas, gaps)]
         beta, _ = select_beta(values.grid, [(r.beta_used, r.lhs, r.rhs) for r in built],
                               mode=mode)
         return next(r for r in built if r.beta_used == beta)
@@ -216,8 +220,8 @@ def evaluate_bounds(problem, z, consts, eta_of=None, values=None, t2_constant="p
     reports["C1_FE_SDG"] = pick("one-sided", lambda b, G: bound_C1(fe, G, b))
 
     # floor: lhs depends on beta through the prox witness; ratio selection
-    floor_cands = [bound_L6(cv.value, cv.beta_used, z.x, cv.witnesses["p"], fe)
-                   for cv in values.sdg if "p" in cv.witnesses and math.isfinite(cv.value)]
+    floor_cands = [bound_L6(G, b, z.x, p, fe)
+                   for b, G, p in zip(betas, gaps, sdg.prox) if math.isfinite(G)]
     if floor_cands:
         reports["L6_SDG_floor"] = min(
             floor_cands, key=lambda rep: rep.rhs / rep.lhs if rep.lhs > 0 else INF)

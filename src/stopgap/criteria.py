@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, StopgapError
+from .linalg import rowwise
 from .problem import PrimalDualPoint, ProblemInstance
 
 INF = float("inf")
@@ -158,35 +159,58 @@ def smoothed_duality_gap(problem: ProblemInstance, z: PrimalDualPoint,
     return CriterionValue("SDG", value, witnesses={"p": p}, beta_used=beta)
 
 
+@dataclass(frozen=True)
+class SdgGrid:
+    """The smoothed gap at every entry of a beta grid with beta_x = beta_y:
+    ``beta`` (k,), ``gap`` (k,) and ``prox`` (k, n), one C-contiguous prox
+    point per beta."""
+
+    beta: np.ndarray
+    gap: np.ndarray
+    prox: np.ndarray
+
+
 def sdg_over_grid(problem, z, grid: BetaGrid):
-    """Smoothed gap at every grid entry with beta_x = beta_y."""
-    out = []
-    for b in grid:
-        beta = SmoothingParams(b, b)
-        out.append(smoothed_duality_gap(problem, z, beta))
-    return out
+    """``smoothed_duality_gap`` at every grid entry, in one pass.
+
+    The beta-independent terms are computed once and every per-beta product
+    is taken row by row, so each entry has the bits of the single-point call.
+    """
+    problem.check_point(z)
+    obj = problem.objective
+    A = problem.constraint.matrix
+    beta = np.asarray(grid.values)
+    aty = A.T @ z.y
+    P = obj.prox_rows(1.0 / beta, z.x - aty / beta[:, None])
+    if not np.isfinite(P).all():
+        raise StopgapError("prox returned a non-finite point")
+    fx = obj(z.x)
+    if not math.isfinite(fx):
+        return SdgGrid(beta=beta, gap=np.full(beta.shape, INF), prox=P)
+    r = problem.constraint.residual(z.x)
+    fe2 = float(r @ r)
+    D = z.x - P
+    value = (obj.value_diff_rows(z.x, P) + np.vecdot(rowwise(A, D), z.y)
+             - 0.5 * beta * np.vecdot(D, D) + fe2 / (2.0 * beta))
+    scale = max(1.0, abs(fx), fe2)
+    if np.any(value < -1e-9 * scale):
+        raise StopgapError(f"self-centered smoothed gap is negative ({value.min()}) "
+                           "beyond round-off; prox is inconsistent")
+    if np.isnan(value).any():
+        raise StopgapError("criterion SDG evaluated to nan")
+    return SdgGrid(beta=beta, gap=np.where(value < 0.0, 0.0, value), prox=P)
 
 
-def epsilon_solution_surrogate(value: CriterionValue):
-    """max(G_beta, sqrt(2 beta_y G_beta)): small iff the gap certifies an
-    epsilon-solution at this beta (feasibility via the corollary bound)."""
-    g = value.value
-    if not math.isfinite(g):
-        return INF
-    return max(g, math.sqrt(2.0 * value.beta_used.beta_y * g))
-
-
-def best_sdg(values, raw=False):
-    """The smoothed gap with the smallest certificate over a grid, and that
-    certificate: the surrogate max(G, sqrt(2 beta_y G)), or G itself when
-    ``raw``.  Ties go to the earlier entry, i.e. the smaller beta of a sorted
-    grid; an all-+inf grid returns its first entry."""
-    best, best_val = None, INF
-    for cv in values:
-        val = cv.value if raw else epsilon_solution_surrogate(cv)
-        if best is None or val < best_val:
-            best, best_val = cv, val
-    return best, best_val
+def best_sdg(grid: SdgGrid, raw=False):
+    """Index of the smallest certificate over a grid, and that certificate:
+    the surrogate max(G, sqrt(2 beta_y G)), small iff the gap certifies an
+    epsilon-solution at that beta, or G itself when ``raw``.  Ties go to the
+    first index, i.e. the smaller beta of a sorted grid; an all-+inf grid
+    returns index 0."""
+    G = grid.gap
+    cert = G if raw else np.maximum(G, np.sqrt(2.0 * grid.beta * G))
+    j = int(np.argmin(cert))
+    return j, float(cert[j])
 
 
 @dataclass(frozen=True)
@@ -200,7 +224,7 @@ class PointValues:
     kkt: float
     pdg: float
     grid: BetaGrid
-    sdg: list
+    sdg: SdgGrid
 
 
 def evaluate_point(problem: ProblemInstance, z: PrimalDualPoint):

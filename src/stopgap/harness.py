@@ -133,11 +133,11 @@ def run_experiment(config: ExperimentConfig):
         writer.writerow(header)
         for k, z, _ in traj.iterates:
             pv = crit.evaluate_point(problem, z)
-            sdg, gate = crit.best_sdg(pv.sdg)
+            j, gate = crit.best_sdg(pv.sdg)
             reports = evaluate_bounds(problem, z, consts, eta_of=eta_of, values=pv,
                                       t2_constant=config.t2_constant)
             cells = [k, _fmt(pv.og), _fmt(pv.fe), _fmt(pv.kkt), _fmt(pv.pdg),
-                     _fmt(sdg.value), _fmt(sdg.beta_used.beta_x), _fmt(gate)]
+                     _fmt(float(pv.sdg.gap[j])), _fmt(float(pv.sdg.beta[j])), _fmt(gate)]
             for tid in config.bounds:
                 rep = reports.get(tid)
                 if rep is None:

@@ -7,11 +7,11 @@ All random generation is seeded through numpy Generators so instances are
 reproducible byte for byte.
 """
 
+import math
 import os
 import warnings
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import ConfigError, DegenerateProblemError, DimensionMismatchError
 from .linalg import pinv_solve
@@ -79,7 +79,8 @@ def toeplitz_covariance(first_row):
     first_row = np.asarray(first_row, dtype=float)
     if first_row.ndim != 1:
         raise ConfigError("covariance factory expects a 1-D first row")
-    return toeplitz(first_row)
+    k = first_row.shape[0]
+    return first_row[np.abs(np.subtract.outer(np.arange(k), np.arange(k)))]
 
 
 def make_ntc(n=20, m=10, seed=0, rho=0.5, first_row_a=None, first_row_q=None):
@@ -128,6 +129,8 @@ def read_libsvm(path):
                     entries.append((int(idx), float(val)))
             except ValueError as exc:
                 raise ConfigError(f"{path}:{ln}: malformed LIBSVM entry ({exc})") from exc
+            if not all(math.isfinite(v) for v in [labels[-1]] + [v for _, v in entries]):
+                raise ConfigError(f"{path}:{ln}: non-finite value")
             for idx, _ in entries:
                 if idx < 1:
                     raise ConfigError(f"{path}:{ln}: indices are 1-based")

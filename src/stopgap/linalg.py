@@ -1,5 +1,7 @@
-"""Dense linear-algebra helpers: operator norms, guarded pseudo-inverses,
-orthonormal bases of subspaces."""
+"""Dense linear-algebra helpers: operator norms, row-wise products, guarded
+pseudo-inverses, orthonormal bases of subspaces."""
+
+import math
 
 import numpy as np
 
@@ -27,21 +29,39 @@ def operator_norm(A, rtol=1e-9, max_iters=10_000):
     v = A[np.argmax(np.abs(A).sum(axis=1))].copy()
     if not np.any(v):
         v = np.ones(A.shape[1])
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(float(v @ v))
     sq = 0.0
     for _ in range(max_iters):
         w = A.T @ (A @ v)
-        sq_new = v @ w
-        nw = np.linalg.norm(w)
+        sq_new = float(v @ w)
+        nw = math.sqrt(float(w @ w))
         if nw == 0.0:
             # v fell in the kernel; restart from a dense vector
-            v = np.ones(A.shape[1]) / np.sqrt(A.shape[1])
+            v = np.ones(A.shape[1]) / math.sqrt(A.shape[1])
             continue
         v = w / nw
         if abs(sq_new - sq) <= rtol * max(sq_new, 1e-300):
-            return float(np.sqrt(sq_new))
+            return math.sqrt(sq_new)
         sq = sq_new
     raise ConvergenceError("power iteration did not converge in %d iterations" % max_iters)
+
+
+def check_finite(a, what):
+    """``a`` itself; raises DegenerateProblemError naming ``what`` when an
+    entry is nan or infinite."""
+    if not np.isfinite(a).all():
+        raise DegenerateProblemError(f"{what} has non-finite entries")
+    return a
+
+
+def rowwise(M, X):
+    """M @ x for every row x of X, as a (k, m) array.
+
+    numpy issues one matrix-vector product per row, so each row carries the
+    same bits as ``M @ x``; a 2-D ``M @ X.T`` goes through a matrix-matrix
+    kernel whose summation order differs in the last bits.
+    """
+    return np.matmul(M, X[:, :, None])[:, :, 0]
 
 
 def eigh_psd(G):

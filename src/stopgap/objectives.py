@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateProblemError, DimensionMismatchError
-from .linalg import RANK_RTOL, eigh_psd
+from .linalg import RANK_RTOL, check_finite, eigh_psd, rowwise
 
 INF = float("inf")
 
@@ -23,6 +23,13 @@ def _check_dim(v, n, what):
     return v
 
 
+def _check_rows(V, n, what):
+    V = np.asarray(V, dtype=float)
+    if V.ndim != 2 or V.shape[1] != n:
+        raise DimensionMismatchError(f"{what}: expected shape (k, {n}), got {V.shape}")
+    return V
+
+
 class ObjectiveOracle:
     """Behaviour contract shared by all objectives.
 
@@ -30,6 +37,12 @@ class ObjectiveOracle:
     ``conj`` (value of f*, possibly +inf), ``project_conj_domain``,
     ``prox_conj`` and ``stationarity_residual`` (squared minimum-norm element
     of df(x)+g, possibly +inf), plus the constants below when they exist.
+
+    The smoothed-gap grid evaluates many proximal points at once through
+    ``prox_rows(s, V)`` (row j is ``prox(s[j], V[j])``) and
+    ``value_diff_rows(x, P)`` (entry j is ``value_diff(x, P[j])``).  Both
+    must give each row the bits of the single-point call, so that the grid
+    and ``criteria.smoothed_duality_gap`` agree exactly.
     """
 
     dim = None
@@ -43,6 +56,9 @@ class ObjectiveOracle:
         raise NotImplementedError
 
     def prox(self, s, v):
+        raise NotImplementedError
+
+    def prox_rows(self, s, V):
         raise NotImplementedError
 
     def conj(self, mu, tol=1e-8):
@@ -63,6 +79,9 @@ class ObjectiveOracle:
         are O(1), and criteria floors live at exactly that scale)."""
         return self(x) - self(p)
 
+    def value_diff_rows(self, x, P):
+        raise NotImplementedError
+
 
 class LeastSquaresData:
     """Data of f(x) = 0.5*||Q x - c||^2 with cached spectral factors.
@@ -73,9 +92,10 @@ class LeastSquaresData:
     """
 
     def __init__(self, design, target):
-        self.design = np.atleast_2d(np.asarray(design, dtype=float))
+        self.design = check_finite(np.atleast_2d(np.asarray(design, dtype=float)),
+                                   "design Q")
         mq, n = self.design.shape
-        self.target = _check_dim(target, mq, "target")
+        self.target = check_finite(_check_dim(target, mq, "target"), "target c")
         self.n = n
         self.gram = self.design.T @ self.design
         self.qtc = self.design.T @ self.target
@@ -93,6 +113,29 @@ class LeastSquaresData:
             raise ValueError("prox step must be positive")
         w = self.V.T @ (self.qtc + v / s)
         return self.V @ (w / (self.lam + 1.0 / s))
+
+    def prox_rows(self, s, V):
+        """``prox(s[j], V[j])`` for every row, with the same bits."""
+        if np.any(s <= 0):
+            raise ValueError("prox step must be positive")
+        s = s[:, None]
+        W = rowwise(self.V.T, self.qtc + V / s)
+        return rowwise(self.V, W / (self.lam + 1.0 / s))
+
+    def value_diff(self, x, p):
+        """0.5(||Qx-c||^2 - ||Qp-c||^2) = 0.5 <Q(x-p), (Qx-c) + (Qp-c)>:
+        every factor scales with x - p, so no large-value cancellation."""
+        Q = self.design
+        rx = Q @ x - self.target
+        rp = Q @ p - self.target
+        return 0.5 * float((Q @ (x - p)) @ (rx + rp))
+
+    def value_diff_rows(self, x, P):
+        """``value_diff(x, p)`` for every row p of P, with the same bits."""
+        Q = self.design
+        rx = Q @ x - self.target
+        RP = rowwise(Q, P) - self.target
+        return 0.5 * np.vecdot(rowwise(Q, x - P), rx + RP)
 
     def range_distance(self, mu):
         """Distance of mu to Ran(Q^T) = Ran(Q^T Q)."""
@@ -150,6 +193,9 @@ class LeastSquaresObjective(ObjectiveOracle):
     def prox(self, s, v):
         return self.data.prox(s, _check_dim(v, self.dim, "v"))
 
+    def prox_rows(self, s, V):
+        return self.data.prox_rows(s, _check_rows(V, self.dim, "V"))
+
     def conj(self, mu, tol=1e-8):
         mu = _check_dim(mu, self.dim, "mu")
         if self.data.range_distance(mu) > tol * np.linalg.norm(mu):
@@ -168,12 +214,11 @@ class LeastSquaresObjective(ObjectiveOracle):
         return float(r @ r)
 
     def value_diff(self, x, p):
-        # 0.5(||Qx-c||^2 - ||Qp-c||^2) = 0.5 <Q(x-p), (Qx-c) + (Qp-c)>:
-        # every factor scales with x - p, so no large-value cancellation
-        Q = self.data.design
-        rx = Q @ x - self.data.target
-        rp = Q @ p - self.data.target
-        return 0.5 * float((Q @ (x - p)) @ (rx + rp))
+        return self.data.value_diff(x, p)
+
+    def value_diff_rows(self, x, P):
+        return self.data.value_diff_rows(_check_dim(x, self.dim, "x"),
+                                         _check_rows(P, self.dim, "P"))
 
 
 class L1Norm(ObjectiveOracle):
@@ -190,6 +235,10 @@ class L1Norm(ObjectiveOracle):
     def prox(self, s, v):
         v = _check_dim(v, self.dim, "v")
         return np.sign(v) * np.maximum(np.abs(v) - s, 0.0)
+
+    def prox_rows(self, s, V):
+        V = _check_rows(V, self.dim, "V")
+        return np.sign(V) * np.maximum(np.abs(V) - s[:, None], 0.0)
 
     def conj(self, mu, tol=1e-8):
         mu = _check_dim(mu, self.dim, "mu")
@@ -212,6 +261,12 @@ class L1Norm(ObjectiveOracle):
     def value_diff(self, x, p):
         # exactly-rounded sum of the interleaved +|x_i|, -|p_i| terms
         return math.fsum(np.concatenate([np.abs(x), -np.abs(p)]).tolist())
+
+    def value_diff_rows(self, x, P):
+        # the same terms per row, so the same exactly-rounded sum
+        ax = np.abs(_check_dim(x, self.dim, "x")).tolist()
+        neg = (-np.abs(_check_rows(P, self.dim, "P"))).tolist()
+        return np.array([math.fsum(ax + row) for row in neg])
 
 
 class NonnegativeQuadratic(ObjectiveOracle):
@@ -248,6 +303,12 @@ class NonnegativeQuadratic(ObjectiveOracle):
         v, vt = self._split(V, "v")
         return np.concatenate([self.data.prox(s, v), np.maximum(vt, 0.0)])
 
+    def prox_rows(self, s, V):
+        V = _check_rows(V, self.dim, "V")
+        nb = self.block_dim
+        return np.concatenate([self.data.prox_rows(s, V[:, :nb]),
+                               np.maximum(V[:, nb:], 0.0)], axis=1)
+
     def conj(self, mu, tol=1e-8):
         m1, m2 = self._split(mu, "mu")
         scale = np.linalg.norm(mu)
@@ -275,12 +336,15 @@ class NonnegativeQuadratic(ObjectiveOracle):
         return float(smooth @ smooth) + float(extra.sum())
 
     def value_diff(self, X, P):
-        _, xt = self._split(X)
+        x, xt = self._split(X)
         if np.any(xt < 0.0):
             return INF
-        x, _ = self._split(X)
         p, _ = self._split(P)  # prox outputs are always feasible
-        Q = self.data.design
-        rx = Q @ x - self.data.target
-        rp = Q @ p - self.data.target
-        return 0.5 * float((Q @ (x - p)) @ (rx + rp))
+        return self.data.value_diff(x, p)
+
+    def value_diff_rows(self, X, P):
+        P = _check_rows(P, self.dim, "P")
+        x, xt = self._split(X)
+        if np.any(xt < 0.0):
+            return np.full(P.shape[0], INF)
+        return self.data.value_diff_rows(x, P[:, :self.block_dim])

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .criteria import SmoothingParams, smoothed_duality_gap
 from .errors import ConvergenceError, StopgapError
@@ -33,6 +32,9 @@ def _min_quad_cg(gram, lin, shift, center, bx, tol):
     Solved as (gram + bx I) u = lin - shift + bx*center by CG; certified via
     the strong-convexity bound value_gap <= ||grad||^2 / (2 bx).
     """
+    # imported here so that solving and certifying never load scipy
+    from scipy.sparse.linalg import LinearOperator, cg
+
     n = center.shape[0]
     rhs = lin - shift + bx * center
 

@@ -137,8 +137,12 @@ def _gate_value(problem, z, name, config):
     # sdg: best certificate over the per-iteration grid
     raw = config.sdg_gate == "raw"
     fe = float(np.linalg.norm(problem.constraint.residual(z.x)))
-    best, val = criteria.best_sdg(criteria.sdg_over_grid(problem, z, BetaGrid.build(fe)),
-                                  raw=raw)
+    grid = criteria.sdg_over_grid(problem, z, BetaGrid.build(fe))
+    j, val = criteria.best_sdg(grid, raw=raw)
+    b = float(grid.beta[j])
+    best = criteria.CriterionValue("SDG", float(grid.gap[j]),
+                                   witnesses={"p": grid.prox[j].copy()},
+                                   beta_used=criteria.SmoothingParams(b, b))
     return val, config.epsilon ** 2 if raw else config.epsilon, {"sdg": best}
 
 

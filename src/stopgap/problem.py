@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import operator_norm
+from .linalg import check_finite, operator_norm
 
 
 class AffineConstraint:
@@ -17,8 +17,9 @@ class AffineConstraint:
     """
 
     def __init__(self, matrix, rhs, allow_empty=False):
-        self.matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-        self.rhs = np.asarray(rhs, dtype=float).reshape(-1)
+        self.matrix = check_finite(np.atleast_2d(np.asarray(matrix, dtype=float)),
+                                   "constraint matrix A")
+        self.rhs = check_finite(np.asarray(rhs, dtype=float).reshape(-1), "constraint rhs b")
         m, n = self.matrix.shape
         if n < 1 or (m < 1 and not allow_empty):
             raise DimensionMismatchError("constraint matrix needs at least one row and column")

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from stopgap.criteria import (GRID_VALUES, BetaGrid, CriterionValue, SmoothingParams,
-                              best_sdg, kkt_error, ogfe, projected_duality_gap,
-                              sdg_over_grid, select_beta, smoothed_duality_gap)
+from stopgap.criteria import (GRID_VALUES, BetaGrid, SdgGrid, SmoothingParams, best_sdg,
+                              kkt_error, ogfe, projected_duality_gap, sdg_over_grid,
+                              select_beta, smoothed_duality_gap)
 from stopgap.errors import ConfigError
-from stopgap.instances import make_do
+from stopgap.harness import DEFAULT_VERSION, ExperimentConfig, build_instance
+from stopgap.instances import FAMILIES, make_do
 from stopgap.objectives import L1Norm
+from stopgap.pdhg import SolveConfig, solve
 from stopgap.problem import AffineConstraint, PrimalDualPoint, ProblemInstance
 
 INF = float("inf")
@@ -197,34 +199,40 @@ class TestSelectBeta:
 
 class TestBestSdg:
     @staticmethod
-    def gaps(*pairs):
-        return [CriterionValue("SDG", g, beta_used=SmoothingParams(b, b)) for b, g in pairs]
+    def grid(*pairs):
+        beta, gap = zip(*pairs)
+        return SdgGrid(beta=np.array(beta), gap=np.array(gap), prox=np.zeros((len(pairs), 1)))
 
     def test_tie_goes_to_smaller_beta(self):
         # G = 1 dominates sqrt(2 beta G) at both betas, so both certify 1
-        values = self.gaps((0.1, 1.0), (0.2, 1.0))
-        best, val = best_sdg(values)
-        assert best is values[0] and val == 1.0
+        assert best_sdg(self.grid((0.1, 1.0), (0.2, 1.0))) == (0, 1.0)
 
     def test_raw_ranks_by_gap(self):
-        values = self.gaps((1e-8, 0.5), (100.0, 0.01))
-        best, val = best_sdg(values)
-        assert best is values[0] and val == 0.5   # surrogate of the second is sqrt(2)
-        best, val = best_sdg(values, raw=True)
-        assert best is values[1] and val == 0.01
+        grid = self.grid((1e-8, 0.5), (100.0, 0.01))
+        assert best_sdg(grid) == (0, 0.5)   # surrogate of the second is sqrt(2)
+        assert best_sdg(grid, raw=True) == (1, 0.01)
 
     def test_all_infinite_returns_first_entry(self):
-        values = self.gaps((1e-8, INF), (1.0, INF))
+        grid = self.grid((1e-8, INF), (1.0, INF))
         for raw in (False, True):
-            best, val = best_sdg(values, raw=raw)
-            assert best is values[0] and val == INF
+            assert best_sdg(grid, raw=raw) == (0, INF)
 
 
-def test_sdg_grid_matches_pointwise(iidg, rng):
-    z = PrimalDualPoint(rng.standard_normal(20), rng.standard_normal(10))
-    fe = float(np.linalg.norm(iidg.constraint.residual(z.x)))
-    grid = BetaGrid.build(fe)
-    vals = sdg_over_grid(iidg, z, grid)
-    for b, cv in zip(grid, vals):
-        direct = smoothed_duality_gap(iidg, z, SmoothingParams(b, b))
-        assert cv.value == pytest.approx(direct.value)
+def test_sdg_grid_matches_pointwise():
+    # the batched grid must reproduce the single-point gap and prox bit for bit
+    # along a short solve of every family
+    for name in FAMILIES:
+        problem = build_instance(ExperimentConfig(instance=name))
+        traj = solve(problem, SolveConfig(criterion="kkt", max_iters=40, record_every=5,
+                                          version=DEFAULT_VERSION.get(name, 1)))
+        for k, z, _ in traj.iterates:
+            fe = float(np.linalg.norm(problem.constraint.residual(z.x)))
+            grid = BetaGrid.build(fe)
+            got = sdg_over_grid(problem, z, grid)
+            assert got.beta.tolist() == list(grid.values)
+            assert got.prox.flags.c_contiguous
+            for j, b in enumerate(grid):
+                want = smoothed_duality_gap(problem, z, SmoothingParams(b, b))
+                where = f"{name} iteration {k} beta {b}"
+                assert np.float64(want.value).tobytes() == got.gap[j].tobytes(), where
+                assert want.witnesses["p"].tobytes() == got.prox[j].tobytes(), where

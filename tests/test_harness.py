@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,6 +89,20 @@ class TestRunExperiment:
         traj = res["trajectory"]
         assert probes.cross_check(tracer, traj.iterations_used, len(traj.iterates),
                                   traj.crossings["sdg"] + 1) == []
+
+
+def test_run_path_does_not_load_scipy():
+    # scipy.linalg and scipy.sparse cost about 30 MiB of resident memory;
+    # only the independent oracles need them, and they import them on use
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, stopgap.harness, stopgap.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.linalg', 'scipy.sparse'))))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestPlotData:

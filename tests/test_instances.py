@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from stopgap.errors import ConfigError
+from stopgap.errors import ConfigError, DegenerateProblemError
 from stopgap.instances import (make_do, make_iidg, make_instance, make_ntc,
                                read_libsvm, toeplitz_covariance)
+from stopgap.objectives import LeastSquaresObjective
 from stopgap.oracles import prox_oracle_pg
+from stopgap.problem import AffineConstraint
 
 
 class TestOneDimensional:
@@ -58,6 +60,12 @@ class TestNtc:
         assert w.min() > 0
         assert S == pytest.approx(S.T)
 
+    def test_covariance_matches_scipy_toeplitz(self, rng):
+        from scipy.linalg import toeplitz
+        for first_row in (0.5 ** np.arange(10), rng.standard_normal(7), np.array([2.0]),
+                          np.array([1.0, -0.25, 0.0, 3.5])):
+            assert np.array_equal(toeplitz_covariance(first_row), toeplitz(first_row))
+
     def test_bad_covariance_spec_rejected(self):
         with pytest.raises(ConfigError):
             toeplitz_covariance(np.eye(3))  # not a first row
@@ -82,6 +90,16 @@ class TestLibsvm:
         path = tmp_path / "bad.libsvm"
         path.write_text("1.0 1:2.0\n2.0 oops\n")
         with pytest.raises(ConfigError, match="2"):
+            read_libsvm(path)
+
+    def test_non_finite_value_reports_line(self, tmp_path):
+        # without the check, make_do fails inside LAPACK on the nan
+        path = tmp_path / "nan.libsvm"
+        path.write_text("1.0 1:2.0\n2.0 1:nan 2:1.0\ninf 2:3.0\n")
+        with pytest.raises(ConfigError, match=":2: non-finite"):
+            read_libsvm(path)
+        path.write_text("1.0 1:2.0\ninf 2:3.0\n")
+        with pytest.raises(ConfigError, match=":2: non-finite"):
             read_libsvm(path)
 
 
@@ -167,3 +185,23 @@ def test_factory_dispatch():
     assert make_instance("1d").label == "1d"
     with pytest.raises(ConfigError):
         make_instance("nope")
+
+
+class TestNonFiniteInput:
+    """Bad data fails where it is constructed, naming the array."""
+
+    def test_infinite_constraint_matrix(self):
+        A = np.eye(3)
+        A[1, 2] = np.inf
+        with pytest.raises(DegenerateProblemError, match="constraint matrix A"):
+            AffineConstraint(A, np.zeros(3))
+
+    def test_nan_constraint_rhs(self):
+        with pytest.raises(DegenerateProblemError, match="constraint rhs b"):
+            AffineConstraint(np.eye(2), np.array([1.0, np.nan]))
+
+    def test_nan_design(self):
+        Q = np.ones((2, 3))
+        Q[0, 0] = np.nan
+        with pytest.raises(DegenerateProblemError, match="design Q"):
+            LeastSquaresObjective(Q, np.zeros(2))
