@@ -131,7 +131,7 @@ def run_experiment(config: ExperimentConfig):
     with open(trace_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for k, z, _ in traj.iterates:
+        for k, z in traj.iterates:
             pv = crit.evaluate_point(problem, z)
             j, gate = crit.best_sdg(pv.sdg)
             reports = evaluate_bounds(problem, z, consts, eta_of=eta_of, values=pv,

@@ -6,6 +6,7 @@ takes the dual ascent first so the returned primal is a prox output (exact
 zeros/projections survive, which matters for the nonsmooth problems).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,13 +27,15 @@ class StepSizes:
     sigma: float
 
     def __post_init__(self):
-        if self.tau <= 0 or self.sigma <= 0:
-            raise ConfigError("step sizes must be positive")
+        for name in ("tau", "sigma"):
+            value = getattr(self, name)
+            if not (0.0 < value < math.inf):
+                raise ConfigError(f"step size {name} must be positive and finite, got {value}")
 
     def check(self, op_norm):
-        if self.tau * self.sigma * op_norm ** 2 >= 1.0:
+        if not self.tau * self.sigma * op_norm ** 2 < 1.0:
             raise ConfigError(
-                f"tau*sigma*||A||^2 = {self.tau * self.sigma * op_norm ** 2} >= 1")
+                f"tau*sigma*||A||^2 = {self.tau * self.sigma * op_norm ** 2} is not below 1")
 
 
 def default_step_sizes(constraint):
@@ -59,8 +62,8 @@ class SolveConfig:
     y0: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
+        if not (0.0 < self.epsilon < math.inf):
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
         if self.record_every < 1:
@@ -86,7 +89,7 @@ class Trajectory:
     which its gate fired (None if it never did).
     """
 
-    iterates: list = field(default_factory=list)  # (k, PrimalDualPoint, {name: CriterionValue})
+    iterates: list = field(default_factory=list)  # (k, PrimalDualPoint) pairs
     stop_reason: str = "budget_exhausted"
     iterations_used: int = 0
     crossings: dict = field(default_factory=dict)
@@ -123,33 +126,41 @@ def _ensure_finite(x, y):
         raise StopgapError("PDHG produced a non-finite iterate")
 
 
-def _gate_value(problem, z, name, config):
-    """Value and threshold for one stopping gate, plus the evaluations made."""
+def _gate_value(problem, z, name, config, residual, fe):
+    """Value and threshold of one stopping gate at ``z``, whose residual
+    ``Ax - b`` is ``residual`` with norm ``fe``."""
     if name == "ogfe":
-        og, fe = criteria.ogfe(problem, z)
-        return max(og.value, fe.value), config.epsilon, {"og": og, "fe": fe}
+        og, fe_value = criteria.ogfe(problem, z, residual=residual)
+        return max(og.value, fe_value.value), config.epsilon
     if name == "kkt":
-        k = criteria.kkt_error(problem, z)
-        return k.value, config.epsilon ** 2, {"kkt": k}
+        return criteria.kkt_error(problem, z, residual=residual).value, config.epsilon ** 2
     if name == "pdg":
-        d = criteria.projected_duality_gap(problem, z)
-        return d.value, config.epsilon ** 2, {"pdg": d}
+        return (criteria.projected_duality_gap(problem, z, residual=residual).value,
+                config.epsilon ** 2)
     # sdg: best certificate over the per-iteration grid
     raw = config.sdg_gate == "raw"
-    fe = float(np.linalg.norm(problem.constraint.residual(z.x)))
-    grid = criteria.sdg_over_grid(problem, z, BetaGrid.build(fe))
-    j, val = criteria.best_sdg(grid, raw=raw)
-    b = float(grid.beta[j])
-    best = criteria.CriterionValue("SDG", float(grid.gap[j]),
-                                   witnesses={"p": grid.prox[j].copy()},
-                                   beta_used=criteria.SmoothingParams(b, b))
-    return val, config.epsilon ** 2 if raw else config.epsilon, {"sdg": best}
+    grid = criteria.sdg_over_grid(problem, z, BetaGrid.build(fe), residual=residual)
+    _, val = criteria.best_sdg(grid, raw=raw)
+    return val, config.epsilon ** 2 if raw else config.epsilon
+
+
+def _infeasible_for(name, config, fe, fe2):
+    """True when the feasibility error alone keeps gate ``name`` shut: KKT
+    and PDG are a nonnegative term plus ||Ax - b||^2 and OG/FE is
+    max(OG, FE), and rounding is monotone, so each computed value is at least
+    its computed FE term.  The SDG certificate has no such float-safe floor."""
+    if name == "ogfe":
+        return fe > config.epsilon
+    return name in ("kkt", "pdg") and fe2 > config.epsilon ** 2
 
 
 def solve(problem, config: SolveConfig, steps: StepSizes | None = None):
     """Iterate PDHG from z0 until the configured gate fires or the budget
-    runs out.  All criteria listed in ``config.evaluate`` (plus the gating
-    one) are computed every iteration; their first crossings are recorded.
+    runs out.  Each iterate's residual ``Ax - b`` is formed once and shared
+    by every gate.  The gating criterion and those in ``config.evaluate`` are
+    evaluated until their first crossing is recorded; KKT, PDG and OG/FE are
+    not evaluated while the feasibility error alone keeps their gate shut,
+    which leaves every crossing unchanged.
     """
     if problem.constraint.m < 1:
         raise ConfigError("the solver requires at least one constraint row")
@@ -171,31 +182,30 @@ def solve(problem, config: SolveConfig, steps: StepSizes | None = None):
     traj = Trajectory(crossings={n: None for n in names})
 
     def evaluate(k, zk):
-        values = {}
+        r = problem.constraint.residual(zk.x)
+        fe2 = float(r @ r)
+        fe = float(np.linalg.norm(r))
         for name in names:
-            if traj.crossings[name] is not None:
-                continue  # first crossing already recorded; skip the recompute
-            val, thr, evs = _gate_value(problem, zk, name, config)
-            values.update(evs)
+            if traj.crossings[name] is not None or _infeasible_for(name, config, fe, fe2):
+                continue
+            val, thr = _gate_value(problem, zk, name, config, r, fe)
             if val <= thr:
                 traj.crossings[name] = k
         if gate_all:
-            fired = all(traj.crossings[n] is not None for n in gating)
-        else:
-            fired = traj.crossings[config.criterion] == k
-        return fired, values
+            return all(traj.crossings[n] is not None for n in gating)
+        return traj.crossings[config.criterion] == k
 
-    fired, values = evaluate(0, z)
-    traj.iterates.append((0, z, values))
+    fired = evaluate(0, z)
+    traj.iterates.append((0, z))
     if fired:
         traj.stop_reason = "converged"
         return traj
 
     for k in range(1, config.max_iters + 1):
         z = stepper(problem, z, steps)
-        fired, values = evaluate(k, z)
+        fired = evaluate(k, z)
         if fired or k == config.max_iters or k % config.record_every == 0:
-            traj.iterates.append((k, z, values))
+            traj.iterates.append((k, z))
         traj.iterations_used = k
         if fired:
             traj.stop_reason = "converged"

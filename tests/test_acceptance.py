@@ -72,7 +72,7 @@ def certified_trajectories():
         eta_of = EtaCache(problem)
         reports = {}
         violations = []
-        for k, z, _ in traj.iterates:
+        for k, z in traj.iterates:
             for tid, rep in evaluate_bounds(problem, z, consts, eta_of=eta_of).items():
                 reports.setdefault(tid, []).append(rep)
                 if not rep.holds:

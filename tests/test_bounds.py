@@ -128,7 +128,7 @@ class TestTrajectoryCertification:
                           record_every=every)
         traj = solve(problem, cfg)
         t4, t5 = [], []
-        for k, z, _ in traj.iterates:
+        for k, z in traj.iterates:
             reports = evaluate_bounds(problem, z, consts, eta_of=eta_of)
             for tid, rep in reports.items():
                 assert rep.holds, f"{problem.label} iter {k}: {tid} violated " \

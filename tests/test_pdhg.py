@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from stopgap.criteria import kkt_error
+from stopgap import criteria
+from stopgap.criteria import BetaGrid, kkt_error
 from stopgap.errors import ConfigError, DegenerateProblemError
+from stopgap.harness import DEFAULT_VERSION, ExperimentConfig, build_instance, run_experiment
+from stopgap.instances import FAMILIES
 from stopgap.objectives import LeastSquaresObjective
 from stopgap.pdhg import (SolveConfig, StepSizes, default_step_sizes, solve,
                           step_v1, step_v2)
@@ -46,6 +51,16 @@ class TestStepSizes:
         cfg = SolveConfig(max_iters=10, criterion="kkt")
         with pytest.raises(ConfigError):
             solve(one_d, cfg, StepSizes(1.0, 1.0))
+
+    @pytest.mark.parametrize("field", ["tau", "sigma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_or_nonpositive_step_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            StepSizes(**{"tau": 0.5, "sigma": 0.5, field: value})
+
+    def test_non_finite_operator_norm_fails_the_check(self):
+        with pytest.raises(ConfigError):
+            StepSizes(0.5, 0.5).check(math.nan)
 
 
 class TestSteps:
@@ -112,6 +127,17 @@ class TestSolve:
         traj = solve(one_d, cfg)
         assert abs(traj.crossings["sdg"] - 11) <= 2
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
+    def test_bad_epsilon_rejected(self, value):
+        with pytest.raises(ConfigError, match="epsilon"):
+            SolveConfig(epsilon=value)
+
+    def test_nan_epsilon_fails_before_the_run(self, tmp_path):
+        # a nan epsilon would keep every gate shut and run silently to the budget
+        with pytest.raises(ConfigError, match="epsilon"):
+            run_experiment(ExperimentConfig(epsilon=math.nan, out_dir=str(tmp_path / "out")))
+        assert not (tmp_path / "out").exists()
+
     def test_max_iters_zero_forbidden(self):
         with pytest.raises(ConfigError):
             SolveConfig(max_iters=0)
@@ -134,7 +160,7 @@ class TestSolve:
         t1 = solve(iidg, cfg)
         t2 = solve(iidg, cfg)
         assert len(t1.iterates) == len(t2.iterates)
-        for (k1, z1, _), (k2, z2, _) in zip(t1.iterates, t2.iterates):
+        for (k1, z1), (k2, z2) in zip(t1.iterates, t2.iterates):
             assert k1 == k2
             assert (z1.x == z2.x).all() and (z1.y == z2.y).all()
 
@@ -163,7 +189,67 @@ class TestSolve:
         cfg = SolveConfig(epsilon=1e-8, max_iters=10_000, criterion="kkt",
                           record_every=97)
         traj = solve(iidg, cfg)
-        ks = [k for k, _, _ in traj.iterates]
+        ks = [k for k, _ in traj.iterates]
         assert ks == sorted(ks)
         assert ks[-1] == traj.iterations_used
         assert traj.stop_reason == "converged"
+
+
+def reference_solve(problem, config):
+    """Crossings and final iterate of a loop that evaluates every criterion in
+    ``config.evaluate`` at every iterate, with no feasibility pre-check and no
+    shared residual."""
+    eps = config.epsilon
+    stepper = step_v1 if config.version == 1 else step_v2
+    steps = default_step_sizes(problem.constraint)
+    crossings = {name: None for name in config.evaluate}
+    z = PrimalDualPoint(np.zeros(problem.constraint.n), np.zeros(problem.constraint.m))
+    for k in range(config.max_iters + 1):
+        if k:
+            z = stepper(problem, z, steps)
+        values = {"kkt": (criteria.kkt_error(problem, z).value, eps ** 2),
+                  "pdg": (criteria.projected_duality_gap(problem, z).value, eps ** 2)}
+        fe = float(np.linalg.norm(problem.constraint.residual(z.x)))
+        grid = criteria.sdg_over_grid(problem, z, BetaGrid.build(fe))
+        values["sdg"] = (criteria.best_sdg(grid)[1], eps)
+        if problem.reference is not None:
+            og, fe_value = criteria.ogfe(problem, z)
+            values["ogfe"] = (max(og.value, fe_value.value), eps)
+        for name in crossings:
+            value, threshold = values[name]
+            if crossings[name] is None and value <= threshold:
+                crossings[name] = k
+        if all(c is not None for c in crossings.values()):
+            break
+    return crossings, k, z
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_crossings_match_a_loop_that_evaluates_everything(name):
+    problem = build_instance(ExperimentConfig(instance=name))
+    evaluate = ("kkt", "pdg", "sdg") + (("ogfe",) if problem.reference is not None else ())
+    cfg = SolveConfig(epsilon=1e-4, max_iters=1500, criterion="all", evaluate=evaluate,
+                      version=DEFAULT_VERSION.get(name, 1))
+    crossings, last, z_ref = reference_solve(problem, cfg)
+    traj = solve(problem, cfg)
+    assert traj.crossings == crossings
+    assert traj.iterations_used == last
+    assert traj.final_point.x.tobytes() == z_ref.x.tobytes()
+    assert traj.final_point.y.tobytes() == z_ref.y.tobytes()
+
+
+def test_kkt_is_evaluated_only_where_the_feasibility_error_allows(bp, monkeypatch):
+    # basis pursuit: the KKT gate never fires, and the feasibility error stays
+    # above epsilon at most iterates
+    calls = []
+    kkt = criteria.kkt_error
+    monkeypatch.setattr(criteria, "kkt_error", lambda *a, **kw: calls.append(1) or kkt(*a, **kw))
+    eps = 1e-4
+    traj = solve(bp, SolveConfig(epsilon=eps, max_iters=3000, criterion="sdg",
+                                 evaluate=("kkt", "sdg", "pdg")))
+    assert traj.crossings["kkt"] is None
+    assert len(traj.iterates) == traj.iterations_used + 1
+    fe2 = [float(r @ r) for r in (bp.constraint.residual(z.x) for _, z in traj.iterates)]
+    feasible = sum(v <= eps ** 2 for v in fe2)
+    assert 0 < feasible < len(fe2) // 2
+    assert len(calls) == feasible
