@@ -3,8 +3,7 @@ smoothing-parameter grid and its selection rules.
 
 Conventions: KKT and PDG are sums of squared residuals; OG/FE are plain
 values; the smoothed gap is evaluated per smoothing pair beta = (beta_x,
-beta_y) and is provably >= 0 for the self-centered version.  Each measure
-takes ``Ax - b`` as an optional ``residual``, for callers that formed it.
+beta_y) and is provably >= 0 for the self-centered version.
 """
 
 import math
@@ -78,7 +77,7 @@ class CriterionValue:
         return math.isfinite(self.value)
 
 
-def ogfe(problem: ProblemInstance, z: PrimalDualPoint, residual=None):
+def ogfe(problem: ProblemInstance, z: PrimalDualPoint):
     """Optimality gap max(f(x) - f*, 0) and feasibility error ||Ax - b||.
 
     Requires a reference solution; OG is an oracle-only quantity.
@@ -89,21 +88,21 @@ def ogfe(problem: ProblemInstance, z: PrimalDualPoint, residual=None):
                           "the optimality gap is not computable")
     fx = problem.objective(z.x)
     og = max(fx - problem.reference.f_star, 0.0)
-    r = problem.constraint.residual(z.x) if residual is None else residual
-    return (CriterionValue("OG", og), CriterionValue("FE", float(np.linalg.norm(r))))
+    fe = float(np.linalg.norm(problem.constraint.residual(z.x)))
+    return (CriterionValue("OG", og), CriterionValue("FE", fe))
 
 
-def kkt_error(problem: ProblemInstance, z: PrimalDualPoint, residual=None):
+def kkt_error(problem: ProblemInstance, z: PrimalDualPoint):
     """||df(x) + A^T y||_0^2 + ||Ax - b||^2 (squared minimum-norm subgradient
     plus squared feasibility error); +inf propagates from the residual."""
     problem.check_point(z)
     g = problem.constraint.matrix.T @ z.y
     stat = problem.objective.stationarity_residual(z.x, g)
-    r = problem.constraint.residual(z.x) if residual is None else residual
+    r = problem.constraint.residual(z.x)
     return CriterionValue("KKT", stat + float(r @ r))
 
 
-def projected_duality_gap(problem: ProblemInstance, z: PrimalDualPoint, residual=None):
+def projected_duality_gap(problem: ProblemInstance, z: PrimalDualPoint):
     """|f(x) + f*(a) + <b,y>|^2 + ||a + A^T y||^2 + ||Ax - b||^2 with
     a = Proj_{dom f*}(-A^T y)."""
     problem.check_point(z)
@@ -115,7 +114,7 @@ def projected_duality_gap(problem: ProblemInstance, z: PrimalDualPoint, residual
         raise StopgapError("projection onto dom f* returned a point with f* = +inf "
                            "(projection contract violated)")
     fx = obj(z.x)
-    r = problem.constraint.residual(z.x) if residual is None else residual
+    r = problem.constraint.residual(z.x)
     da = a + aty
     if not math.isfinite(fx):
         value = INF
@@ -171,7 +170,7 @@ class SdgGrid:
     prox: np.ndarray
 
 
-def sdg_over_grid(problem, z, grid: BetaGrid, residual=None):
+def sdg_over_grid(problem, z, grid: BetaGrid):
     """``smoothed_duality_gap`` at every grid entry, in one pass.
 
     The beta-independent terms are computed once and every per-beta product
@@ -188,7 +187,7 @@ def sdg_over_grid(problem, z, grid: BetaGrid, residual=None):
     fx = obj(z.x)
     if not math.isfinite(fx):
         return SdgGrid(beta=beta, gap=np.full(beta.shape, INF), prox=P)
-    r = problem.constraint.residual(z.x) if residual is None else residual
+    r = problem.constraint.residual(z.x)
     fe2 = float(r @ r)
     D = z.x - P
     value = (obj.value_diff_rows(z.x, P) + np.vecdot(rowwise(A, D), z.y)
@@ -230,16 +229,15 @@ class PointValues:
 
 def evaluate_point(problem: ProblemInstance, z: PrimalDualPoint):
     """Evaluate every measure at ``z`` once, for the trace and the bounds."""
-    problem.check_point(z)
-    r = problem.constraint.residual(z.x)
     if problem.reference is not None:
-        og, fe = (cv.value for cv in ogfe(problem, z, residual=r))
+        og, fe = (cv.value for cv in ogfe(problem, z))
     else:
-        og, fe = None, float(np.linalg.norm(r))
+        problem.check_point(z)
+        og, fe = None, float(np.linalg.norm(problem.constraint.residual(z.x)))
     grid = BetaGrid.build(fe)
-    return PointValues(og=og, fe=fe, kkt=kkt_error(problem, z, residual=r).value,
-                       pdg=projected_duality_gap(problem, z, residual=r).value,
-                       grid=grid, sdg=sdg_over_grid(problem, z, grid, residual=r))
+    return PointValues(og=og, fe=fe, kkt=kkt_error(problem, z).value,
+                       pdg=projected_duality_gap(problem, z).value,
+                       grid=grid, sdg=sdg_over_grid(problem, z, grid))
 
 
 def select_beta(grid: BetaGrid, candidates, mode="one-sided"):

@@ -126,41 +126,45 @@ def _ensure_finite(x, y):
         raise StopgapError("PDHG produced a non-finite iterate")
 
 
-def _gate_value(problem, z, name, config, residual, fe):
+def _gate_value(problem, z, name, config, r, fe):
     """Value and threshold of one stopping gate at ``z``, whose residual
-    ``Ax - b`` is ``residual`` with norm ``fe``."""
+    ``Ax - b`` is ``r`` with norm ``fe``.
+
+    KKT and PDG are a nonnegative term plus ||r||^2 and OG/FE is
+    max(OG, FE); rounding is monotone, so each computed value is at least its
+    computed feasibility term.  While that term alone is above the threshold
+    the gate is shut, and it reads +inf without evaluating the measure.  The
+    SDG certificate has no such float-safe floor.
+    """
     if name == "ogfe":
-        og, fe_value = criteria.ogfe(problem, z, residual=residual)
+        if fe > config.epsilon:
+            return math.inf, config.epsilon
+        og, fe_value = criteria.ogfe(problem, z)
         return max(og.value, fe_value.value), config.epsilon
-    if name == "kkt":
-        return criteria.kkt_error(problem, z, residual=residual).value, config.epsilon ** 2
-    if name == "pdg":
-        return (criteria.projected_duality_gap(problem, z, residual=residual).value,
-                config.epsilon ** 2)
+    if name in ("kkt", "pdg"):
+        threshold = config.epsilon ** 2
+        if float(r @ r) > threshold:
+            return math.inf, threshold
+        measure = criteria.kkt_error if name == "kkt" else criteria.projected_duality_gap
+        return measure(problem, z).value, threshold
     # sdg: best certificate over the per-iteration grid
     raw = config.sdg_gate == "raw"
-    grid = criteria.sdg_over_grid(problem, z, BetaGrid.build(fe), residual=residual)
+    grid = criteria.sdg_over_grid(problem, z, BetaGrid.build(fe))
     _, val = criteria.best_sdg(grid, raw=raw)
     return val, config.epsilon ** 2 if raw else config.epsilon
 
 
-def _infeasible_for(name, config, fe, fe2):
-    """True when the feasibility error alone keeps gate ``name`` shut: KKT
-    and PDG are a nonnegative term plus ||Ax - b||^2 and OG/FE is
-    max(OG, FE), and rounding is monotone, so each computed value is at least
-    its computed FE term.  The SDG certificate has no such float-safe floor."""
-    if name == "ogfe":
-        return fe > config.epsilon
-    return name in ("kkt", "pdg") and fe2 > config.epsilon ** 2
-
-
 def solve(problem, config: SolveConfig, steps: StepSizes | None = None):
     """Iterate PDHG from z0 until the configured gate fires or the budget
-    runs out.  Each iterate's residual ``Ax - b`` is formed once and shared
-    by every gate.  The gating criterion and those in ``config.evaluate`` are
-    evaluated until their first crossing is recorded; KKT, PDG and OG/FE are
-    not evaluated while the feasibility error alone keeps their gate shut,
-    which leaves every crossing unchanged.
+    runs out.  The gating criterion and those in ``config.evaluate`` are
+    evaluated at each iterate until their first crossing is recorded.  KKT,
+    PDG and OG/FE are not evaluated while the feasibility error alone keeps
+    their gate shut (see ``_gate_value``), which leaves every crossing
+    unchanged.  Their oracle checks are skipped there too: a
+    conjugate-domain projection that breaks its contract raises here only
+    once the feasibility error is at most epsilon, while ``run_experiment``,
+    which evaluates every measure at every recorded iterate, raises it at
+    the first row.
     """
     if problem.constraint.m < 1:
         raise ConfigError("the solver requires at least one constraint row")
@@ -183,11 +187,10 @@ def solve(problem, config: SolveConfig, steps: StepSizes | None = None):
 
     def evaluate(k, zk):
         r = problem.constraint.residual(zk.x)
-        fe2 = float(r @ r)
         fe = float(np.linalg.norm(r))
         for name in names:
-            if traj.crossings[name] is not None or _infeasible_for(name, config, fe, fe2):
-                continue
+            if traj.crossings[name] is not None:
+                continue  # first crossing already recorded; skip the recompute
             val, thr = _gate_value(problem, zk, name, config, r, fe)
             if val <= thr:
                 traj.crossings[name] = k

@@ -5,10 +5,10 @@ import pytest
 
 from stopgap import criteria
 from stopgap.criteria import BetaGrid, kkt_error
-from stopgap.errors import ConfigError, DegenerateProblemError
+from stopgap.errors import ConfigError, DegenerateProblemError, StopgapError
 from stopgap.harness import DEFAULT_VERSION, ExperimentConfig, build_instance, run_experiment
 from stopgap.instances import FAMILIES
-from stopgap.objectives import LeastSquaresObjective
+from stopgap.objectives import L1Norm, LeastSquaresObjective
 from stopgap.pdhg import (SolveConfig, StepSizes, default_step_sizes, solve,
                           step_v1, step_v2)
 from stopgap.problem import AffineConstraint, PrimalDualPoint, ProblemInstance
@@ -197,8 +197,7 @@ class TestSolve:
 
 def reference_solve(problem, config):
     """Crossings and final iterate of a loop that evaluates every criterion in
-    ``config.evaluate`` at every iterate, with no feasibility pre-check and no
-    shared residual."""
+    ``config.evaluate`` at every iterate, with no feasibility pre-check."""
     eps = config.epsilon
     stepper = step_v1 if config.version == 1 else step_v2
     steps = default_step_sizes(problem.constraint)
@@ -253,3 +252,15 @@ def test_kkt_is_evaluated_only_where_the_feasibility_error_allows(bp, monkeypatc
     feasible = sum(v <= eps ** 2 for v in fe2)
     assert 0 < feasible < len(fe2) // 2
     assert len(calls) == feasible
+
+
+def test_broken_conjugate_projection_is_still_caught_by_the_harness(bp, monkeypatch, tmp_path):
+    # solve skips PDG while the feasibility error is above epsilon, and with
+    # it the projection's contract check; the trace rows evaluate PDG at every
+    # recorded iterate, so run_experiment still raises at its first row
+    monkeypatch.setattr(L1Norm, "project_conj_domain", lambda self, mu: np.full_like(mu, 2.0))
+    traj = solve(bp, SolveConfig(epsilon=1e-4, max_iters=20, criterion="sdg",
+                                 evaluate=("pdg", "sdg")))
+    assert traj.crossings["pdg"] is None
+    with pytest.raises(StopgapError, match="projection contract violated"):
+        run_experiment(ExperimentConfig(instance="bp", max_iters=20, out_dir=str(tmp_path / "out")))
