@@ -2,7 +2,7 @@
 problems, four comparable stopping criteria, and numeric certification of
 the inequalities relating them."""
 
-from .criteria import (BetaGrid, CriterionValue, SmoothingParams, kkt_error, ogfe,
+from .criteria import (CriterionValue, SmoothingParams, beta_grid, kkt_error, ogfe,
                        projected_duality_gap, select_beta, smoothed_duality_gap)
 from .instances import (make_1d, make_bp, make_do, make_iidg, make_instance,
                         make_ntc, make_pqp, read_libsvm)
@@ -15,11 +15,11 @@ from .regularity import (QuadraticFormModel, RegularityConstants, lipschitz_cons
                          msr_gamma, qeb_eta)
 
 __all__ = [
-    "AffineConstraint", "BetaGrid", "CriterionValue", "L1Norm",
+    "AffineConstraint", "CriterionValue", "L1Norm",
     "LeastSquaresObjective", "NonnegativeQuadratic", "PrimalDualPoint",
     "ProblemInstance", "QuadraticFormModel", "ReferenceSolution",
     "RegularityConstants", "SmoothingParams", "SolveConfig", "StepSizes",
-    "Trajectory", "default_step_sizes", "kkt_error", "lipschitz_constants",
+    "Trajectory", "beta_grid", "default_step_sizes", "kkt_error", "lipschitz_constants",
     "make_1d", "make_bp", "make_do", "make_iidg", "make_instance", "make_ntc",
     "make_pqp", "msr_gamma", "ogfe", "operator_norm", "projected_duality_gap",
     "qeb_eta", "read_libsvm", "select_beta", "smoothed_duality_gap", "solve",

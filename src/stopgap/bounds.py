@@ -2,9 +2,12 @@
 primal-dual point: per-iteration reports of lhs, rhs, their ratio and the
 smoothing pair used, plus the trajectory-level ratio statistics.
 
-The smoothing pair for each report follows the grid-selection rules: for
-``g(z) <= h_beta(z)`` the beta minimising the rhs; for
-``g_beta(z) <= h_beta(z)`` the beta minimising rhs/lhs.
+Each ``bound_*`` writes one theorem's right-hand side (for the L6 floor, its
+left-hand side) as a numpy expression: scalars broadcast, so one formula
+serves a single smoothing pair and the whole beta grid.  The smoothing pair
+of each report follows the grid-selection rules: for ``g(z) <= h_beta(z)``
+the beta minimising the rhs; for ``g_beta(z) <= h_beta(z)`` the beta
+minimising rhs/lhs.
 """
 
 import math
@@ -46,7 +49,7 @@ class BoundReport:
         if not math.isfinite(self.rhs):
             return INF
         if not math.isfinite(self.lhs):
-            return 1.0 if not math.isfinite(self.rhs) else 0.0
+            return 0.0
         return self.rhs / self.lhs
 
 
@@ -60,125 +63,115 @@ class RatioStats:
     zero_lhs_count: int
 
 
-def _sqrt(v):
-    return math.sqrt(v) if math.isfinite(v) else INF
+def _inf_unless_finite(v, rhs):
+    """``rhs`` where ``v`` is finite and +inf elsewhere, so that a 0 * inf
+    product in a discarded entry leaves no nan behind.  The formulas without
+    this guard reach +inf from an infinite input on their own."""
+    return np.where(np.isfinite(v), rhs, INF)
 
 
-def bound_T1(og, K, y_norm, gamma):
+def bound_T1(K, y_norm, gamma):
     """OG <= (2/gamma) K + ||y|| sqrt(K) under metric sub-regularity."""
-    rhs = (2.0 / gamma) * K + y_norm * _sqrt(K) if math.isfinite(K) else INF
-    return BoundReport("T1_OG_KKT", og, rhs)
+    return (2.0 / gamma) * K + y_norm * math.sqrt(K) if math.isfinite(K) else INF
 
 
-def bound_T2(og, G, y_norm, beta, eta, constant="proof"):
+@np.errstate(invalid="ignore")
+def bound_T2(G, y_norm, bx, by, eta, constant="proof"):
     """OG <= (1 + c_beta) G + sqrt(2 beta_y) ||y|| sqrt(G) under the
     quadratic error bound; c_beta is 2 sqrt(beta_x/eta) as established by the
     proof ('statement' selects the printed 1 + sqrt(2 beta_x / eta))."""
     if constant == "proof":
-        c = 2.0 * math.sqrt(beta.beta_x / eta)
+        c = 2.0 * np.sqrt(bx / eta)
     elif constant == "statement":
-        c = math.sqrt(2.0 * beta.beta_x / eta)
+        c = np.sqrt(2.0 * bx / eta)
     else:
         raise ConfigError(f"unknown T2 constant {constant!r}")
-    if math.isfinite(G):
-        rhs = (1.0 + c) * G + math.sqrt(2.0 * beta.beta_y) * y_norm * math.sqrt(G)
-    else:
-        rhs = INF
-    return BoundReport("T2_OG_SDG", og, rhs, beta_used=beta)
+    return _inf_unless_finite(G, (1.0 + c) * G + np.sqrt(2.0 * by) * y_norm * np.sqrt(G))
 
 
-def bound_T3(og, D, x_norm, y_norm, beta, eta):
+def bound_T3(D, x_norm, y_norm, bx, by, eta):
     """OG <= (1 + ||x|| + sqrt(2/eta) sqrt((1+||x||+||y||) sqrt(D)
     + D/(2 beta_min))) sqrt(D)."""
-    if math.isfinite(D):
-        bmin = min(beta.beta_x, beta.beta_y)
-        inner = (1.0 + x_norm + y_norm) * math.sqrt(D) + D / (2.0 * bmin)
-        rhs = (1.0 + x_norm + math.sqrt(2.0 / eta) * math.sqrt(inner)) * math.sqrt(D)
-    else:
-        rhs = INF
-    return BoundReport("T3_OG_PDG", og, rhs, beta_used=beta)
+    inner = (1.0 + x_norm + y_norm) * np.sqrt(D) + D / (2.0 * np.minimum(bx, by))
+    return (1.0 + x_norm + np.sqrt(2.0 / eta) * np.sqrt(inner)) * np.sqrt(D)
 
 
-def bound_T4(G, K, beta):
+def bound_T4(K, bx, by):
     """G <= max(1/beta_x, 1/(2 beta_y)) K."""
-    bl = max(1.0 / beta.beta_x, 1.0 / (2.0 * beta.beta_y))
-    rhs = bl * K if math.isfinite(K) else INF
-    return BoundReport("T4_SDG_KKT", G, rhs, beta_used=beta)
+    return np.maximum(1.0 / bx, 1.0 / (2.0 * by)) * K
 
 
-def bound_T5(K, G, beta, L):
+def bound_T5(G, bx, by, L):
     """K <= max(2(L+beta_x)^2/beta_x, 2 beta_y) G for L-smooth objectives;
     rhs is +inf when the objective is not smooth."""
-    if L is None or not math.isfinite(G):
-        rhs = INF
-    else:
-        bL = max(2.0 * (L + beta.beta_x) ** 2 / beta.beta_x, 2.0 * beta.beta_y)
-        rhs = bL * G
-    return BoundReport("T5_KKT_SDG", K, rhs, beta_used=beta)
+    if L is None:
+        return INF
+    # Python's ** (libm pow) per beta: numpy's exact square differs from it
+    # in the last bit for about one beta in a thousand
+    sq = np.reshape([(L + b) ** 2 for b in np.ravel(bx).tolist()], np.shape(bx))
+    return np.maximum(2.0 * sq / bx, 2.0 * by) * G
 
 
-def bound_T6(G, D, x_norm, y_norm, beta):
+def bound_T6(D, x_norm, y_norm, bx, by):
     """G <= (1 + ||x|| + ||y||) sqrt(D) + D/(2 beta_min)."""
-    if math.isfinite(D):
-        bmin = min(beta.beta_x, beta.beta_y)
-        rhs = (1.0 + x_norm + y_norm) * math.sqrt(D) + D / (2.0 * bmin)
-    else:
-        rhs = INF
-    return BoundReport("T6_SDG_PDG", G, rhs, beta_used=beta)
+    return (1.0 + x_norm + y_norm) * np.sqrt(D) + D / (2.0 * np.minimum(bx, by))
 
 
-def bound_T7(D, G, x_norm, y_norm, beta, L_g, L_f1_star):
+@np.errstate(invalid="ignore")
+def bound_T7(G, x_norm, y_norm, bx, by, L_g, L_f1_star):
     """D <= ((3 + beta_x L_g) G + (sqrt(2 beta_x)(2||x|| + L_f1*)
     + sqrt(2 beta_y)||y||) sqrt(G))^2 + 2 beta_max G, for objectives whose
     conjugate splits into a Lipschitz part and a smooth affine-domain part."""
     if L_g is None or L_f1_star is None:
         raise ConfigError("instance does not satisfy the separable-conjugate assumptions")
-    if math.isfinite(G):
-        bmax = max(beta.beta_x, beta.beta_y)
-        lin = ((3.0 + beta.beta_x * L_g) * G
-               + (math.sqrt(2.0 * beta.beta_x) * (2.0 * x_norm + L_f1_star)
-                  + math.sqrt(2.0 * beta.beta_y) * y_norm) * math.sqrt(G))
-        rhs = lin * lin + 2.0 * bmax * G
-    else:
-        rhs = INF
-    return BoundReport("T7_PDG_SDG_manifold", D, rhs, beta_used=beta)
+    lin = ((3.0 + bx * L_g) * G
+           + (np.sqrt(2.0 * bx) * (2.0 * x_norm + L_f1_star)
+              + np.sqrt(2.0 * by) * y_norm) * np.sqrt(G))
+    return _inf_unless_finite(G, lin * lin + 2.0 * np.maximum(bx, by) * G)
 
 
-def bound_P4(D, G, x_norm, y_norm, beta, L_f_star):
+@np.errstate(invalid="ignore")
+def bound_P4(G, x_norm, y_norm, bx, by, L_f_star):
     """D <= (G + (sqrt(2 beta_x)(||x|| + L_f*) + sqrt(2 beta_y)||y||)
     sqrt(G))^2 + 2 beta_max G, for conjugates Lipschitz on their domain."""
     if L_f_star is None:
         raise ConfigError("objective conjugate is not Lipschitz on its domain")
-    if math.isfinite(G):
-        bmax = max(beta.beta_x, beta.beta_y)
-        lin = (G + (math.sqrt(2.0 * beta.beta_x) * (x_norm + L_f_star)
-                    + math.sqrt(2.0 * beta.beta_y) * y_norm) * math.sqrt(G))
-        rhs = lin * lin + 2.0 * bmax * G
-    else:
-        rhs = INF
-    return BoundReport("P4_PDG_SDG_lipschitz", D, rhs, beta_used=beta)
+    lin = (G + (np.sqrt(2.0 * bx) * (x_norm + L_f_star)
+                + np.sqrt(2.0 * by) * y_norm) * np.sqrt(G))
+    return _inf_unless_finite(G, lin * lin + 2.0 * np.maximum(bx, by) * G)
 
 
-def bound_C1(fe, G, beta):
+def bound_C1(G, by):
     """||Ax - b|| <= sqrt(2 beta_y G)."""
-    rhs = math.sqrt(2.0 * beta.beta_y * G) if math.isfinite(G) else INF
-    return BoundReport("C1_FE_SDG", fe, rhs, beta_used=beta)
+    return np.sqrt(2.0 * by * G)
 
 
-def bound_L6(G, beta, x, p, fe):
-    """Floor: beta_x/2 ||x - p||^2 + ||Ax-b||^2/(2 beta_y) <= G."""
-    d = np.asarray(x, float) - np.asarray(p, float)
-    lhs = 0.5 * beta.beta_x * float(d @ d) + fe * fe / (2.0 * beta.beta_y)
-    return BoundReport("L6_SDG_floor", lhs, G if math.isfinite(G) else INF, beta_used=beta)
+def bound_L6(x, p, fe, bx, by):
+    """Left-hand side of the floor beta_x/2 ||x - p||^2 + ||Ax-b||^2/(2 beta_y)
+    <= G, with one prox point ``p`` per beta (rows of a 2-D array)."""
+    d = x - p
+    return 0.5 * bx * np.vecdot(d, d) + fe * fe / (2.0 * by)
+
+
+def ratio_key(lhs, rhs):
+    """Selection key of a two-sided bound: rhs/lhs where lhs is finite and
+    positive, +inf (never selected) elsewhere."""
+    ok = (lhs > 0.0) & (lhs < INF)
+    return np.divide(rhs, lhs, out=np.full(np.shape(ok), INF), where=ok)
 
 
 def evaluate_bounds(problem, z, consts, eta_of=None, values=None, t2_constant="proof"):
     """All applicable bound reports at one point.
 
+    Every report but T1's is evaluated over the point's beta grid and reported
+    at the beta ``select_beta`` picks from its key: the rhs for a one-sided
+    bound, ``ratio_key(lhs, rhs)`` for T4, T6 and the L6 floor.  All keys go
+    to one ``select_beta`` call.
+
     Parameters
     ----------
     consts : RegularityConstants for the instance.
-    eta_of : callable beta -> eta (defaults to the constant consts.eta).
+    eta_of : callable SmoothingParams -> eta (defaults to the constant consts.eta).
     values : the point's ``criteria.PointValues``; evaluated here when omitted.
     """
     problem.check_point(z)
@@ -188,43 +181,36 @@ def evaluate_bounds(problem, z, consts, eta_of=None, values=None, t2_constant="p
         eta_of = lambda beta: consts.eta
     x_norm, y_norm = z.norms()
     og, fe, K, D = values.og, values.fe, values.kkt, values.pdg
+    beta, G = values.sdg.beta, values.sdg.gap
     reports = {}
-
-    sdg = values.sdg
-    betas = [SmoothingParams(b, b) for b in sdg.beta.tolist()]
-    gaps = sdg.gap.tolist()
-
-    def pick(mode, report_of):
-        """The report, built once per grid beta, at the beta select_beta picks."""
-        built = [report_of(b, G) for b, G in zip(betas, gaps)]
-        beta, _ = select_beta(values.grid, [(r.beta_used, r.lhs, r.rhs) for r in built],
-                              mode=mode)
-        return next(r for r in built if r.beta_used == beta)
+    rows = []   # (theorem id, lhs, rhs, selection key is the ratio)
 
     if og is not None:
-        reports["T1_OG_KKT"] = bound_T1(og, K, y_norm, consts.gamma)
-        reports["T2_OG_SDG"] = pick("one-sided", lambda b, G: bound_T2(
-            og, G, y_norm, b, eta_of(b), t2_constant))
-        reports["T3_OG_PDG"] = pick("one-sided", lambda b, G: bound_T3(
-            og, D, x_norm, y_norm, b, eta_of(b)))
-
-    reports["T4_SDG_KKT"] = pick("ratio", lambda b, G: bound_T4(G, K, b))
-    reports["T5_KKT_SDG"] = pick("one-sided", lambda b, G: bound_T5(K, G, b, consts.L))
-    reports["T6_SDG_PDG"] = pick("ratio", lambda b, G: bound_T6(G, D, x_norm, y_norm, b))
+        reports["T1_OG_KKT"] = BoundReport("T1_OG_KKT", og, bound_T1(K, y_norm, consts.gamma))
+        eta = np.array([eta_of(SmoothingParams(b, b)) for b in beta.tolist()])
+        rows += [("T2_OG_SDG", og, bound_T2(G, y_norm, beta, beta, eta, t2_constant), False),
+                 ("T3_OG_PDG", og, bound_T3(D, x_norm, y_norm, beta, beta, eta), False)]
+    rows += [("T4_SDG_KKT", G, bound_T4(K, beta, beta), True),
+             ("T5_KKT_SDG", K, bound_T5(G, beta, beta, consts.L), False),
+             ("T6_SDG_PDG", G, bound_T6(D, x_norm, y_norm, beta, beta), True)]
     if problem.objective.separable_conj and consts.L_g is not None:
-        reports["T7_PDG_SDG_manifold"] = pick("one-sided", lambda b, G: bound_T7(
-            D, G, x_norm, y_norm, b, consts.L_g, consts.L_f1_star))
+        rows.append(("T7_PDG_SDG_manifold", D, bound_T7(
+            G, x_norm, y_norm, beta, beta, consts.L_g, consts.L_f1_star), False))
     if consts.L_f_star is not None:
-        reports["P4_PDG_SDG_lipschitz"] = pick("one-sided", lambda b, G: bound_P4(
-            D, G, x_norm, y_norm, b, consts.L_f_star))
-    reports["C1_FE_SDG"] = pick("one-sided", lambda b, G: bound_C1(fe, G, b))
+        rows.append(("P4_PDG_SDG_lipschitz", D, bound_P4(
+            G, x_norm, y_norm, beta, beta, consts.L_f_star), False))
+    rows.append(("C1_FE_SDG", fe, bound_C1(G, beta), False))
+    # the floor's lhs varies with beta through the prox point; the gaps are
+    # all +inf exactly when f(x) is, and then the floor says nothing
+    if np.isfinite(G).any():
+        rows.append(("L6_SDG_floor", bound_L6(z.x, values.sdg.prox, fe, beta, beta), G, True))
 
-    # floor: lhs depends on beta through the prox witness; ratio selection
-    floor_cands = [bound_L6(G, b, z.x, p, fe)
-                   for b, G, p in zip(betas, gaps, sdg.prox) if math.isfinite(G)]
-    if floor_cands:
-        reports["L6_SDG_floor"] = min(
-            floor_cands, key=lambda rep: rep.rhs / rep.lhs if rep.lhs > 0 else INF)
+    rows = [(tid, np.broadcast_to(lhs, beta.shape), np.broadcast_to(rhs, beta.shape), ratio)
+            for tid, lhs, rhs, ratio in rows]
+    keys = np.array([ratio_key(lhs, rhs) if ratio else rhs for _, lhs, rhs, ratio in rows])
+    for (tid, lhs, rhs, _), j in zip(rows, select_beta(keys).tolist()):
+        b = float(beta[j])
+        reports[tid] = BoundReport(tid, float(lhs[j]), float(rhs[j]), SmoothingParams(b, b))
     return reports
 
 
@@ -255,9 +241,11 @@ def ratio_stats(reports):
             infinite += 1
     if not finite and not infinite:
         raise StopgapError("no usable ratios after filtering")
-    arr = np.asarray(finite) if finite else np.asarray([np.nan])
-    mean = float(arr.mean()) if finite else INF
-    std = float(arr.std()) if finite else INF
+    if finite:
+        arr = np.asarray(finite)
+        mean, std = float(arr.mean()), float(arr.std())
+    else:
+        mean = std = INF
     return RatioStats(theorem_id=ids.pop(), mean=mean, std_dev=std,
                       count=len(finite), infinite_count=infinite,
                       zero_lhs_count=zero_lhs)

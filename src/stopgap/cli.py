@@ -14,6 +14,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .bounds import THEOREMS
+from .errors import StopgapError
 from .harness import ExperimentConfig, _sanitize, build_instance, emit_plot_data, run_experiment
 from .instances import FAMILIES
 from .oracles import (counterexample_kkt_vs_og, counterexample_kkt_vs_sdg,
@@ -148,7 +149,11 @@ def main(argv=None):
     p_plot.set_defaults(func=cmd_plot)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except StopgapError as exc:
+        print(f"stopgap: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
 """The four optimality measures evaluated at a primal-dual point, plus the
-smoothing-parameter grid and its selection rules.
+smoothing-parameter grid and its selection rule.
 
 Conventions: KKT and PDG are sums of squared residuals; OG/FE are plain
 values; the smoothed gap is evaluated per smoothing pair beta = (beta_x,
@@ -33,24 +33,11 @@ class SmoothingParams:
             raise ConfigError(f"smoothing parameters must be in (0, inf): {self}")
 
 
-@dataclass(frozen=True)
-class BetaGrid:
-    """40 fixed log-spaced values plus the current feasibility error."""
-
-    values: tuple
-
-    @classmethod
-    def build(cls, feasibility_error=0.0):
-        vals = list(GRID_VALUES)
-        if feasibility_error > 0.0:
-            vals.append(float(feasibility_error))
-        return cls(values=tuple(sorted(vals)))
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def smallest(self):
-        return self.values[0]
+def beta_grid(feasibility_error=0.0):
+    """The sorted beta grid: the 40 fixed log-spaced values plus the
+    feasibility error when it is positive."""
+    extra = (float(feasibility_error),) if feasibility_error > 0.0 else ()
+    return np.array(sorted(GRID_VALUES + extra))
 
 
 @dataclass
@@ -170,8 +157,9 @@ class SdgGrid:
     prox: np.ndarray
 
 
-def sdg_over_grid(problem, z, grid: BetaGrid):
-    """``smoothed_duality_gap`` at every grid entry, in one pass.
+def sdg_over_grid(problem, z, beta: np.ndarray):
+    """``smoothed_duality_gap`` at every entry of the beta array (beta_x =
+    beta_y), in one pass.
 
     The beta-independent terms are computed once and every per-beta product
     is taken row by row, so each entry has the bits of the single-point call.
@@ -179,7 +167,6 @@ def sdg_over_grid(problem, z, grid: BetaGrid):
     problem.check_point(z)
     obj = problem.objective
     A = problem.constraint.matrix
-    beta = np.asarray(grid.values)
     aty = A.T @ z.y
     P = obj.prox_rows(1.0 / beta, z.x - aty / beta[:, None])
     if not np.isfinite(P).all():
@@ -209,21 +196,28 @@ def best_sdg(grid: SdgGrid, raw=False):
     returns index 0."""
     G = grid.gap
     cert = G if raw else np.maximum(G, np.sqrt(2.0 * grid.beta * G))
-    j = int(np.argmin(cert))
+    j = int(select_beta(cert))
     return j, float(cert[j])
+
+
+def select_beta(keys):
+    """Index of the smallest finite key along the last axis: the first such
+    index on ties, i.e. the smaller beta of a sorted grid, and 0 when no key
+    is finite.  This is the one beta-selection rule; callers encode their
+    criterion in the keys and mark an unusable beta with +inf."""
+    return np.argmin(np.where(np.isfinite(keys), keys, INF), axis=-1)
 
 
 @dataclass(frozen=True)
 class PointValues:
     """Every measure at one point: OG (None without a reference solution),
     FE, KKT, PDG, and the smoothed gap at each entry of the beta grid built
-    from FE."""
+    from FE (``sdg.beta``)."""
 
     og: float | None
     fe: float
     kkt: float
     pdg: float
-    grid: BetaGrid
     sdg: SdgGrid
 
 
@@ -234,40 +228,7 @@ def evaluate_point(problem: ProblemInstance, z: PrimalDualPoint):
     else:
         problem.check_point(z)
         og, fe = None, float(np.linalg.norm(problem.constraint.residual(z.x)))
-    grid = BetaGrid.build(fe)
     return PointValues(og=og, fe=fe, kkt=kkt_error(problem, z).value,
                        pdg=projected_duality_gap(problem, z).value,
-                       grid=grid, sdg=sdg_over_grid(problem, z, grid))
+                       sdg=sdg_over_grid(problem, z, beta_grid(fe)))
 
-
-def select_beta(grid: BetaGrid, candidates, mode="one-sided"):
-    """Pick the smoothing pair from per-beta (beta, lhs, rhs) candidates.
-
-    mode 'one-sided' minimises rhs; mode 'ratio' minimises rhs/lhs.  +inf
-    candidates are dropped first; ties break toward smaller beta.  When no
-    candidate survives (all +inf, or no positive lhs in ratio mode) the
-    smallest grid value is returned with selected=False.
-    """
-    if mode not in ("one-sided", "ratio"):
-        raise ConfigError(f"unknown selection mode {mode!r}")
-    if not candidates:
-        raise ConfigError("select_beta needs at least one candidate")
-    best_key = INF
-    best = None
-    for beta, lhs, rhs in candidates:
-        if not math.isfinite(rhs):
-            continue
-        if mode == "ratio":
-            if not (math.isfinite(lhs) and lhs > 0.0):
-                continue
-            key = rhs / lhs
-        else:
-            key = rhs
-        pair = beta if isinstance(beta, SmoothingParams) else SmoothingParams(float(beta), float(beta))
-        if key < best_key or (key == best_key and best is not None and pair.beta_x < best.beta_x):
-            best_key = key
-            best = pair
-    if best is None:
-        b = grid.smallest()
-        return SmoothingParams(b, b), False
-    return best, True

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import criteria
-from .criteria import BetaGrid
 from .errors import ConfigError, DegenerateProblemError, StopgapError
 from .problem import PrimalDualPoint
 
@@ -149,7 +148,7 @@ def _gate_value(problem, z, name, config, r, fe):
         return measure(problem, z).value, threshold
     # sdg: best certificate over the per-iteration grid
     raw = config.sdg_gate == "raw"
-    grid = criteria.sdg_over_grid(problem, z, BetaGrid.build(fe))
+    grid = criteria.sdg_over_grid(problem, z, criteria.beta_grid(fe))
     _, val = criteria.best_sdg(grid, raw=raw)
     return val, config.epsilon ** 2 if raw else config.epsilon
 

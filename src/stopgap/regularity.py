@@ -127,11 +127,11 @@ def qeb_eta(Q, c, A, b, beta, steps: StepSizes | None = None):
     return eta, model
 
 
-def lipschitz_constants(instance, beta=None, steps=None):
+def lipschitz_constants(instance, steps=None):
     """Family dispatch for (gamma, eta, L, L_g, L_f1*, L_f*).
 
-    LS family: all constants from the spectrum (eta needs beta; defaults to
-    (1, 1)).  QP/BP: gamma and eta fall back to the declared default 1e-8 with
+    LS family: all constants from the spectrum (eta at beta = (1, 1)).
+    QP/BP: gamma and eta fall back to the declared default 1e-8 with
     provenance recorded.
     """
     from .criteria import SmoothingParams  # local import to avoid a cycle
@@ -141,9 +141,7 @@ def lipschitz_constants(instance, beta=None, steps=None):
         A = instance.constraint.matrix
         b = instance.constraint.rhs
         gamma = msr_gamma(Q, A)
-        if beta is None:
-            beta = SmoothingParams(1.0, 1.0)
-        eta = qeb_eta(Q, c, A, b, beta, steps)[0]
+        eta = qeb_eta(Q, c, A, b, SmoothingParams(1.0, 1.0), steps)[0]
         prov = {"gamma": "computed", "eta": "computed", "L": "computed", "L_g": "computed"}
         return RegularityConstants(gamma=gamma, eta=eta, L=obj.smooth_lipschitz,
                                    L_g=obj.conj_grad_lipschitz,

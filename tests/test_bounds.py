@@ -6,61 +6,71 @@ import pytest
 from stopgap.bounds import (BoundReport, bound_C1, bound_P4, bound_T1, bound_T2,
                             bound_T3, bound_T4, bound_T5, bound_T6, bound_T7,
                             evaluate_bounds, ratio_stats)
-from stopgap.criteria import SmoothingParams, evaluate_point
+from stopgap.criteria import PointValues, SdgGrid, SmoothingParams, evaluate_point
 from stopgap.errors import ConfigError
+from stopgap.harness import DEFAULT_VERSION, ExperimentConfig, build_instance
+from stopgap.instances import FAMILIES
 from stopgap.pdhg import SolveConfig, solve
 from stopgap.problem import PrimalDualPoint
 from stopgap.regularity import EtaCache, lipschitz_constants
 
 INF = float("inf")
-B11 = SmoothingParams(1.0, 1.0)
+
+
+def holds(tid, lhs, rhs):
+    return BoundReport(tid, lhs, float(rhs)).holds
 
 
 class TestFormulas:
     def test_saddle_zeros_hold(self):
-        assert bound_T1(0.0, 0.0, 0.0, 1e-8).holds
-        assert bound_T2(0.0, 0.0, 0.0, B11, 1e-8).holds
-        assert bound_T3(0.0, 0.0, 0.0, 0.0, B11, 1e-8).holds
-        assert bound_T4(0.0, 0.0, B11).holds
-        assert bound_T5(0.0, 0.0, B11, 1.0).holds
-        assert bound_T6(0.0, 0.0, 0.0, 0.0, B11).holds
-        assert bound_T7(0.0, 0.0, 0.0, 0.0, B11, 1.0, 0.0).holds
-        assert bound_P4(0.0, 0.0, 0.0, 0.0, B11, 0.0).holds
-        assert bound_C1(0.0, 0.0, B11).holds
+        assert holds("T1_OG_KKT", 0.0, bound_T1(0.0, 0.0, 1e-8))
+        assert holds("T2_OG_SDG", 0.0, bound_T2(0.0, 0.0, 1.0, 1.0, 1e-8))
+        assert holds("T3_OG_PDG", 0.0, bound_T3(0.0, 0.0, 0.0, 1.0, 1.0, 1e-8))
+        assert holds("T4_SDG_KKT", 0.0, bound_T4(0.0, 1.0, 1.0))
+        assert holds("T5_KKT_SDG", 0.0, bound_T5(0.0, 1.0, 1.0, 1.0))
+        assert holds("T6_SDG_PDG", 0.0, bound_T6(0.0, 0.0, 0.0, 1.0, 1.0))
+        assert holds("T7_PDG_SDG_manifold", 0.0, bound_T7(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0))
+        assert holds("P4_PDG_SDG_lipschitz", 0.0, bound_P4(0.0, 0.0, 0.0, 1.0, 1.0, 0.0))
+        assert holds("C1_FE_SDG", 0.0, bound_C1(0.0, 1.0))
 
     def test_t1_default_gamma_inflates_rhs(self):
-        small = bound_T1(0.5, 1.0, 0.0, 1.0)
-        huge = bound_T1(0.5, 1.0, 0.0, 1e-8)
-        assert huge.rhs == pytest.approx(2e8, rel=1e-6)
-        assert huge.rhs > small.rhs and huge.holds
+        small = bound_T1(1.0, 0.0, 1.0)
+        huge = bound_T1(1.0, 0.0, 1e-8)
+        assert huge == pytest.approx(2e8, rel=1e-6)
+        assert huge > small and holds("T1_OG_KKT", 0.5, huge)
 
     def test_t2_constants(self):
-        proof = bound_T2(0.0, 1.0, 0.0, B11, 4.0, constant="proof")
-        stmt = bound_T2(0.0, 1.0, 0.0, B11, 4.0, constant="statement")
-        assert proof.rhs == pytest.approx(1.0 + 2.0 * math.sqrt(1.0 / 4.0))
-        assert stmt.rhs == pytest.approx(1.0 + math.sqrt(2.0 / 4.0))
+        proof = bound_T2(1.0, 0.0, 1.0, 1.0, 4.0, constant="proof")
+        stmt = bound_T2(1.0, 0.0, 1.0, 1.0, 4.0, constant="statement")
+        assert proof == pytest.approx(1.0 + 2.0 * math.sqrt(1.0 / 4.0))
+        assert stmt == pytest.approx(1.0 + math.sqrt(2.0 / 4.0))
 
     def test_t2_beta_limit(self):
         # beta_x -> 0: rhs -> G + sqrt(2 beta_y)||y|| sqrt(G)
-        beta = SmoothingParams(1e-16, 1.0)
-        rep = bound_T2(0.0, 4.0, 2.0, beta, 1.0)
-        assert rep.rhs == pytest.approx(4.0 + math.sqrt(2.0) * 2.0 * 2.0, rel=1e-6)
+        rhs = bound_T2(4.0, 2.0, 1e-16, 1.0, 1.0)
+        assert rhs == pytest.approx(4.0 + math.sqrt(2.0) * 2.0 * 2.0, rel=1e-6)
 
     def test_t3_t6_zero_pdg(self):
-        assert bound_T3(0.0, 0.0, 3.0, 4.0, B11, 1e-8).rhs == 0.0
-        assert bound_T6(0.0, 0.0, 3.0, 4.0, B11).rhs == 0.0
+        assert bound_T3(0.0, 3.0, 4.0, 1.0, 1.0, 1e-8) == 0.0
+        assert bound_T6(0.0, 3.0, 4.0, 1.0, 1.0) == 0.0
 
     def test_t4_unit_beta_constant(self):
-        rep = bound_T4(0.0, 5.0, B11)
-        assert rep.rhs == pytest.approx(5.0)  # max(1, 1/2) = 1
+        assert bound_T4(5.0, 1.0, 1.0) == pytest.approx(5.0)  # max(1, 1/2) = 1
 
     def test_t5_nonsmooth_is_infinite(self):
-        rep = bound_T5(3.0, 1.0, B11, None)
-        assert rep.rhs == INF and rep.holds
+        rhs = bound_T5(1.0, 1.0, 1.0, None)
+        assert rhs == INF and holds("T5_KKT_SDG", 3.0, rhs)
 
     def test_t5_constant_at_zero_lipschitz(self):
-        rep = bound_T5(0.0, 1.0, B11, 0.0)
-        assert rep.rhs == pytest.approx(2.0)  # max(2, 2)
+        assert bound_T5(1.0, 1.0, 1.0, 0.0) == pytest.approx(2.0)  # max(2, 2)
+
+    def test_t5_squares_with_python_pow(self, rng):
+        # numpy's exact square and libm's pow disagree in the last bit for
+        # about one beta in a thousand; the trace keeps pow's bits
+        beta = 10.0 ** rng.uniform(-8.0, 2.0, 20_000)
+        L, G = 3.7, 0.3
+        want = [max(2.0 * (L + b) ** 2 / b, 2.0 * b) * G for b in beta.tolist()]
+        assert bound_T5(G, beta, beta, L).tolist() == want
 
     def test_p4_tighter_than_t7_when_comparable(self, rng):
         # with L_g = 0 and L_f1* = L_f*, P4's linear term has smaller factors
@@ -68,23 +78,22 @@ class TestFormulas:
             G = float(rng.uniform(0, 3))
             xn, yn = rng.uniform(0, 2, 2)
             L = float(rng.uniform(0, 1))
-            t7 = bound_T7(0.0, G, xn, yn, B11, 0.0, L)
-            p4 = bound_P4(0.0, G, xn, yn, B11, L)
-            assert p4.rhs <= t7.rhs + 1e-12
+            t7 = bound_T7(G, xn, yn, 1.0, 1.0, 0.0, L)
+            p4 = bound_P4(G, xn, yn, 1.0, 1.0, L)
+            assert p4 <= t7 + 1e-12
 
     def test_c1_rhs_scales_with_sqrt_beta_y(self):
-        r1 = bound_C1(0.0, 2.0, SmoothingParams(1.0, 1.0)).rhs
-        r4 = bound_C1(0.0, 2.0, SmoothingParams(1.0, 4.0)).rhs
+        r1 = bound_C1(2.0, 1.0)
+        r4 = bound_C1(2.0, 4.0)
         assert r4 == pytest.approx(2.0 * r1)
 
     def test_scale_covariance(self, rng):
         # multiplying lhs and rhs inputs by c multiplies the report linearly
         for _ in range(20):
             K = float(rng.uniform(0.1, 5))
-            beta = B11
             c = 3.7
-            r1 = bound_T4(1.0, K, beta)
-            r2 = bound_T4(c * 1.0, c * K, beta)
+            r1 = BoundReport("T4_SDG_KKT", 1.0, float(bound_T4(K, 1.0, 1.0)))
+            r2 = BoundReport("T4_SDG_KKT", c * 1.0, float(bound_T4(c * K, 1.0, 1.0)))
             assert r2.lhs == pytest.approx(c * r1.lhs)
             assert r2.rhs == pytest.approx(c * r1.rhs)
 
@@ -177,9 +186,140 @@ def test_precomputed_point_values_give_the_same_reports(family, request, rng):
 
 def test_t7_requires_separable_assumptions():
     with pytest.raises(ConfigError):
-        bound_T7(0.0, 1.0, 0.0, 0.0, B11, None, None)
+        bound_T7(1.0, 0.0, 0.0, 1.0, 1.0, None, None)
 
 
 def test_p4_requires_lipschitz_conjugate():
     with pytest.raises(ConfigError):
-        bound_P4(0.0, 1.0, 0.0, 0.0, B11, None)
+        bound_P4(1.0, 0.0, 0.0, 1.0, 1.0, None)
+
+
+def reference_bounds(problem, z, consts, eta_of, values):
+    """Reports of the per-beta loop that the array expressions replaced: every
+    bound is built at each grid beta, a walk over (beta, lhs, rhs) candidates
+    picks one (ties to the smaller beta, the smallest grid beta when nothing
+    qualifies), and the L6 floor takes a ``min`` of its own."""
+    x_norm, y_norm = z.norms()
+    og, fe, K, D = values.og, values.fe, values.kkt, values.pdg
+    betas, gaps = values.sdg.beta.tolist(), values.sdg.gap.tolist()
+
+    def select(candidates, mode):
+        best_key, best = INF, None
+        for beta, lhs, rhs in candidates:
+            if not math.isfinite(rhs):
+                continue
+            if mode == "ratio":
+                if not (math.isfinite(lhs) and lhs > 0.0):
+                    continue
+                key = rhs / lhs
+            else:
+                key = rhs
+            if key < best_key or (key == best_key and best is not None and beta < best):
+                best_key, best = key, beta
+        return betas[0] if best is None else best
+
+    def pick(tid, mode, lhs_of, rhs_of):
+        built = [(b, float(lhs_of(G)), float(rhs_of(b, G))) for b, G in zip(betas, gaps)]
+        beta = select(built, mode)
+        b, lhs, rhs = next(c for c in built if c[0] == beta)
+        return BoundReport(tid, lhs, rhs, SmoothingParams(b, b))
+
+    reports = {}
+    if og is not None:
+        reports["T1_OG_KKT"] = BoundReport("T1_OG_KKT", og, bound_T1(K, y_norm, consts.gamma))
+        reports["T2_OG_SDG"] = pick("T2_OG_SDG", "one-sided", lambda G: og, lambda b, G: bound_T2(
+            G, y_norm, b, b, eta_of(SmoothingParams(b, b))))
+        reports["T3_OG_PDG"] = pick("T3_OG_PDG", "one-sided", lambda G: og, lambda b, G: bound_T3(
+            D, x_norm, y_norm, b, b, eta_of(SmoothingParams(b, b))))
+    reports["T4_SDG_KKT"] = pick("T4_SDG_KKT", "ratio", lambda G: G,
+                                 lambda b, G: bound_T4(K, b, b))
+    reports["T5_KKT_SDG"] = pick("T5_KKT_SDG", "one-sided", lambda G: K,
+                                 lambda b, G: bound_T5(G, b, b, consts.L))
+    reports["T6_SDG_PDG"] = pick("T6_SDG_PDG", "ratio", lambda G: G,
+                                 lambda b, G: bound_T6(D, x_norm, y_norm, b, b))
+    if problem.objective.separable_conj and consts.L_g is not None:
+        reports["T7_PDG_SDG_manifold"] = pick(
+            "T7_PDG_SDG_manifold", "one-sided", lambda G: D,
+            lambda b, G: bound_T7(G, x_norm, y_norm, b, b, consts.L_g, consts.L_f1_star))
+    if consts.L_f_star is not None:
+        reports["P4_PDG_SDG_lipschitz"] = pick(
+            "P4_PDG_SDG_lipschitz", "one-sided", lambda G: D,
+            lambda b, G: bound_P4(G, x_norm, y_norm, b, b, consts.L_f_star))
+    reports["C1_FE_SDG"] = pick("C1_FE_SDG", "one-sided", lambda G: fe,
+                                lambda b, G: bound_C1(G, b))
+    floor = []
+    for b, G, p in zip(betas, gaps, values.sdg.prox):
+        if math.isfinite(G):
+            d = np.asarray(z.x, float) - np.asarray(p, float)
+            lhs = 0.5 * b * float(d @ d) + fe * fe / (2.0 * b)
+            floor.append(BoundReport("L6_SDG_floor", lhs, G, SmoothingParams(b, b)))
+    if floor:
+        reports["L6_SDG_floor"] = min(
+            floor, key=lambda rep: rep.rhs / rep.lhs if rep.lhs > 0 else INF)
+    return reports
+
+
+def report_bits(rep):
+    beta = rep.beta_used
+    return tuple(np.float64(v).tobytes() for v in
+                 (rep.lhs, rep.rhs) + ((beta.beta_x, beta.beta_y) if beta else ()))
+
+
+def assert_matches_reference(problem, z, consts, eta_of, values, where):
+    got = evaluate_bounds(problem, z, consts, eta_of=eta_of, values=values)
+    want = reference_bounds(problem, z, consts, eta_of, values)
+    assert got.keys() == want.keys(), where
+    for tid, rep in want.items():
+        assert report_bits(got[tid]) == report_bits(rep), f"{where}: {tid}"
+    return got
+
+
+def test_selection_matches_the_per_beta_loop(rng):
+    for name in sorted(FAMILIES):
+        problem = build_instance(ExperimentConfig(instance=name))
+        consts = lipschitz_constants(problem)
+        eta_of = EtaCache(problem)
+        traj = solve(problem, SolveConfig(criterion="kkt", max_iters=40, record_every=5,
+                                          version=DEFAULT_VERSION.get(name, 1)))
+        # |x| keeps the pqp slack block inside its nonnegativity domain
+        random_points = [PrimalDualPoint(np.abs(rng.standard_normal(problem.constraint.n)),
+                                         rng.standard_normal(problem.constraint.m))
+                         for _ in range(3)]
+        for k, z in traj.iterates + list(enumerate(random_points, start=-3)):
+            assert_matches_reference(problem, z, consts, eta_of,
+                                     evaluate_point(problem, z), f"{name} point {k}")
+
+
+class TestSelectionEdgeCases:
+    """Hand-built grids on the 1d instance, each checked against the loop."""
+
+    BETA = np.array([0.25, 0.5, 1.0, 2.0, 4.0])   # powers of two: exact ratios
+
+    def run(self, one_d, gap, kkt=1.0, pdg=1.0, fe=0.5, prox=None, og=0.1):
+        z = PrimalDualPoint(np.array([0.5]), np.array([1.0]))
+        if prox is None:
+            prox = np.full((self.BETA.size, 1), 0.25)
+        values = PointValues(og=og, fe=fe, kkt=kkt, pdg=pdg,
+                             sdg=SdgGrid(beta=self.BETA, gap=np.asarray(gap, float), prox=prox))
+        consts = lipschitz_constants(one_d)
+        return assert_matches_reference(one_d, z, consts, EtaCache(one_d), values, "edge case")
+
+    def test_all_infinite_rhs_falls_back_to_the_smallest_beta(self, one_d):
+        reports = self.run(one_d, np.ones(5), kkt=INF, pdg=INF)
+        for tid in ("T3_OG_PDG", "T4_SDG_KKT", "T6_SDG_PDG"):
+            assert reports[tid].rhs == INF and reports[tid].beta_used.beta_x == 0.25
+
+    def test_zero_lhs_at_every_beta_falls_back_in_ratio_mode(self, one_d):
+        reports = self.run(one_d, np.zeros(5), fe=0.0, prox=np.full((5, 1), 0.5))
+        for tid in ("T4_SDG_KKT", "T6_SDG_PDG", "L6_SDG_floor"):
+            assert reports[tid].lhs == 0.0 and reports[tid].beta_used.beta_x == 0.25
+
+    def test_exact_ties_go_to_the_smaller_beta(self, one_d):
+        # G = 1/beta makes T4's key K/(beta G) exactly K from the second beta on
+        reports = self.run(one_d, [1.0, 2.0, 1.0, 0.5, 0.25])
+        assert reports["T4_SDG_KKT"].beta_used.beta_x == 0.5
+
+    def test_infinite_objective_drops_the_floor(self, one_d):
+        reports = self.run(one_d, np.full(5, INF), pdg=INF, og=INF)
+        assert "L6_SDG_floor" not in reports
+        assert reports["C1_FE_SDG"].rhs == INF and reports["C1_FE_SDG"].beta_used.beta_x == 0.25

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from stopgap.criteria import (GRID_VALUES, BetaGrid, SdgGrid, SmoothingParams, best_sdg,
+from stopgap.bounds import ratio_key
+from stopgap.criteria import (GRID_VALUES, SdgGrid, SmoothingParams, best_sdg, beta_grid,
                               kkt_error, ogfe, projected_duality_gap, sdg_over_grid,
                               select_beta, smoothed_duality_gap)
 from stopgap.errors import ConfigError
@@ -152,15 +153,15 @@ class TestSmoothedDualityGap:
 
 class TestBetaGrid:
     def test_contents(self):
-        g = BetaGrid.build(0.123)
-        assert len(g.values) == 41
-        assert min(g.values) == pytest.approx(1e-8)
-        assert max(g.values) == pytest.approx(100.0)
-        assert 0.123 in g.values
-        assert list(g.values) == sorted(g.values)
+        g = beta_grid(0.123)
+        assert len(g) == 41
+        assert min(g) == pytest.approx(1e-8)
+        assert max(g) == pytest.approx(100.0)
+        assert 0.123 in g
+        assert list(g) == sorted(g)
 
     def test_zero_feasibility_dropped(self):
-        assert len(BetaGrid.build(0.0).values) == 40
+        assert len(beta_grid(0.0)) == 40
 
     def test_fixed_values_are_log_spaced(self):
         logs = np.log10(np.asarray(GRID_VALUES))
@@ -170,31 +171,26 @@ class TestBetaGrid:
 
 class TestSelectBeta:
     def test_single_candidate(self):
-        g = BetaGrid.build(0.0)
-        beta, ok = select_beta(g, [(SmoothingParams(0.5, 0.5), 1.0, 2.0)])
-        assert ok and beta.beta_x == 0.5
+        assert select_beta([2.0]) == 0
 
     def test_monotone_rhs_returns_smallest(self):
-        g = BetaGrid.build(0.0)
-        cands = [(b, 1.0, b) for b in g]
-        beta, ok = select_beta(g, cands, mode="one-sided")
-        assert ok and beta.beta_x == pytest.approx(1e-8)
+        g = beta_grid(0.0)
+        assert g[select_beta(g)] == pytest.approx(1e-8)   # key = rhs = beta
 
     def test_ratio_mode(self):
-        g = BetaGrid.build(0.0)
-        cands = [(0.1, 2.0, 4.0), (1.0, 1.0, 3.0), (10.0, 0.5, 10.0)]
-        beta, ok = select_beta(g, cands, mode="ratio")
-        assert ok and beta.beta_x == pytest.approx(0.1)
+        beta = np.array([0.1, 1.0, 10.0])
+        keys = ratio_key(np.array([2.0, 1.0, 0.5]), np.array([4.0, 3.0, 10.0]))
+        assert beta[select_beta(keys)] == pytest.approx(0.1)
 
     def test_fallback_when_all_infinite(self):
-        g = BetaGrid.build(0.0)
-        beta, ok = select_beta(g, [(1.0, 1.0, INF), (2.0, 1.0, INF)])
-        assert not ok and beta.beta_x == pytest.approx(1e-8)
+        assert select_beta([INF, INF]) == 0
 
     def test_fallback_zero_lhs_in_ratio_mode(self):
-        g = BetaGrid.build(0.0)
-        beta, ok = select_beta(g, [(1.0, 0.0, 5.0)], mode="ratio")
-        assert not ok and beta.beta_x == pytest.approx(1e-8)
+        assert select_beta(ratio_key(np.array([0.0]), np.array([5.0]))) == 0
+
+    def test_one_index_per_row(self):
+        keys = np.array([[3.0, 1.0, 1.0], [INF, np.nan, INF], [INF, 2.0, -INF]])
+        assert select_beta(keys).tolist() == [1, 0, 1]
 
 
 class TestBestSdg:
@@ -227,11 +223,11 @@ def test_sdg_grid_matches_pointwise():
                                           version=DEFAULT_VERSION.get(name, 1)))
         for k, z in traj.iterates:
             fe = float(np.linalg.norm(problem.constraint.residual(z.x)))
-            grid = BetaGrid.build(fe)
+            grid = beta_grid(fe)
             got = sdg_over_grid(problem, z, grid)
-            assert got.beta.tolist() == list(grid.values)
+            assert got.beta.tolist() == grid.tolist()
             assert got.prox.flags.c_contiguous
-            for j, b in enumerate(grid):
+            for j, b in enumerate(grid.tolist()):
                 want = smoothed_duality_gap(problem, z, SmoothingParams(b, b))
                 where = f"{name} iteration {k} beta {b}"
                 assert np.float64(want.value).tobytes() == got.gap[j].tobytes(), where

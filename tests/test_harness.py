@@ -166,3 +166,10 @@ class TestCli:
                        str(tmp_path / "series.csv")])
         assert rc == 0
         assert (tmp_path / "series.csv").exists()
+
+    def test_package_error_is_one_line_with_status_2(self, tmp_path, capsys):
+        rc = cli_main(["run", "--instance", "1d", "--epsilon", "nan", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "stopgap: error: epsilon must be positive and finite, got nan\n"
+        assert "Traceback" not in err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stopgap import criteria
-from stopgap.criteria import BetaGrid, kkt_error
+from stopgap.criteria import beta_grid, kkt_error
 from stopgap.errors import ConfigError, DegenerateProblemError, StopgapError
 from stopgap.harness import DEFAULT_VERSION, ExperimentConfig, build_instance, run_experiment
 from stopgap.instances import FAMILIES
@@ -209,7 +209,7 @@ def reference_solve(problem, config):
         values = {"kkt": (criteria.kkt_error(problem, z).value, eps ** 2),
                   "pdg": (criteria.projected_duality_gap(problem, z).value, eps ** 2)}
         fe = float(np.linalg.norm(problem.constraint.residual(z.x)))
-        grid = criteria.sdg_over_grid(problem, z, BetaGrid.build(fe))
+        grid = criteria.sdg_over_grid(problem, z, beta_grid(fe))
         values["sdg"] = (criteria.best_sdg(grid)[1], eps)
         if problem.reference is not None:
             og, fe_value = criteria.ogfe(problem, z)
