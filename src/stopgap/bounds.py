@@ -160,7 +160,7 @@ def ratio_key(lhs, rhs):
     return np.divide(rhs, lhs, out=np.full(np.shape(ok), INF), where=ok)
 
 
-def evaluate_bounds(problem, z, consts, eta_of=None, values=None, t2_constant="proof"):
+def evaluate_bounds(problem, z, consts, eta_of, values=None, t2_constant="proof"):
     """All applicable bound reports at one point.
 
     Every report but T1's is evaluated over the point's beta grid and reported
@@ -171,14 +171,12 @@ def evaluate_bounds(problem, z, consts, eta_of=None, values=None, t2_constant="p
     Parameters
     ----------
     consts : RegularityConstants for the instance.
-    eta_of : callable SmoothingParams -> eta (defaults to the constant consts.eta).
+    eta_of : callable SmoothingParams -> eta, such as a ``regularity.EtaCache``.
     values : the point's ``criteria.PointValues``; evaluated here when omitted.
     """
     problem.check_point(z)
     if values is None:
         values = crit.evaluate_point(problem, z)
-    if eta_of is None:
-        eta_of = lambda beta: consts.eta
     x_norm, y_norm = z.norms()
     og, fe, K, D = values.og, values.fe, values.kkt, values.pdg
     beta, G = values.sdg.beta, values.sdg.gap

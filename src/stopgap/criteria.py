@@ -44,24 +44,18 @@ def beta_grid(feasibility_error=0.0):
 class CriterionValue:
     """Tagged scalar output of one optimality measure.
 
-    ``witnesses`` carries the PDG projection point ``a`` or the SDG proximal
-    point ``p`` when applicable; ``beta_used`` records the smoothing pair.
+    ``witnesses`` carries the PDG projection point ``a`` when applicable.
     """
 
-    kind: str                       # OG | FE | KKT | PDG | SDG
+    kind: str                       # OG | FE | KKT | PDG
     value: float
     witnesses: dict = field(default_factory=dict)
-    beta_used: SmoothingParams | None = None
 
     def __post_init__(self):
-        if self.kind not in ("OG", "FE", "KKT", "PDG", "SDG"):
+        if self.kind not in ("OG", "FE", "KKT", "PDG"):
             raise ConfigError(f"unknown criterion kind {self.kind!r}")
         if not (self.value >= 0.0 or self.value == INF):
             raise StopgapError(f"criterion {self.kind} evaluated to {self.value}")
-
-    @property
-    def finite(self):
-        return math.isfinite(self.value)
 
 
 def ogfe(problem: ProblemInstance, z: PrimalDualPoint):
@@ -111,39 +105,55 @@ def projected_duality_gap(problem: ProblemInstance, z: PrimalDualPoint):
     return CriterionValue("PDG", value, witnesses={"a": a})
 
 
-def smoothed_duality_gap(problem: ProblemInstance, z: PrimalDualPoint,
-                         beta: SmoothingParams):
-    """Self-centered smoothed gap in closed form.
+def _smoothing(beta, name):
+    b = np.asarray(beta, dtype=float)
+    if b.ndim > 1 or not ((b > 0.0) & (b < INF)).all():
+        raise ConfigError(f"{name} must be a scalar or 1-D array of values in "
+                          f"(0, inf), got {beta}")
+    return b
+
+
+def smoothed_duality_gap(problem: ProblemInstance, z: PrimalDualPoint, beta_x, beta_y):
+    """Self-centered smoothed gap in closed form, and its prox point.
 
     G_beta(z) = f(x) - f(p) + <A(x-p), y> - beta_x/2 ||p-x||^2
                 + ||Ax-b||^2 / (2 beta_y)
     with p = prox_{f/beta_x}(x - A^T y / beta_x).  Nonnegative up to
     round-off; tiny negatives are clamped to zero.
+
+    ``beta_x`` and ``beta_y`` are floats, giving (G, p) as a float and an
+    (n,) vector, or equal-shape (k,) arrays, giving a (k,) array and one
+    C-contiguous prox point per row of a (k, n) array.  Entry j of an array
+    call has the bits of the call at (beta_x[j], beta_y[j]).
     """
+    bx = _smoothing(beta_x, "beta_x")
+    # the grid passes one array as both: check it once
+    by = bx if beta_y is beta_x else _smoothing(beta_y, "beta_y")
+    if bx.shape != by.shape:
+        raise ConfigError(f"beta_x and beta_y differ in shape: {bx.shape} != {by.shape}")
     problem.check_point(z)
     obj = problem.objective
     A = problem.constraint.matrix
     aty = A.T @ z.y
-    p = obj.prox(1.0 / beta.beta_x, z.x - aty / beta.beta_x)
-    if not np.all(np.isfinite(p)):
+    P = obj.prox(1.0 / bx, z.x - aty / bx[..., None])
+    if not np.isfinite(P).all():
         raise StopgapError("prox returned a non-finite point")
     fx = obj(z.x)
     r = problem.constraint.residual(z.x)
     fe2 = float(r @ r)
-    if not math.isfinite(fx):
-        return CriterionValue("SDG", INF, witnesses={"p": p}, beta_used=beta)
-    d = z.x - p
+    D = z.x - P
     # f(x) - f(p) through the cancellation-free path: near convergence the
-    # difference sits many orders below f itself
-    value = (obj.value_diff(z.x, p) + float((A @ d) @ z.y)
-             - 0.5 * beta.beta_x * float(d @ d) + fe2 / (2.0 * beta.beta_y))
+    # difference sits many orders below f itself; it is +inf with f(x)
+    value = (obj.value_diff(z.x, P) + np.vecdot(rowwise(A, D), z.y)
+             - 0.5 * bx * np.vecdot(D, D) + fe2 / (2.0 * by))
     scale = max(1.0, abs(fx), fe2)
-    if value < 0.0:
-        if value < -1e-9 * scale:
-            raise StopgapError(f"self-centered smoothed gap is negative ({value}) "
-                               "beyond round-off; prox is inconsistent")
-        value = 0.0
-    return CriterionValue("SDG", value, witnesses={"p": p}, beta_used=beta)
+    if not (value >= -1e-9 * scale).all():
+        if np.isnan(value).any():
+            raise StopgapError("criterion SDG evaluated to nan")
+        raise StopgapError(f"self-centered smoothed gap is negative ({np.min(value)}) "
+                           "beyond round-off; prox is inconsistent")
+    G = np.where(value < 0.0, 0.0, value)
+    return (G if G.ndim else float(G)), P
 
 
 @dataclass(frozen=True)
@@ -158,34 +168,9 @@ class SdgGrid:
 
 
 def sdg_over_grid(problem, z, beta: np.ndarray):
-    """``smoothed_duality_gap`` at every entry of the beta array (beta_x =
-    beta_y), in one pass.
-
-    The beta-independent terms are computed once and every per-beta product
-    is taken row by row, so each entry has the bits of the single-point call.
-    """
-    problem.check_point(z)
-    obj = problem.objective
-    A = problem.constraint.matrix
-    aty = A.T @ z.y
-    P = obj.prox_rows(1.0 / beta, z.x - aty / beta[:, None])
-    if not np.isfinite(P).all():
-        raise StopgapError("prox returned a non-finite point")
-    fx = obj(z.x)
-    if not math.isfinite(fx):
-        return SdgGrid(beta=beta, gap=np.full(beta.shape, INF), prox=P)
-    r = problem.constraint.residual(z.x)
-    fe2 = float(r @ r)
-    D = z.x - P
-    value = (obj.value_diff_rows(z.x, P) + np.vecdot(rowwise(A, D), z.y)
-             - 0.5 * beta * np.vecdot(D, D) + fe2 / (2.0 * beta))
-    scale = max(1.0, abs(fx), fe2)
-    if np.any(value < -1e-9 * scale):
-        raise StopgapError(f"self-centered smoothed gap is negative ({value.min()}) "
-                           "beyond round-off; prox is inconsistent")
-    if np.isnan(value).any():
-        raise StopgapError("criterion SDG evaluated to nan")
-    return SdgGrid(beta=beta, gap=np.where(value < 0.0, 0.0, value), prox=P)
+    """``smoothed_duality_gap`` at every entry of the beta array, with
+    beta_x = beta_y."""
+    return SdgGrid(beta, *smoothed_duality_gap(problem, z, beta, beta))
 
 
 def best_sdg(grid: SdgGrid, raw=False):

@@ -55,12 +55,15 @@ def check_finite(a, what):
 
 
 def rowwise(M, X):
-    """M @ x for every row x of X, as a (k, m) array.
+    """``M @ X`` for a vector X, and M @ x for every row x of a 2-D X as a
+    (k, m) array.
 
-    numpy issues one matrix-vector product per row, so each row carries the
-    same bits as ``M @ x``; a 2-D ``M @ X.T`` goes through a matrix-matrix
-    kernel whose summation order differs in the last bits.
+    For rows numpy issues one matrix-vector product per row, so each row
+    carries the bits of the vector call; a 2-D ``M @ X.T`` goes through a
+    matrix-matrix kernel whose summation order differs in the last bits.
     """
+    if X.ndim == 1:
+        return M @ X
     return np.matmul(M, X[:, :, None])[:, :, 0]
 
 

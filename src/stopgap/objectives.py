@@ -16,33 +16,42 @@ from .linalg import RANK_RTOL, check_finite, eigh_psd, rowwise
 INF = float("inf")
 
 
-def _check_dim(v, n, what):
+def _check_dim(v, n, what, rows=False):
+    """``v`` as a float array of shape (n,), or also (k, n) when ``rows``."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (n,):
-        raise DimensionMismatchError(f"{what}: expected shape ({n},), got {v.shape}")
+    if v.shape != (n,) and not (rows and v.ndim == 2 and v.shape[1] == n):
+        want = f"({n},) or (k, {n})" if rows else f"({n},)"
+        raise DimensionMismatchError(f"{what}: expected shape {want}, got {v.shape}")
     return v
 
 
-def _check_rows(V, n, what):
-    V = np.asarray(V, dtype=float)
-    if V.ndim != 2 or V.shape[1] != n:
-        raise DimensionMismatchError(f"{what}: expected shape (k, {n}), got {V.shape}")
-    return V
+def _step(s, v):
+    """The prox step against ``v``: ``s`` itself for a vector, and the column
+    ``s[:, None]`` of a (k,) ``s`` for k rows."""
+    if v.ndim == 1:
+        return s
+    s = np.asarray(s, dtype=float)
+    if s.shape != v.shape[:1]:
+        raise DimensionMismatchError(f"prox steps: expected shape ({len(v)},), got {s.shape}")
+    return s[:, None]
 
 
 class ObjectiveOracle:
     """Behaviour contract shared by all objectives.
 
     Subclasses provide: ``__call__`` (value, possibly +inf), ``prox``,
-    ``conj`` (value of f*, possibly +inf), ``project_conj_domain``,
-    ``prox_conj`` and ``stationarity_residual`` (squared minimum-norm element
-    of df(x)+g, possibly +inf), plus the constants below when they exist.
+    ``value_diff``, ``conj`` (value of f*, possibly +inf),
+    ``project_conj_domain``, ``prox_conj`` and ``stationarity_residual``
+    (squared minimum-norm element of df(x)+g, possibly +inf), plus the
+    constants below when they exist.
 
-    The smoothed-gap grid evaluates many proximal points at once through
-    ``prox_rows(s, V)`` (row j is ``prox(s[j], V[j])``) and
-    ``value_diff_rows(x, P)`` (entry j is ``value_diff(x, P[j])``).  Both
-    must give each row the bits of the single-point call, so that the grid
-    and ``criteria.smoothed_duality_gap`` agree exactly.
+    ``prox(s, v)`` takes a vector v (n,) with a float step s, or rows v
+    (k, n) with steps s (k,); ``value_diff(x, p)`` is f(x) - f(p) for p (n,),
+    or per row of p (k, n), in a cancellation-free form (the difference can
+    be ~1e-16 while the values are O(1), and criteria floors live at exactly
+    that scale).  Row j of a k-row call has the bits of the vector call with
+    s[j] and p[j], so the smoothed gap over a beta grid agrees exactly with
+    the gap at each of its betas.
     """
 
     dim = None
@@ -58,7 +67,7 @@ class ObjectiveOracle:
     def prox(self, s, v):
         raise NotImplementedError
 
-    def prox_rows(self, s, V):
+    def value_diff(self, x, p):
         raise NotImplementedError
 
     def conj(self, mu, tol=1e-8):
@@ -71,15 +80,6 @@ class ObjectiveOracle:
         raise NotImplementedError
 
     def stationarity_residual(self, x, g):
-        raise NotImplementedError
-
-    def value_diff(self, x, p):
-        """f(x) - f(p), default implementation; subclasses override with a
-        cancellation-free form (the difference can be ~1e-16 while the values
-        are O(1), and criteria floors live at exactly that scale)."""
-        return self(x) - self(p)
-
-    def value_diff_rows(self, x, P):
         raise NotImplementedError
 
 
@@ -108,34 +108,22 @@ class LeastSquaresData:
         self._conj_const = 0.5 * float(resid @ resid)
 
     def prox(self, s, v):
-        """(Q^T Q + Id/s)^{-1} (Q^T c + v/s), solved in the eigenbasis."""
-        if s <= 0:
+        """(Q^T Q + Id/s)^{-1} (Q^T c + v/s), solved in the eigenbasis, for a
+        vector v or for every row of v with its own step."""
+        s = _step(s, v)
+        if (s <= 0).any() if v.ndim == 2 else s <= 0:
             raise ValueError("prox step must be positive")
-        w = self.V.T @ (self.qtc + v / s)
-        return self.V @ (w / (self.lam + 1.0 / s))
-
-    def prox_rows(self, s, V):
-        """``prox(s[j], V[j])`` for every row, with the same bits."""
-        if np.any(s <= 0):
-            raise ValueError("prox step must be positive")
-        s = s[:, None]
-        W = rowwise(self.V.T, self.qtc + V / s)
-        return rowwise(self.V, W / (self.lam + 1.0 / s))
+        w = rowwise(self.V.T, self.qtc + v / s)
+        return rowwise(self.V, w / (self.lam + 1.0 / s))
 
     def value_diff(self, x, p):
-        """0.5(||Qx-c||^2 - ||Qp-c||^2) = 0.5 <Q(x-p), (Qx-c) + (Qp-c)>:
-        every factor scales with x - p, so no large-value cancellation."""
+        """0.5(||Qx-c||^2 - ||Qp-c||^2) = 0.5 <Q(x-p), (Qx-c) + (Qp-c)>, per
+        row of a 2-D p: every factor scales with x - p, so no large-value
+        cancellation."""
         Q = self.design
         rx = Q @ x - self.target
-        rp = Q @ p - self.target
-        return 0.5 * float((Q @ (x - p)) @ (rx + rp))
-
-    def value_diff_rows(self, x, P):
-        """``value_diff(x, p)`` for every row p of P, with the same bits."""
-        Q = self.design
-        rx = Q @ x - self.target
-        RP = rowwise(Q, P) - self.target
-        return 0.5 * np.vecdot(rowwise(Q, x - P), rx + RP)
+        rp = rowwise(Q, p) - self.target
+        return 0.5 * np.vecdot(rowwise(Q, x - p), rx + rp)
 
     def range_distance(self, mu):
         """Distance of mu to Ran(Q^T) = Ran(Q^T Q)."""
@@ -191,10 +179,7 @@ class LeastSquaresObjective(ObjectiveOracle):
         return self.data.gram @ x - self.data.qtc
 
     def prox(self, s, v):
-        return self.data.prox(s, _check_dim(v, self.dim, "v"))
-
-    def prox_rows(self, s, V):
-        return self.data.prox_rows(s, _check_rows(V, self.dim, "V"))
+        return self.data.prox(s, _check_dim(v, self.dim, "v", rows=True))
 
     def conj(self, mu, tol=1e-8):
         mu = _check_dim(mu, self.dim, "mu")
@@ -214,11 +199,8 @@ class LeastSquaresObjective(ObjectiveOracle):
         return float(r @ r)
 
     def value_diff(self, x, p):
-        return self.data.value_diff(x, p)
-
-    def value_diff_rows(self, x, P):
-        return self.data.value_diff_rows(_check_dim(x, self.dim, "x"),
-                                         _check_rows(P, self.dim, "P"))
+        return self.data.value_diff(_check_dim(x, self.dim, "x"),
+                                    _check_dim(p, self.dim, "p", rows=True))
 
 
 class L1Norm(ObjectiveOracle):
@@ -233,12 +215,8 @@ class L1Norm(ObjectiveOracle):
         return float(np.abs(_check_dim(x, self.dim, "x")).sum())
 
     def prox(self, s, v):
-        v = _check_dim(v, self.dim, "v")
-        return np.sign(v) * np.maximum(np.abs(v) - s, 0.0)
-
-    def prox_rows(self, s, V):
-        V = _check_rows(V, self.dim, "V")
-        return np.sign(V) * np.maximum(np.abs(V) - s[:, None], 0.0)
+        v = _check_dim(v, self.dim, "v", rows=True)
+        return np.sign(v) * np.maximum(np.abs(v) - _step(s, v), 0.0)
 
     def conj(self, mu, tol=1e-8):
         mu = _check_dim(mu, self.dim, "mu")
@@ -259,13 +237,12 @@ class L1Norm(ObjectiveOracle):
         return float(terms.sum())
 
     def value_diff(self, x, p):
-        # exactly-rounded sum of the interleaved +|x_i|, -|p_i| terms
-        return math.fsum(np.concatenate([np.abs(x), -np.abs(p)]).tolist())
-
-    def value_diff_rows(self, x, P):
-        # the same terms per row, so the same exactly-rounded sum
+        # one exactly-rounded sum of the +|x_i|, -|p_i| terms per row of p
         ax = np.abs(_check_dim(x, self.dim, "x")).tolist()
-        neg = (-np.abs(_check_rows(P, self.dim, "P"))).tolist()
+        p = _check_dim(p, self.dim, "p", rows=True)
+        neg = (-np.abs(p)).tolist()
+        if p.ndim == 1:
+            return math.fsum(ax + neg)
         return np.array([math.fsum(ax + row) for row in neg])
 
 
@@ -300,14 +277,10 @@ class NonnegativeQuadratic(ObjectiveOracle):
         return 0.5 * float(r @ r)
 
     def prox(self, s, V):
-        v, vt = self._split(V, "v")
-        return np.concatenate([self.data.prox(s, v), np.maximum(vt, 0.0)])
-
-    def prox_rows(self, s, V):
-        V = _check_rows(V, self.dim, "V")
+        V = _check_dim(V, self.dim, "v", rows=True)
         nb = self.block_dim
-        return np.concatenate([self.data.prox_rows(s, V[:, :nb]),
-                               np.maximum(V[:, nb:], 0.0)], axis=1)
+        return np.concatenate([self.data.prox(s, V[..., :nb]),
+                               np.maximum(V[..., nb:], 0.0)], axis=-1)
 
     def conj(self, mu, tol=1e-8):
         m1, m2 = self._split(mu, "mu")
@@ -337,14 +310,8 @@ class NonnegativeQuadratic(ObjectiveOracle):
 
     def value_diff(self, X, P):
         x, xt = self._split(X)
+        P = _check_dim(P, self.dim, "P", rows=True)
         if np.any(xt < 0.0):
-            return INF
-        p, _ = self._split(P)  # prox outputs are always feasible
-        return self.data.value_diff(x, p)
-
-    def value_diff_rows(self, X, P):
-        P = _check_rows(P, self.dim, "P")
-        x, xt = self._split(X)
-        if np.any(xt < 0.0):
-            return np.full(P.shape[0], INF)
-        return self.data.value_diff_rows(x, P[:, :self.block_dim])
+            return INF if P.ndim == 1 else np.full(len(P), INF)
+        # prox outputs are always feasible: only the least-squares block differs
+        return self.data.value_diff(x, P[..., :self.block_dim])

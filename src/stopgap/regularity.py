@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .criteria import SmoothingParams
 from .errors import DegenerateProblemError, StopgapError
 from .linalg import RANK_RTOL, null_space_basis, pinv_solve
 from .objectives import LeastSquaresObjective, NonnegativeQuadratic
@@ -134,7 +135,6 @@ def lipschitz_constants(instance, steps=None):
     QP/BP: gamma and eta fall back to the declared default 1e-8 with
     provenance recorded.
     """
-    from .criteria import SmoothingParams  # local import to avoid a cycle
     obj = instance.objective
     if isinstance(obj, LeastSquaresObjective) and instance.family == "ls":
         Q, c = obj.data.design, obj.data.target

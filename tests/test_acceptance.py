@@ -109,7 +109,7 @@ def test_criterion_3_sdg_closed_form_equivalence():
             z = _feasible_z(problem, rng)
             b = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
             beta = SmoothingParams(b, b)
-            closed = smoothed_duality_gap(problem, z, beta).value
+            closed = smoothed_duality_gap(problem, z, beta.beta_x, beta.beta_y)[0]
             direct = sdg_direct(problem, z, beta, inner_tol=1e-10)
             err = max(err, abs(closed - direct))
         worst[name] = err
@@ -158,14 +158,14 @@ def test_criterion_5_regularity_certificates():
             if np.linalg.norm(M @ z - rhs) < gamma * dist - 1e-8:
                 msr_bad += 1
             zz = PrimalDualPoint(z[:n], z[n:])
-            gap = smoothed_duality_gap(problem, zz, beta).value
+            gap = smoothed_duality_gap(problem, zz, beta.beta_x, beta.beta_y)[0]
             if gap < 0.5 * eta * dist * dist - 1e-8:
                 qeb_bad += 1
         model_err = 0.0
         for _ in range(100):
             z = rng.standard_normal(n + m) * 2
             direct = smoothed_duality_gap(problem, PrimalDualPoint(z[:n], z[n:]),
-                                          beta).value
+                                          beta.beta_x, beta.beta_y)[0]
             model_err = max(model_err,
                             abs(model.value(z) - direct) / max(1.0, abs(direct)))
         ok = ok and msr_bad == 0 and qeb_bad == 0 and model_err <= 1e-7

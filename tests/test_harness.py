@@ -11,6 +11,7 @@ import pytest
 from stopgap.cli import main as cli_main
 from stopgap.errors import ConfigError
 from stopgap.harness import ExperimentConfig, emit_plot_data, run_experiment
+from stopgap.instances import FAMILIES
 
 
 def run_1d(tmp_path, **kw):
@@ -77,18 +78,25 @@ class TestRunExperiment:
         assert res["verification"]["sdg_direct_pass"]
 
 
-    def test_traced_run_keeps_the_benchmark_call_graph(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("instance", FAMILIES)
+    def test_traced_run_keeps_the_benchmark_call_graph(self, tmp_path, monkeypatch, instance):
         # the benchmark's probes count calls at fixed call sites; a refactor
         # that moves one of those calls fails here before it fails a benchmark run
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         import probes
         tracer = probes.Tracer()
         with probes.patched(tracer, probes.layer_targets()):
-            res = tracer.wrap(probes.RUN_SPAN, run_experiment)(
-                ExperimentConfig(instance="1d", out_dir=str(tmp_path)))
+            res = tracer.wrap(probes.RUN_SPAN, run_experiment)(ExperimentConfig(
+                instance=instance, epsilon=1e-4, max_iters=1500, record_every=7,
+                out_dir=str(tmp_path)))
         traj = res["trajectory"]
+        # the solver evaluates the SDG gate at every iterate up to its crossing
+        last = traj.crossings["sdg"]
+        gate_iterates = (traj.iterations_used if last is None else last) + 1
         assert probes.cross_check(tracer, traj.iterations_used, len(traj.iterates),
-                                  traj.crossings["sdg"] + 1) == []
+                                  gate_iterates) == []
+        # every grid goes through the one smoothed-gap formula
+        assert tracer.calls["criteria.sdg_point"] == tracer.calls["criteria.sdg_grid"]
 
 
 def test_run_path_does_not_load_scipy():

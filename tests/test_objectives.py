@@ -241,6 +241,14 @@ class TestNonnegativeQuadratic:
             assert lhs == pytest.approx(v, abs=1e-9)
 
 
+@pytest.mark.parametrize("objective", [ls_1d(), L1Norm(1),
+                                       NonnegativeQuadratic(np.eye(1), np.ones(1))])
+@pytest.mark.parametrize("s", [0.5, np.ones(3)])
+def test_prox_rows_need_one_step_each(objective, s):
+    with pytest.raises(DimensionMismatchError, match="prox steps"):
+        objective.prox(s, np.ones((2, objective.dim)))
+
+
 class TestLSMoreau:
     def test_moreau_identity(self, rng):
         Q = rng.standard_normal((3, 6))

@@ -31,7 +31,7 @@ class TestSdgDirect:
                 z = PrimalDualPoint(x, z.y)
             b = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
             beta = SmoothingParams(b, b)
-            closed = smoothed_duality_gap(problem, z, beta).value
+            closed = smoothed_duality_gap(problem, z, beta.beta_x, beta.beta_y)[0]
             direct = sdg_direct(problem, z, beta, inner_tol=1e-10)
             assert direct == pytest.approx(closed, abs=1e-6)
 
@@ -121,8 +121,8 @@ class TestCounterexamples:
         rep = counterexample_kkt_vs_sdg([0.5, 0.1, 0.01])
         for row in rep["rows"]:
             z = PrimalDualPoint(np.array([row["x"]]), np.zeros(0))
-            crit = smoothed_duality_gap(problem, z, SmoothingParams(1.0, 1.0))
-            assert crit.value == pytest.approx(row["sdg"], abs=1e-12)
+            crit = smoothed_duality_gap(problem, z, 1.0, 1.0)
+            assert crit[0] == pytest.approx(row["sdg"], abs=1e-12)
             direct = sdg_direct(problem, z, SmoothingParams(1.0, 1.0))
             assert direct == pytest.approx(row["sdg"], abs=1e-10)
 

@@ -48,7 +48,7 @@ class TestQebEta:
         scaled = SmoothingParams(beta.beta_x / steps.tau, beta.beta_y / steps.sigma)
         for _ in range(100):
             z = PrimalDualPoint(rng.standard_normal(20) * 2, rng.standard_normal(10) * 2)
-            direct = smoothed_duality_gap(iidg, z, scaled).value
+            direct = smoothed_duality_gap(iidg, z, scaled.beta_x, scaled.beta_y)[0]
             got = model.value(np.concatenate([z.x, z.y]))
             assert got == pytest.approx(direct, rel=1e-7, abs=1e-9)
 
@@ -120,7 +120,7 @@ class TestCertificates:
         for _ in range(1000):
             z = z_p + rng.standard_normal(30) * 10.0 ** rng.uniform(-3, 0)
             zz = PrimalDualPoint(z[:20], z[20:])
-            gap = smoothed_duality_gap(iidg, zz, beta).value
+            gap = smoothed_duality_gap(iidg, zz, beta.beta_x, beta.beta_y)[0]
             dist = distance_to_saddle_set(z, z_p, kern)
             assert gap >= 0.5 * eta * dist * dist - 1e-8
 
