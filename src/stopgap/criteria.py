@@ -113,7 +113,8 @@ def _smoothing(beta, name):
     return b
 
 
-def smoothed_duality_gap(problem: ProblemInstance, z: PrimalDualPoint, beta_x, beta_y):
+def smoothed_duality_gap(problem: ProblemInstance, z: PrimalDualPoint, beta_x, beta_y,
+                         r=None):
     """Self-centered smoothed gap in closed form, and its prox point.
 
     G_beta(z) = f(x) - f(p) + <A(x-p), y> - beta_x/2 ||p-x||^2
@@ -124,7 +125,8 @@ def smoothed_duality_gap(problem: ProblemInstance, z: PrimalDualPoint, beta_x, b
     ``beta_x`` and ``beta_y`` are floats, giving (G, p) as a float and an
     (n,) vector, or equal-shape (k,) arrays, giving a (k,) array and one
     C-contiguous prox point per row of a (k, n) array.  Entry j of an array
-    call has the bits of the call at (beta_x[j], beta_y[j]).
+    call has the bits of the call at (beta_x[j], beta_y[j]).  ``r`` is the
+    residual Ax - b when the caller has already formed it.
     """
     bx = _smoothing(beta_x, "beta_x")
     # the grid passes one array as both: check it once
@@ -138,16 +140,18 @@ def smoothed_duality_gap(problem: ProblemInstance, z: PrimalDualPoint, beta_x, b
     P = obj.prox(1.0 / bx, z.x - aty / bx[..., None])
     if not np.isfinite(P).all():
         raise StopgapError("prox returned a non-finite point")
-    fx = obj(z.x)
-    r = problem.constraint.residual(z.x)
+    if r is None:
+        r = problem.constraint.residual(z.x)
     fe2 = float(r @ r)
     D = z.x - P
     # f(x) - f(p) through the cancellation-free path: near convergence the
     # difference sits many orders below f itself; it is +inf with f(x)
     value = (obj.value_diff(z.x, P) + np.vecdot(rowwise(A, D), z.y)
              - 0.5 * bx * np.vecdot(D, D) + fe2 / (2.0 * by))
-    scale = max(1.0, abs(fx), fe2)
-    if not (value >= -1e-9 * scale).all():
+    # the round-off tolerance -1e-9 * max(1, |f(x)|, ||r||^2) is at most
+    # -1e-9, so f(x) is needed only when some value is below that
+    if not (value >= -1e-9).all() and not (
+            value >= -1e-9 * max(1.0, abs(obj(z.x)), fe2)).all():
         if np.isnan(value).any():
             raise StopgapError("criterion SDG evaluated to nan")
         raise StopgapError(f"self-centered smoothed gap is negative ({np.min(value)}) "
@@ -167,10 +171,10 @@ class SdgGrid:
     prox: np.ndarray
 
 
-def sdg_over_grid(problem, z, beta: np.ndarray):
+def sdg_over_grid(problem, z, beta: np.ndarray, r=None):
     """``smoothed_duality_gap`` at every entry of the beta array, with
-    beta_x = beta_y."""
-    return SdgGrid(beta, *smoothed_duality_gap(problem, z, beta, beta))
+    beta_x = beta_y, and with the residual ``r`` when the caller has it."""
+    return SdgGrid(beta, *smoothed_duality_gap(problem, z, beta, beta, r=r))
 
 
 def best_sdg(grid: SdgGrid, raw=False):
@@ -208,12 +212,11 @@ class PointValues:
 
 def evaluate_point(problem: ProblemInstance, z: PrimalDualPoint):
     """Evaluate every measure at ``z`` once, for the trace and the bounds."""
-    if problem.reference is not None:
-        og, fe = (cv.value for cv in ogfe(problem, z))
-    else:
-        problem.check_point(z)
-        og, fe = None, float(np.linalg.norm(problem.constraint.residual(z.x)))
+    problem.check_point(z)
+    r = problem.constraint.residual(z.x)
+    fe = float(np.linalg.norm(r))
+    og = None if problem.reference is None else ogfe(problem, z)[0].value
     return PointValues(og=og, fe=fe, kkt=kkt_error(problem, z).value,
                        pdg=projected_duality_gap(problem, z).value,
-                       sdg=sdg_over_grid(problem, z, beta_grid(fe)))
+                       sdg=sdg_over_grid(problem, z, beta_grid(fe), r=r))
 

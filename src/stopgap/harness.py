@@ -64,6 +64,8 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown criteria {self.criteria}")
             if self.criterion != "all" and self.criterion not in self.criteria:
                 raise ConfigError("stop criterion must be among the evaluated criteria")
+        if self.verify_samples < 1:
+            raise ConfigError(f"verify_samples must be at least 1, got {self.verify_samples}")
         if not set(self.bounds) <= set(THEOREMS):
             raise ConfigError(f"unknown bound ids {set(self.bounds) - set(THEOREMS)}")
         return self

@@ -237,13 +237,23 @@ class L1Norm(ObjectiveOracle):
         return float(terms.sum())
 
     def value_diff(self, x, p):
-        # one exactly-rounded sum of the +|x_i|, -|p_i| terms per row of p
+        """The exactly rounded sum of the +|x_i|, -|p_i| terms, per row of a
+        2-D p.  -sum|x_i| is first split into a few floats with exactly that
+        sum (each fsum rounds what the earlier ones leave, until nothing is
+        left), so a row sums those and its own |p_i| terms.  Round to
+        nearest is symmetric, so negating that correctly rounded sum is
+        exact, and 0.0 - s turns a zero into +0.0 as the direct sum does."""
         ax = np.abs(_check_dim(x, self.dim, "x")).tolist()
         p = _check_dim(p, self.dim, "p", rows=True)
-        neg = (-np.abs(p)).tolist()
-        if p.ndim == 1:
-            return math.fsum(ax + neg)
-        return np.array([math.fsum(ax + row) for row in neg])
+        neg = []
+        s = math.fsum(ax)
+        while s != 0.0:
+            neg.append(-s)
+            if not math.isfinite(s):
+                break
+            s = math.fsum(ax + neg)
+        d = [0.0 - math.fsum(neg + row) for row in np.abs(p).reshape(-1, self.dim).tolist()]
+        return d[0] if p.ndim == 1 else np.array(d)
 
 
 class NonnegativeQuadratic(ObjectiveOracle):

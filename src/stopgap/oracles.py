@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import SmoothingParams, smoothed_duality_gap
-from .errors import ConvergenceError, StopgapError
+from .errors import ConfigError, ConvergenceError, StopgapError
 from .linalg import orthonormal_basis
 from .objectives import L1Norm, LeastSquaresObjective, NonnegativeQuadratic
 from .pdhg import SolveConfig, default_step_sizes, solve
@@ -350,7 +350,11 @@ def _feasible_random_point(problem, rng, scale=2.0):
 def verification_suite(problem, seed=0, sdg_samples=100, witness_samples=200,
                        inner_tol=1e-8, beta_range=(1e-2, 1e2)):
     """Cross-checks of the closed-form machinery against the independent
-    oracles on one instance; returns a JSON-ready summary."""
+    oracles on one instance; returns a JSON-ready summary.  Each check needs
+    at least one sample: with none it would check nothing and pass."""
+    for name, count in (("sdg_samples", sdg_samples), ("witness_samples", witness_samples)):
+        if count < 1:
+            raise ConfigError(f"{name} must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
     lo, hi = np.log(beta_range[0]), np.log(beta_range[1])
     report = {"instance": problem.label, "seed": seed}

@@ -78,6 +78,10 @@ class SolveConfig:
         unknown = set(self.evaluate) - set(CRITERIA)
         if unknown:
             raise ConfigError(f"unknown criteria to evaluate: {sorted(unknown)}")
+        for name in ("x0", "y0"):
+            v = getattr(self, name)
+            if v is not None and (np.ndim(v) != 1 or not np.isfinite(v).all()):
+                raise ConfigError(f"{name} must be a finite 1-D array, got shape {np.shape(v)}")
 
 
 @dataclass
@@ -121,13 +125,13 @@ def step_v2(problem, z, steps: StepSizes):
 
 
 def _ensure_finite(x, y):
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise StopgapError("PDHG produced a non-finite iterate")
 
 
-def _gate_value(problem, z, name, config, r, fe):
+def _gate_value(problem, z, name, config, r, rr, fe):
     """Value and threshold of one stopping gate at ``z``, whose residual
-    ``Ax - b`` is ``r`` with norm ``fe``.
+    ``Ax - b`` is ``r``, with squared norm ``rr`` and norm ``fe``.
 
     KKT and PDG are a nonnegative term plus ||r||^2 and OG/FE is
     max(OG, FE); rounding is monotone, so each computed value is at least its
@@ -142,13 +146,13 @@ def _gate_value(problem, z, name, config, r, fe):
         return max(og.value, fe_value.value), config.epsilon
     if name in ("kkt", "pdg"):
         threshold = config.epsilon ** 2
-        if float(r @ r) > threshold:
+        if rr > threshold:
             return math.inf, threshold
         measure = criteria.kkt_error if name == "kkt" else criteria.projected_duality_gap
         return measure(problem, z).value, threshold
     # sdg: best certificate over the per-iteration grid
     raw = config.sdg_gate == "raw"
-    grid = criteria.sdg_over_grid(problem, z, criteria.beta_grid(fe))
+    grid = criteria.sdg_over_grid(problem, z, criteria.beta_grid(fe), r=r)
     _, val = criteria.best_sdg(grid, raw=raw)
     return val, config.epsilon ** 2 if raw else config.epsilon
 
@@ -163,7 +167,9 @@ def solve(problem, config: SolveConfig, steps: StepSizes | None = None):
     conjugate-domain projection that breaks its contract raises here only
     once the feasibility error is at most epsilon, while ``run_experiment``,
     which evaluates every measure at every recorded iterate, raises it at
-    the first row.
+    the first row.  Each iterate's residual Ax - b, its squared norm and its
+    norm are formed once and shared by every gate; the SDG grid takes the
+    residual instead of forming it again.
     """
     if problem.constraint.m < 1:
         raise ConfigError("the solver requires at least one constraint row")
@@ -186,11 +192,12 @@ def solve(problem, config: SolveConfig, steps: StepSizes | None = None):
 
     def evaluate(k, zk):
         r = problem.constraint.residual(zk.x)
-        fe = float(np.linalg.norm(r))
+        rr = float(r @ r)
+        fe = math.sqrt(rr)  # the bits of np.linalg.norm(r)
         for name in names:
             if traj.crossings[name] is not None:
                 continue  # first crossing already recorded; skip the recompute
-            val, thr = _gate_value(problem, zk, name, config, r, fe)
+            val, thr = _gate_value(problem, zk, name, config, r, rr, fe)
             if val <= thr:
                 traj.crossings[name] = k
         if gate_all:

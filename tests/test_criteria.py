@@ -7,10 +7,10 @@ from stopgap.bounds import ratio_key
 from stopgap.criteria import (GRID_VALUES, SdgGrid, SmoothingParams, best_sdg, beta_grid,
                               kkt_error, ogfe, projected_duality_gap, sdg_over_grid,
                               select_beta, smoothed_duality_gap)
-from stopgap.errors import ConfigError
+from stopgap.errors import ConfigError, StopgapError
 from stopgap.harness import DEFAULT_VERSION, ExperimentConfig, build_instance
 from stopgap.instances import FAMILIES, make_do
-from stopgap.objectives import L1Norm
+from stopgap.objectives import L1Norm, ObjectiveOracle
 from stopgap.pdhg import SolveConfig, solve
 from stopgap.problem import AffineConstraint, PrimalDualPoint, ProblemInstance
 
@@ -149,6 +149,39 @@ class TestSmoothedDualityGap:
             assert kkt_error(one_d, z).value > 0
             assert projected_duality_gap(one_d, z).value > 0
             assert smoothed_duality_gap(one_d, z, 1, 1)[0] > 0
+
+
+class ConstantGapObjective(ObjectiveOracle):
+    """f with |f(x)| = 1e3, an identity prox and a fixed value difference, so
+    that at a feasible point with y = 0 the smoothed gap is that difference."""
+
+    dim = 1
+
+    def __init__(self, diff):
+        self.diff = diff
+
+    def __call__(self, x):
+        return -1e3
+
+    def prox(self, s, v):
+        return np.array(v, dtype=float)
+
+    def value_diff(self, x, p):
+        return self.diff if p.ndim == 1 else np.full(len(p), self.diff)
+
+
+@pytest.mark.parametrize("diff, raises", [(-1e-8, False), (-1e-5, True)])
+def test_negativity_tolerance_scales_with_the_objective(diff, raises):
+    # the tolerance is -1e-9 * max(1, |f(x)|, ||Ax - b||^2) = -1e-6 here: f(x)
+    # is evaluated only past -1e-9, but it must still widen the tolerance
+    problem = ProblemInstance(ConstantGapObjective(diff), AffineConstraint([[1.0]], [1.0]))
+    z = PrimalDualPoint(np.array([1.0]), np.array([0.0]))
+    for beta in (1.0, beta_grid()):
+        if raises:
+            with pytest.raises(StopgapError, match="negative"):
+                smoothed_duality_gap(problem, z, beta, beta)
+        else:
+            assert np.all(smoothed_duality_gap(problem, z, beta, beta)[0] == 0.0)
 
 
 @pytest.mark.parametrize("beta_x, beta_y, match", [

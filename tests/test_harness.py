@@ -10,8 +10,10 @@ import pytest
 
 from stopgap.cli import main as cli_main
 from stopgap.errors import ConfigError
-from stopgap.harness import ExperimentConfig, emit_plot_data, run_experiment
+from stopgap.harness import (ExperimentConfig, build_instance, emit_plot_data,
+                              run_experiment)
 from stopgap.instances import FAMILIES
+from stopgap.oracles import verification_suite
 
 
 def run_1d(tmp_path, **kw):
@@ -174,6 +176,22 @@ class TestCli:
                        str(tmp_path / "series.csv")])
         assert rc == 0
         assert (tmp_path / "series.csv").exists()
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_verification_without_samples_is_refused(self, tmp_path, capsys, samples):
+        # a suite that draws no sample checks nothing, and must not report a pass
+        problem = build_instance(ExperimentConfig(instance="1d"))
+        for kwargs in ({"sdg_samples": samples}, {"witness_samples": samples}):
+            with pytest.raises(ConfigError, match="samples must be at least 1"):
+                verification_suite(problem, **kwargs)
+        with pytest.raises(ConfigError, match="verify_samples must be at least 1"):
+            ExperimentConfig(instance="1d", verify=True, verify_samples=samples).validate()
+        rc = cli_main(["verify", "--instance", "1d", "--samples", str(samples),
+                       "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"stopgap: error: sdg_samples must be at least 1, got {samples}\n"
+        assert not (tmp_path / "verification.json").exists()
 
     def test_package_error_is_one_line_with_status_2(self, tmp_path, capsys):
         rc = cli_main(["run", "--instance", "1d", "--epsilon", "nan", "--out", str(tmp_path)])

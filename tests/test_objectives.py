@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stopgap.errors import DegenerateProblemError, DimensionMismatchError
 from stopgap.linalg import operator_norm
@@ -178,6 +182,48 @@ class TestL1:
             v = rng.standard_normal(5) * 3
             lhs = f.prox(s, v) + s * f.prox_conj(1.0 / s, v / s)
             assert lhs == pytest.approx(v, abs=1e-9)
+
+
+def direct_l1_value_diff(x, p):
+    """f(x) - f(p) for f = ||.||_1 as one exactly rounded sum of the +|x_i|
+    and -|p_i| terms."""
+    return math.fsum(np.abs(x).tolist() + (-np.abs(p)).tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40), k=st.sampled_from((0, 1, 41)),
+       spread=st.integers(0, 300), zero_x=st.booleans(), zero_p=st.booleans(),
+       permuted=st.booleans())
+def test_l1_value_diff_is_the_direct_exactly_rounded_sum(seed, n, k, spread, zero_x, zero_p,
+                                                         permuted):
+    # the split of sum|x_i| into exact partials must give the direct sum's
+    # bits: exponents up to 1e+-300, about half the entries +0.0 or -0.0, and
+    # rows that are signed permutations of x, so whole sums cancel exactly
+    rng = np.random.default_rng(seed)
+
+    def entries(shape):
+        v = rng.uniform(-10.0, 10.0, shape) * 10.0 ** rng.integers(-spread, spread + 1, shape)
+        signed_zero = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+        return np.where(rng.random(shape) < 0.5, signed_zero, v)
+
+    x = entries(n) * 0.0 if zero_x else entries(n)
+    if zero_p:
+        P = entries((k, n)) * 0.0
+    elif permuted:
+        P = np.array([rng.permutation(x) * rng.choice([-1.0, 1.0], n) for _ in range(k)])
+        P = P.reshape(k, n)
+        P[::2, 0] = entries(len(P[::2]))  # every other row differs in one entry
+    else:
+        P = entries((k, n))
+    f = L1Norm(n)
+    want = np.array([direct_l1_value_diff(x, p) for p in P])
+    got = f.value_diff(x, P)
+    assert got.shape == (k,)
+    assert got.tobytes() == want.tobytes()
+    p = P[-1] if k else entries(n)
+    got_one = f.value_diff(x, p)
+    assert isinstance(got_one, float)
+    assert np.float64(got_one).tobytes() == np.float64(direct_l1_value_diff(x, p)).tobytes()
 
 
 class TestNonnegativeQuadratic:
