@@ -24,6 +24,7 @@ INF = float("inf")
 THEOREMS = ("T1_OG_KKT", "T2_OG_SDG", "T3_OG_PDG", "T4_SDG_KKT", "T5_KKT_SDG",
             "T6_SDG_PDG", "T7_PDG_SDG_manifold", "P4_PDG_SDG_lipschitz",
             "C1_FE_SDG", "L6_SDG_floor")
+T2_CONSTANTS = ("proof", "statement")  # see bound_T2
 
 
 @dataclass

@@ -16,10 +16,10 @@ import numpy as np
 
 from . import criteria as crit
 from . import oracles
-from .bounds import THEOREMS, evaluate_bounds, ratio_stats
+from .bounds import T2_CONSTANTS, THEOREMS, evaluate_bounds, ratio_stats
 from .errors import ConfigError
 from .instances import make_instance
-from .pdhg import SolveConfig, default_step_sizes, solve
+from .pdhg import SolveConfig, check_count, default_step_sizes, solve
 from .regularity import EtaCache, lipschitz_constants
 
 # PDHG ordering per family: the splitting QP needs the prox-last version to
@@ -64,8 +64,11 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown criteria {self.criteria}")
             if self.criterion != "all" and self.criterion not in self.criteria:
                 raise ConfigError("stop criterion must be among the evaluated criteria")
-        if self.verify_samples < 1:
-            raise ConfigError(f"verify_samples must be at least 1, got {self.verify_samples}")
+        for name in ("n", "m", "max_iters", "record_every", "verify_samples"):
+            check_count(name, getattr(self, name))
+        if self.t2_constant not in T2_CONSTANTS:
+            raise ConfigError(f"unknown t2_constant {self.t2_constant!r}; "
+                              f"choose from {list(T2_CONSTANTS)}")
         if not set(self.bounds) <= set(THEOREMS):
             raise ConfigError(f"unknown bound ids {set(self.bounds) - set(THEOREMS)}")
         return self

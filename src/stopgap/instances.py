@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError, DegenerateProblemError, DimensionMismatchError
-from .linalg import pinv_solve
+from .linalg import pinv_solve, stationarity_matrix
 from .objectives import L1Norm, LeastSquaresObjective, NonnegativeQuadratic
 from .problem import AffineConstraint, ProblemInstance, ReferenceSolution
 
@@ -25,9 +25,7 @@ def _ls_reference(Q, c, A, b, provenance="high-accuracy-solve"):
     """Reference saddle point of a linearly-constrained LS problem from its
     stationarity system [[Q^T Q, A^T], [A, 0]] [x; y] = [Q^T c; b]."""
     n = Q.shape[1]
-    m = A.shape[0]
-    gram = Q.T @ Q
-    M = np.block([[gram, A.T], [A, np.zeros((m, m))]])
+    M = stationarity_matrix(Q, A)
     rhs = np.concatenate([Q.T @ c, b])
     sol = pinv_solve(M, rhs)
     x_star = sol[:n]

@@ -82,6 +82,19 @@ def pinv_solve(M, rhs):
     return z
 
 
+def stationarity_matrix(Q, A):
+    """Symmetric [[Q^T Q, A^T], [A, 0]] whose kernel parametrises the saddle
+    set of min 0.5 ||Q x - c||^2 subject to A x = b.  The blocks are written
+    into one array, which holds the bytes ``np.block`` would assemble."""
+    m, n = A.shape
+    M = np.empty((n + m, n + m))
+    M[:n, :n] = Q.T @ Q
+    M[:n, n:] = A.T
+    M[n:, :n] = A
+    M[n:, n:] = 0.0
+    return M
+
+
 def orthonormal_basis(S, warn=None):
     """Orthonormal basis of the column span of S (QR with rank filtering).
 

@@ -242,7 +242,9 @@ class L1Norm(ObjectiveOracle):
         sum (each fsum rounds what the earlier ones leave, until nothing is
         left), so a row sums those and its own |p_i| terms.  Round to
         nearest is symmetric, so negating that correctly rounded sum is
-        exact, and 0.0 - s turns a zero into +0.0 as the direct sum does."""
+        exact, and 0.0 - s turns a zero into +0.0 as the direct sum does.
+        Columns of |p| that are zero in every row are left out, since a zero
+        term does not change an exactly rounded sum."""
         ax = np.abs(_check_dim(x, self.dim, "x")).tolist()
         p = _check_dim(p, self.dim, "p", rows=True)
         neg = []
@@ -252,7 +254,8 @@ class L1Norm(ObjectiveOracle):
             if not math.isfinite(s):
                 break
             s = math.fsum(ax + neg)
-        d = [0.0 - math.fsum(neg + row) for row in np.abs(p).reshape(-1, self.dim).tolist()]
+        ap = np.abs(p).reshape(-1, self.dim)
+        d = [0.0 - math.fsum(neg + row) for row in ap[:, ap.any(axis=0)].tolist()]
         return d[0] if p.ndim == 1 else np.array(d)
 
 

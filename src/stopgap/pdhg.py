@@ -7,6 +7,7 @@ zeros/projections survive, which matters for the nonsmooth problems).
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,15 @@ def default_step_sizes(constraint):
     return StepSizes(tau=0.95 / nrm, sigma=1.0 / nrm)
 
 
+def check_count(name, value):
+    """Raise a ConfigError naming ``name`` unless ``value`` is an integer, not
+    a bool, of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ConfigError(f"{name} must be at least 1, got {value}")
+
+
 @dataclass
 class SolveConfig:
     """Stopping target and bookkeeping for one solve."""
@@ -63,10 +73,8 @@ class SolveConfig:
     def __post_init__(self):
         if not (0.0 < self.epsilon < math.inf):
             raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be at least 1")
-        if self.record_every < 1:
-            raise ConfigError("record_every must be at least 1")
+        for name in ("max_iters", "record_every"):
+            check_count(name, getattr(self, name))
         if self.criterion not in CRITERIA + ("all",):
             raise ConfigError(f"unknown stopping criterion {self.criterion!r}")
         if self.criterion == "all" and not self.evaluate:

@@ -3,6 +3,10 @@ constant gamma (smallest nonzero |eigenvalue| of the stationarity matrix),
 the quadratic-error-bound constant eta of the smoothed gap, and the Lipschitz
 constants of the objective and its conjugate parts.
 
+Set-up (``lipschitz_constants``) computes gamma and the Lipschitz constants
+once per instance.  eta depends on beta, so the bounds read eta(beta) at each
+row's own beta through an ``EtaCache``, which solves for it on first use.
+
 For the least-squares family the smoothed gap is an explicit quadratic
 z^T H z + <z, v> + cst; eta comes from the smallest positive eigenvalue of H.
 The H assembled with step sizes (tau, sigma) corresponds to smoothing weights
@@ -15,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import SmoothingParams
 from .errors import DegenerateProblemError, StopgapError
-from .linalg import RANK_RTOL, null_space_basis, pinv_solve
+from .linalg import RANK_RTOL, null_space_basis, pinv_solve, stationarity_matrix
 from .objectives import LeastSquaresObjective, NonnegativeQuadratic
 from .pdhg import StepSizes
 
@@ -27,7 +30,7 @@ DECLARED_DEFAULT = 1e-8  # gamma = eta fallback where computing them is intracta
 @dataclass
 class RegularityConstants:
     gamma: float
-    eta: float
+    eta: float | None  # None: read eta(beta) per beta from an EtaCache
     L: float | None
     L_g: float | None
     L_f1_star: float | None
@@ -35,7 +38,7 @@ class RegularityConstants:
     provenance: dict
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.eta <= 0:
+        if self.gamma <= 0 or (self.eta is not None and self.eta <= 0):
             raise StopgapError("regularity constants must be positive")
 
 
@@ -54,13 +57,6 @@ class QuadraticFormModel:
     def minimizer(self):
         """Any minimiser of the quadratic (pseudo-inverse stationary point)."""
         return pinv_solve(2.0 * self.H, -self.v)
-
-
-def stationarity_matrix(Q, A):
-    """Symmetric [[Q^T Q, A^T], [A, 0]] whose kernel parametrises the saddle
-    set of the LC-LS problem."""
-    m = A.shape[0]
-    return np.block([[Q.T @ Q, A.T], [A, np.zeros((m, m))]])
 
 
 def msr_gamma(Q, A):
@@ -131,19 +127,18 @@ def qeb_eta(Q, c, A, b, beta, steps: StepSizes | None = None):
 def lipschitz_constants(instance, steps=None):
     """Family dispatch for (gamma, eta, L, L_g, L_f1*, L_f*).
 
-    LS family: all constants from the spectrum (eta at beta = (1, 1)).
+    LS family: gamma and the Lipschitz constants from the spectrum.  eta
+    depends on beta, so it is left as None (provenance "per-beta") and the
+    bounds read eta(beta) from an ``EtaCache``.
     QP/BP: gamma and eta fall back to the declared default 1e-8 with
     provenance recorded.
+    ``steps`` is unused; the keyword stays for existing callers.
     """
     obj = instance.objective
     if isinstance(obj, LeastSquaresObjective) and instance.family == "ls":
-        Q, c = obj.data.design, obj.data.target
-        A = instance.constraint.matrix
-        b = instance.constraint.rhs
-        gamma = msr_gamma(Q, A)
-        eta = qeb_eta(Q, c, A, b, SmoothingParams(1.0, 1.0), steps)[0]
-        prov = {"gamma": "computed", "eta": "computed", "L": "computed", "L_g": "computed"}
-        return RegularityConstants(gamma=gamma, eta=eta, L=obj.smooth_lipschitz,
+        gamma = msr_gamma(obj.data.design, instance.constraint.matrix)
+        prov = {"gamma": "computed", "eta": "per-beta", "L": "computed", "L_g": "computed"}
+        return RegularityConstants(gamma=gamma, eta=None, L=obj.smooth_lipschitz,
                                    L_g=obj.conj_grad_lipschitz,
                                    L_f1_star=obj.conj_part_lipschitz,
                                    L_f_star=None, provenance=prov)

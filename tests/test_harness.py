@@ -8,12 +8,17 @@ from pathlib import Path
 
 import pytest
 
+from stopgap import harness
 from stopgap.cli import main as cli_main
 from stopgap.errors import ConfigError
 from stopgap.harness import (ExperimentConfig, build_instance, emit_plot_data,
                               run_experiment)
 from stopgap.instances import FAMILIES
 from stopgap.oracles import verification_suite
+
+
+def unreachable(*args, **kwargs):
+    raise AssertionError("reached with an invalid config")
 
 
 def run_1d(tmp_path, **kw):
@@ -192,6 +197,29 @@ class TestCli:
         assert rc == 2
         assert err == f"stopgap: error: sdg_samples must be at least 1, got {samples}\n"
         assert not (tmp_path / "verification.json").exists()
+
+    @pytest.mark.parametrize("instance", ["bp", "iidg"])
+    def test_unknown_t2_constant_fails_before_the_solve(self, tmp_path, monkeypatch, instance):
+        # bp never evaluates T2 and used to finish silently; iidg raised only
+        # after the whole solve
+        monkeypatch.setattr(harness, "solve", unreachable)
+        with pytest.raises(ConfigError, match="t2_constant 'bogus'"):
+            run_experiment(ExperimentConfig(instance=instance, t2_constant="bogus",
+                                            out_dir=str(tmp_path / "out")))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["n", "m", "max_iters", "record_every", "verify_samples"])
+    @pytest.mark.parametrize("value", [1000.0, 2.5, True, "10"])
+    def test_integer_settings_must_be_integers(self, tmp_path, monkeypatch, name, value):
+        monkeypatch.setattr(harness, "build_instance", unreachable)
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            run_experiment(ExperimentConfig(instance="iidg", out_dir=str(tmp_path),
+                                            **{name: value}))
+
+    @pytest.mark.parametrize("name", ["n", "m", "max_iters", "record_every"])
+    def test_integer_settings_must_be_positive(self, name):
+        with pytest.raises(ConfigError, match=f"{name} must be at least 1, got 0"):
+            ExperimentConfig(instance="iidg", **{name: 0}).validate()
 
     def test_package_error_is_one_line_with_status_2(self, tmp_path, capsys):
         rc = cli_main(["run", "--instance", "1d", "--epsilon", "nan", "--out", str(tmp_path)])

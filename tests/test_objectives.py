@@ -193,12 +193,13 @@ def direct_l1_value_diff(x, p):
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40), k=st.sampled_from((0, 1, 41)),
        spread=st.integers(0, 300), zero_x=st.booleans(), zero_p=st.booleans(),
-       permuted=st.booleans())
+       permuted=st.booleans(), zero_cols=st.booleans())
 def test_l1_value_diff_is_the_direct_exactly_rounded_sum(seed, n, k, spread, zero_x, zero_p,
-                                                         permuted):
+                                                         permuted, zero_cols):
     # the split of sum|x_i| into exact partials must give the direct sum's
-    # bits: exponents up to 1e+-300, about half the entries +0.0 or -0.0, and
-    # rows that are signed permutations of x, so whole sums cancel exactly
+    # bits: exponents up to 1e+-300, about half the entries +0.0 or -0.0,
+    # rows that are signed permutations of x, so whole sums cancel exactly,
+    # and whole columns of +0.0 and -0.0, which value_diff leaves out
     rng = np.random.default_rng(seed)
 
     def entries(shape):
@@ -215,6 +216,9 @@ def test_l1_value_diff_is_the_direct_exactly_rounded_sum(seed, n, k, spread, zer
         P[::2, 0] = entries(len(P[::2]))  # every other row differs in one entry
     else:
         P = entries((k, n))
+    if zero_cols:
+        cols = rng.random(n) < 0.5
+        P[:, cols] = np.where(rng.random((k, int(cols.sum()))) < 0.5, -0.0, 0.0)
     f = L1Norm(n)
     want = np.array([direct_l1_value_diff(x, p) for p in P])
     got = f.value_diff(x, P)

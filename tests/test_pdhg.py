@@ -151,6 +151,18 @@ class TestSolve:
         with pytest.raises(ConfigError):
             SolveConfig(max_iters=0)
 
+    @pytest.mark.parametrize("name", ["max_iters", "record_every"])
+    @pytest.mark.parametrize("value", [1000.0, 2.5, True, "10", None])
+    def test_counts_must_be_integers(self, name, value):
+        # a float budget died later in a raw TypeError, a float stride
+        # recorded the wrong iterates and True ran one iteration
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            SolveConfig(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = SolveConfig(max_iters=np.int64(5), record_every=np.int32(2))
+        assert (cfg.max_iters, cfg.record_every) == (5, 2)
+
     def test_max_iters_one_runs_one_step(self, one_d):
         cfg = SolveConfig(epsilon=1e-20, max_iters=1, criterion="kkt")
         traj = solve(one_d, cfg)

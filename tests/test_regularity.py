@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from stopgap import regularity
 from stopgap.criteria import SmoothingParams, smoothed_duality_gap
+from stopgap.instances import make_instance
 from stopgap.pdhg import StepSizes
 from stopgap.problem import PrimalDualPoint
 from stopgap.regularity import (EtaCache, distance_to_saddle_set, lipschitz_constants,
@@ -74,6 +76,24 @@ class TestLipschitzConstants:
         assert consts.L_f1_star == 0.0
         assert consts.provenance["gamma"] == "computed"
 
+    @pytest.mark.parametrize("family", ["1d", "iidg", "ntc", "do"])
+    def test_ls_set_up_leaves_eta_to_the_per_beta_lookup(self, monkeypatch, family):
+        # the bounds read eta(beta) at each row's own beta from an EtaCache,
+        # so set-up solves for no eta of its own
+        calls = []
+        real = regularity.qeb_eta
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(regularity, "qeb_eta", counted)
+        consts = lipschitz_constants(make_instance(family))
+        assert len(calls) == 0
+        assert consts.eta is None
+        assert consts.provenance["eta"] == "per-beta"
+        assert consts.gamma > 0
+
     def test_scaled_orthogonal_rows(self):
         # Q with orthogonal rows scaled by 2: L = 4 and L_g = 1/4
         from stopgap.objectives import LeastSquaresObjective
@@ -95,6 +115,18 @@ class TestLipschitzConstants:
         assert consts.L_f1_star == 0.0
         assert consts.L_g is not None
         assert consts.gamma == 1e-8
+
+
+@pytest.mark.parametrize("family", ["1d", "iidg", "ntc", "do"])
+def test_stationarity_matrix_has_the_bytes_of_np_block(family):
+    problem = make_instance(family)
+    Q, A = problem.objective.data.design, problem.constraint.matrix
+    m = A.shape[0]
+    want = np.block([[Q.T @ Q, A.T], [A, np.zeros((m, m))]])
+    got = stationarity_matrix(Q, A)
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 class TestCertificates:
