@@ -8,6 +8,12 @@ serves a single smoothing pair and the whole beta grid.  The smoothing pair
 of each report follows the grid-selection rules: for ``g(z) <= h_beta(z)``
 the beta minimising the rhs; for ``g_beta(z) <= h_beta(z)`` the beta
 minimising rhs/lhs.
+
+The ratio rule (``ratio``) and the round-off slack of a verdict (``holds``)
+are array expressions too: a ``BoundReport`` reads them at its own scalars,
+and ``ratio_stats`` reads them over one theorem's lhs and rhs columns, one
+entry per certified iterate, so a trajectory's statistics need two floats
+per iterate and theorem rather than a report object.
 """
 
 import math
@@ -40,18 +46,29 @@ class BoundReport:
 
     @property
     def holds(self):
-        # slack covers float round-off only; the inequalities are theorems
-        return self.lhs <= self.rhs * (1.0 + 1e-9) + 1e-12
+        return bool(holds(self.lhs, self.rhs))
 
     @property
     def ratio(self):
-        if self.lhs == 0.0:
-            return INF if self.rhs > 0.0 else 1.0
-        if not math.isfinite(self.rhs):
-            return INF
-        if not math.isfinite(self.lhs):
-            return 0.0
-        return self.rhs / self.lhs
+        return float(ratio(self.lhs, self.rhs))
+
+
+@np.errstate(over="ignore")
+def holds(lhs, rhs):
+    """Whether lhs <= rhs, elementwise.  The slack covers float round-off
+    only: the inequalities are theorems."""
+    return lhs <= rhs * (1.0 + 1e-9) + 1e-12
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def ratio(lhs, rhs):
+    """rhs/lhs, elementwise, of a bound lhs <= rhs.  Where lhs = 0 it is +inf
+    if rhs > 0 and 1 otherwise; elsewhere it is +inf where the rhs is not
+    finite and 0 where only the lhs is not."""
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    q = np.where(np.isfinite(lhs), rhs / lhs, 0.0)
+    q = np.where(np.isfinite(rhs), q, INF)
+    return np.where(lhs == 0.0, np.where(rhs > 0.0, INF, 1.0), q)
 
 
 @dataclass
@@ -62,6 +79,7 @@ class RatioStats:
     count: int
     infinite_count: int
     zero_lhs_count: int
+    violations: int
 
 
 def _inf_unless_finite(v, rhs):
@@ -213,38 +231,29 @@ def evaluate_bounds(problem, z, consts, eta_of, values=None, t2_constant="proof"
     return reports
 
 
-def ratio_stats(reports):
-    """Mean/std of rhs/lhs over finite-ratio reports of one theorem.
+def ratio_stats(theorem_id, lhs, rhs):
+    """Mean/std of rhs/lhs over the finite ratios of one theorem's lhs and
+    rhs columns (one entry per certified iterate), and its violation count.
 
-    Reports with lhs = 0 and rhs > 0 count as infinite; lhs = rhs = 0 counts
-    as ratio 1.  Raises if the list is empty or mixes theorem ids.
+    Entries with lhs = 0 are left out of the mean and counted in
+    ``zero_lhs_count``, and also as infinite when rhs > 0.  Raises on empty
+    or unequal columns, and when no entry has a usable ratio.
     """
-    if not reports:
-        raise ConfigError("ratio_stats needs a nonempty report list")
-    ids = {r.theorem_id for r in reports}
-    if len(ids) > 1:
-        raise ConfigError(f"mixed theorem ids in ratio_stats: {sorted(ids)}")
-    finite = []
-    infinite = 0
-    zero_lhs = 0
-    for r in reports:
-        if r.lhs == 0.0:
-            zero_lhs += 1
-            if r.rhs > 0.0:
-                infinite += 1
-            continue
-        rho = r.ratio
-        if math.isfinite(rho):
-            finite.append(rho)
-        else:
-            infinite += 1
-    if not finite and not infinite:
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    if lhs.ndim != 1 or lhs.shape != rhs.shape or not lhs.size:
+        raise ConfigError(f"ratio_stats needs two nonempty columns of one length, "
+                          f"got shapes {lhs.shape} and {rhs.shape}")
+    zero = lhs == 0.0
+    rho = ratio(lhs[~zero], rhs[~zero])
+    finite = rho[np.isfinite(rho)]
+    infinite = rho.size - finite.size + int(np.count_nonzero(rhs[zero] > 0.0))
+    if not finite.size and not infinite:
         raise StopgapError("no usable ratios after filtering")
-    if finite:
-        arr = np.asarray(finite)
-        mean, std = float(arr.mean()), float(arr.std())
+    if finite.size:
+        mean, std = float(finite.mean()), float(finite.std())
     else:
         mean = std = INF
-    return RatioStats(theorem_id=ids.pop(), mean=mean, std_dev=std,
-                      count=len(finite), infinite_count=infinite,
-                      zero_lhs_count=zero_lhs)
+    return RatioStats(theorem_id=theorem_id, mean=mean, std_dev=std,
+                      count=finite.size, infinite_count=infinite,
+                      zero_lhs_count=int(np.count_nonzero(zero)),
+                      violations=int(np.count_nonzero(~holds(lhs, rhs))))

@@ -58,7 +58,11 @@ class CriterionValue:
             raise StopgapError(f"criterion {self.kind} evaluated to {self.value}")
 
 
-def ogfe(problem: ProblemInstance, z: PrimalDualPoint):
+# Each measure takes the products of z it shares with the others when the
+# caller has formed them already: r = Ax - b, aty = A^T y and fx = f(x).
+
+
+def ogfe(problem: ProblemInstance, z: PrimalDualPoint, r=None, fx=None):
     """Optimality gap max(f(x) - f*, 0) and feasibility error ||Ax - b||.
 
     Requires a reference solution; OG is an oracle-only quantity.
@@ -67,35 +71,43 @@ def ogfe(problem: ProblemInstance, z: PrimalDualPoint):
     if problem.reference is None:
         raise ConfigError(f"problem {problem.label!r} has no reference solution; "
                           "the optimality gap is not computable")
-    fx = problem.objective(z.x)
+    if fx is None:
+        fx = problem.objective(z.x)
+    if r is None:
+        r = problem.constraint.residual(z.x)
     og = max(fx - problem.reference.f_star, 0.0)
-    fe = float(np.linalg.norm(problem.constraint.residual(z.x)))
-    return (CriterionValue("OG", og), CriterionValue("FE", fe))
+    return (CriterionValue("OG", og), CriterionValue("FE", float(np.linalg.norm(r))))
 
 
-def kkt_error(problem: ProblemInstance, z: PrimalDualPoint):
+def kkt_error(problem: ProblemInstance, z: PrimalDualPoint, r=None, aty=None):
     """||df(x) + A^T y||_0^2 + ||Ax - b||^2 (squared minimum-norm subgradient
     plus squared feasibility error); +inf propagates from the residual."""
     problem.check_point(z)
-    g = problem.constraint.matrix.T @ z.y
-    stat = problem.objective.stationarity_residual(z.x, g)
-    r = problem.constraint.residual(z.x)
+    if aty is None:
+        aty = problem.constraint.matrix.T @ z.y
+    if r is None:
+        r = problem.constraint.residual(z.x)
+    stat = problem.objective.stationarity_residual(z.x, aty)
     return CriterionValue("KKT", stat + float(r @ r))
 
 
-def projected_duality_gap(problem: ProblemInstance, z: PrimalDualPoint):
+def projected_duality_gap(problem: ProblemInstance, z: PrimalDualPoint, r=None, aty=None,
+                          fx=None):
     """|f(x) + f*(a) + <b,y>|^2 + ||a + A^T y||^2 + ||Ax - b||^2 with
     a = Proj_{dom f*}(-A^T y)."""
     problem.check_point(z)
     obj = problem.objective
-    aty = problem.constraint.matrix.T @ z.y
+    if aty is None:
+        aty = problem.constraint.matrix.T @ z.y
     a = obj.project_conj_domain(-aty)
     fa = obj.conj(a)
     if not math.isfinite(fa):
         raise StopgapError("projection onto dom f* returned a point with f* = +inf "
                            "(projection contract violated)")
-    fx = obj(z.x)
-    r = problem.constraint.residual(z.x)
+    if fx is None:
+        fx = obj(z.x)
+    if r is None:
+        r = problem.constraint.residual(z.x)
     da = a + aty
     if not math.isfinite(fx):
         value = INF
@@ -114,7 +126,7 @@ def _smoothing(beta, name):
 
 
 def smoothed_duality_gap(problem: ProblemInstance, z: PrimalDualPoint, beta_x, beta_y,
-                         r=None):
+                         r=None, aty=None):
     """Self-centered smoothed gap in closed form, and its prox point.
 
     G_beta(z) = f(x) - f(p) + <A(x-p), y> - beta_x/2 ||p-x||^2
@@ -125,8 +137,8 @@ def smoothed_duality_gap(problem: ProblemInstance, z: PrimalDualPoint, beta_x, b
     ``beta_x`` and ``beta_y`` are floats, giving (G, p) as a float and an
     (n,) vector, or equal-shape (k,) arrays, giving a (k,) array and one
     C-contiguous prox point per row of a (k, n) array.  Entry j of an array
-    call has the bits of the call at (beta_x[j], beta_y[j]).  ``r`` is the
-    residual Ax - b when the caller has already formed it.
+    call has the bits of the call at (beta_x[j], beta_y[j]).  ``r`` (Ax - b)
+    and ``aty`` (A^T y) are the caller's, when it has already formed them.
     """
     bx = _smoothing(beta_x, "beta_x")
     # the grid passes one array as both: check it once
@@ -136,7 +148,8 @@ def smoothed_duality_gap(problem: ProblemInstance, z: PrimalDualPoint, beta_x, b
     problem.check_point(z)
     obj = problem.objective
     A = problem.constraint.matrix
-    aty = A.T @ z.y
+    if aty is None:
+        aty = A.T @ z.y
     P = obj.prox(1.0 / bx, z.x - aty / bx[..., None])
     if not np.isfinite(P).all():
         raise StopgapError("prox returned a non-finite point")
@@ -171,10 +184,10 @@ class SdgGrid:
     prox: np.ndarray
 
 
-def sdg_over_grid(problem, z, beta: np.ndarray, r=None):
+def sdg_over_grid(problem, z, beta: np.ndarray, r=None, aty=None):
     """``smoothed_duality_gap`` at every entry of the beta array, with
-    beta_x = beta_y, and with the residual ``r`` when the caller has it."""
-    return SdgGrid(beta, *smoothed_duality_gap(problem, z, beta, beta, r=r))
+    beta_x = beta_y, and with ``r`` and ``aty`` when the caller has them."""
+    return SdgGrid(beta, *smoothed_duality_gap(problem, z, beta, beta, r=r, aty=aty))
 
 
 def best_sdg(grid: SdgGrid, raw=False):
@@ -211,12 +224,15 @@ class PointValues:
 
 
 def evaluate_point(problem: ProblemInstance, z: PrimalDualPoint):
-    """Evaluate every measure at ``z`` once, for the trace and the bounds."""
+    """Evaluate every measure at ``z`` once, for the trace and the bounds;
+    Ax - b, A^T y and f(x) are formed once and shared by the measures."""
     problem.check_point(z)
     r = problem.constraint.residual(z.x)
+    aty = problem.constraint.matrix.T @ z.y
+    fx = problem.objective(z.x)
     fe = float(np.linalg.norm(r))
-    og = None if problem.reference is None else ogfe(problem, z)[0].value
-    return PointValues(og=og, fe=fe, kkt=kkt_error(problem, z).value,
-                       pdg=projected_duality_gap(problem, z).value,
-                       sdg=sdg_over_grid(problem, z, beta_grid(fe), r=r))
+    og = None if problem.reference is None else ogfe(problem, z, r=r, fx=fx)[0].value
+    return PointValues(og=og, fe=fe, kkt=kkt_error(problem, z, r=r, aty=aty).value,
+                       pdg=projected_duality_gap(problem, z, r=r, aty=aty, fx=fx).value,
+                       sdg=sdg_over_grid(problem, z, beta_grid(fe), r=r, aty=aty))
 

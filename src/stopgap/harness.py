@@ -9,14 +9,15 @@ losslessly; +inf serialises as the string "inf".
 import csv
 import json
 import math
+import numbers
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import criteria as crit
 from . import oracles
-from .bounds import T2_CONSTANTS, THEOREMS, evaluate_bounds, ratio_stats
+from .bounds import T2_CONSTANTS, THEOREMS, evaluate_bounds, ratio, ratio_stats
 from .errors import ConfigError
 from .instances import make_instance
 from .pdhg import SolveConfig, check_count, default_step_sizes, solve
@@ -66,6 +67,9 @@ class ExperimentConfig:
                 raise ConfigError("stop criterion must be among the evaluated criteria")
         for name in ("n", "m", "max_iters", "record_every", "verify_samples"):
             check_count(name, getattr(self, name))
+        if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(
+                self.seed, numbers.Integral) or self.seed < 0):
+            raise ConfigError(f"seed must be None or a non-negative integer, got {self.seed!r}")
         if self.t2_constant not in T2_CONSTANTS:
             raise ConfigError(f"unknown t2_constant {self.t2_constant!r}; "
                               f"choose from {list(T2_CONSTANTS)}")
@@ -128,7 +132,9 @@ def run_experiment(config: ExperimentConfig):
 
     os.makedirs(config.out_dir, exist_ok=True)
     trace_path = os.path.join(config.out_dir, "trace.csv")
-    per_theorem = {tid: [] for tid in config.bounds}
+    # table2's input: per theorem, the lhs and rhs of each row it certifies
+    shape = (len(config.bounds), len(traj.iterates))
+    lhs, rhs, certified = np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool)
     header = ["iteration", "og", "fe", "kkt", "pdg", "sdg", "sdg_beta", "sdg_gate"]
     for tid in config.bounds:
         header += [f"{tid}_lhs", f"{tid}_rhs", f"{tid}_ratio", f"{tid}_beta"]
@@ -136,20 +142,22 @@ def run_experiment(config: ExperimentConfig):
     with open(trace_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for k, z in traj.iterates:
+        for i, (k, z) in enumerate(traj.iterates):
             pv = crit.evaluate_point(problem, z)
             j, gate = crit.best_sdg(pv.sdg)
             reports = evaluate_bounds(problem, z, consts, eta_of=eta_of, values=pv,
                                       t2_constant=config.t2_constant)
             cells = [k, _fmt(pv.og), _fmt(pv.fe), _fmt(pv.kkt), _fmt(pv.pdg),
                      _fmt(float(pv.sdg.gap[j])), _fmt(float(pv.sdg.beta[j])), _fmt(gate)]
-            for tid in config.bounds:
-                rep = reports.get(tid)
+            row = [reports.get(tid) for tid in config.bounds]
+            for t, rep in enumerate(row):
+                if rep is not None:
+                    lhs[t, i], rhs[t, i], certified[t, i] = rep.lhs, rep.rhs, True
+            for rep, rho in zip(row, ratio(lhs[:, i], rhs[:, i]).tolist()):
                 if rep is None:
                     cells += ["", "", "", ""]
                 else:
-                    per_theorem[tid].append(rep)
-                    cells += [_fmt(rep.lhs), _fmt(rep.rhs), _fmt(rep.ratio),
+                    cells += [_fmt(rep.lhs), _fmt(rep.rhs), _fmt(rho),
                               _fmt(rep.beta_used.beta_x if rep.beta_used else None)]
             writer.writerow(cells)
 
@@ -161,15 +169,11 @@ def run_experiment(config: ExperimentConfig):
         json.dump(_sanitize(table1), fh, indent=2, sort_keys=True)
 
     table2 = {"instance": problem.label, "ratios": {}}
-    for tid, reports in per_theorem.items():
-        if not reports:
-            continue
-        stats = ratio_stats(reports)
-        table2["ratios"][tid] = {
-            "mean": stats.mean, "std_dev": stats.std_dev,
-            "count": stats.count, "infinite_count": stats.infinite_count,
-            "zero_lhs_count": stats.zero_lhs_count,
-            "violations": sum(not r.holds for r in reports)}
+    for t, tid in enumerate(config.bounds):
+        if certified[t].any():
+            stats = asdict(ratio_stats(tid, lhs[t, certified[t]], rhs[t, certified[t]]))
+            del stats["theorem_id"]
+            table2["ratios"][tid] = stats
     with open(os.path.join(config.out_dir, "table2.json"), "w") as fh:
         json.dump(_sanitize(table2), fh, indent=2, sort_keys=True)
 

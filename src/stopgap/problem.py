@@ -47,16 +47,24 @@ class AffineConstraint:
         return self._norm
 
 
-@dataclass(frozen=True)
+def _vector(v):
+    """``v`` as a 1-D float array: a float vector as it is, anything else
+    converted and flattened."""
+    v = np.asarray(v, dtype=float)
+    return v if v.ndim == 1 else v.reshape(-1)
+
+
+@dataclass(frozen=True, slots=True)
 class PrimalDualPoint:
-    """Iterate z = (x, y)."""
+    """Iterate z = (x, y).  A trajectory keeps one per recorded iterate, so a
+    point holds its two arrays and nothing else."""
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float).reshape(-1))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float).reshape(-1))
+        object.__setattr__(self, "x", _vector(self.x))
+        object.__setattr__(self, "y", _vector(self.y))
 
     def norms(self):
         return float(np.linalg.norm(self.x)), float(np.linalg.norm(self.y))

@@ -21,6 +21,12 @@ def holds(tid, lhs, rhs):
     return BoundReport(tid, lhs, float(rhs)).holds
 
 
+def stats_of(reports):
+    """``ratio_stats`` of a list of one theorem's reports."""
+    return ratio_stats(reports[0].theorem_id, [r.lhs for r in reports],
+                       [r.rhs for r in reports])
+
+
 class TestFormulas:
     def test_saddle_zeros_hold(self):
         assert holds("T1_OG_KKT", 0.0, bound_T1(0.0, 0.0, 1e-8))
@@ -104,17 +110,14 @@ class TestFormulas:
 
 
 class TestRatioStats:
-    def mk(self, lhs, rhs):
-        return BoundReport("T4_SDG_KKT", lhs, rhs)
-
     def test_constant_ratios(self):
-        stats = ratio_stats([self.mk(1.0, 3.0)] * 5)
+        stats = ratio_stats("T4_SDG_KKT", [1.0] * 5, [3.0] * 5)
         assert stats.mean == pytest.approx(3.0)
         assert stats.std_dev == 0.0
         assert stats.count == 5 and stats.infinite_count == 0
 
     def test_infinite_entries_counted_separately(self):
-        stats = ratio_stats([self.mk(1.0, 2.0), self.mk(1.0, INF), self.mk(0.0, 1.0)])
+        stats = ratio_stats("T4_SDG_KKT", [1.0, 1.0, 0.0], [2.0, INF, 1.0])
         assert stats.mean == pytest.approx(2.0)
         assert stats.count == 1
         assert stats.infinite_count == 2  # one inf rhs + one zero lhs with rhs > 0
@@ -122,11 +125,7 @@ class TestRatioStats:
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
-            ratio_stats([])
-
-    def test_mixed_ids_rejected(self):
-        with pytest.raises(ConfigError):
-            ratio_stats([self.mk(1, 2), BoundReport("C1_FE_SDG", 1, 2)])
+            ratio_stats("T4_SDG_KKT", [], [])
 
 
 class TestTrajectoryCertification:
@@ -150,7 +149,7 @@ class TestTrajectoryCertification:
 
     def test_one_dimensional_pointwise(self, one_d):
         traj, t4, t5 = self.run_and_check(one_d)
-        stats = ratio_stats(t4)
+        stats = stats_of(t4)
         # deterministic instance reproduces the known ratio statistics
         assert stats.mean == pytest.approx(1.76, abs=0.6)
         assert 1.76 / 3 <= stats.mean <= 1.76 * 3

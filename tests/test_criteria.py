@@ -5,8 +5,8 @@ import pytest
 
 from stopgap.bounds import ratio_key
 from stopgap.criteria import (GRID_VALUES, SdgGrid, SmoothingParams, best_sdg, beta_grid,
-                              kkt_error, ogfe, projected_duality_gap, sdg_over_grid,
-                              select_beta, smoothed_duality_gap)
+                              evaluate_point, kkt_error, ogfe, projected_duality_gap,
+                              sdg_over_grid, select_beta, smoothed_duality_gap)
 from stopgap.errors import ConfigError, StopgapError
 from stopgap.harness import DEFAULT_VERSION, ExperimentConfig, build_instance
 from stopgap.instances import FAMILIES, make_do
@@ -275,3 +275,26 @@ def test_sdg_grid_matches_pointwise():
                 where = f"{name} iteration {k} beta {b}"
                 assert np.float64(want[0]).tobytes() == got.gap[j].tobytes(), where
                 assert want[1].tobytes() == got.prox[j].tobytes(), where
+
+
+def test_evaluate_point_shares_products_with_the_same_bits():
+    # evaluate_point forms Ax - b, A^T y and f(x) once and hands them on; each
+    # measure must read as it does when it forms them itself
+    for name in FAMILIES:
+        problem = build_instance(ExperimentConfig(instance=name))
+        traj = solve(problem, SolveConfig(criterion="kkt", max_iters=40, record_every=10,
+                                          version=DEFAULT_VERSION.get(name, 1)))
+        for k, z in traj.iterates:
+            pv = evaluate_point(problem, z)
+            where = f"{name} iteration {k}"
+            if problem.reference is not None:
+                og, fe = ogfe(problem, z)
+                assert np.float64(pv.og).tobytes() == np.float64(og.value).tobytes(), where
+                assert np.float64(pv.fe).tobytes() == np.float64(fe.value).tobytes(), where
+            assert np.float64(pv.kkt).tobytes() == \
+                   np.float64(kkt_error(problem, z).value).tobytes(), where
+            assert np.float64(pv.pdg).tobytes() == \
+                   np.float64(projected_duality_gap(problem, z).value).tobytes(), where
+            grid = sdg_over_grid(problem, z, pv.sdg.beta)
+            assert grid.gap.tobytes() == pv.sdg.gap.tobytes(), where
+            assert grid.prox.tobytes() == pv.sdg.prox.tobytes(), where

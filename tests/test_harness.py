@@ -4,8 +4,10 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stopgap import harness
@@ -104,6 +106,23 @@ class TestRunExperiment:
                                   gate_iterates) == []
         # every grid goes through the one smoothed-gap formula
         assert tracer.calls["criteria.sdg_point"] == tracer.calls["criteria.sdg_grid"]
+
+
+def test_certification_keeps_little_per_recorded_row(tmp_path):
+    # the run keeps each recorded iterate and two floats per theorem and row;
+    # a report object kept per row and theorem until table2 is written costs
+    # about 3.5 kB a row here, the columns about 1.1 kB
+    run_experiment(ExperimentConfig(instance="iidg", max_iters=3, out_dir=str(tmp_path)))
+    tracemalloc.start()
+    try:
+        res = run_experiment(ExperimentConfig(instance="iidg", max_iters=1500, record_every=1,
+                                              out_dir=str(tmp_path)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = len(res["trajectory"].iterates)
+    assert rows == 1501
+    assert peak / rows < 2800, f"{peak / rows:.0f} bytes of peak Python memory per row"
 
 
 def test_run_path_does_not_load_scipy():
@@ -220,6 +239,17 @@ class TestCli:
     def test_integer_settings_must_be_positive(self, name):
         with pytest.raises(ConfigError, match=f"{name} must be at least 1, got 0"):
             ExperimentConfig(instance="iidg", **{name: 0}).validate()
+
+    @pytest.mark.parametrize("seed", [2.5, 7.0, True, False, "7", -1, np.int64(-3)])
+    def test_seed_must_be_a_non_negative_integer(self, tmp_path, monkeypatch, seed):
+        # a float seed used to reach numpy's SeedSequence and die with a TypeError
+        monkeypatch.setattr(harness, "build_instance", unreachable)
+        with pytest.raises(ConfigError, match="seed must be None or a non-negative integer"):
+            run_experiment(ExperimentConfig(instance="iidg", seed=seed, out_dir=str(tmp_path)))
+
+    @pytest.mark.parametrize("seed", [None, 0, 7, np.int64(7), np.uint8(7)])
+    def test_integer_seeds_are_accepted(self, seed):
+        ExperimentConfig(instance="iidg", seed=seed).validate()
 
     def test_package_error_is_one_line_with_status_2(self, tmp_path, capsys):
         rc = cli_main(["run", "--instance", "1d", "--epsilon", "nan", "--out", str(tmp_path)])
