@@ -2,8 +2,8 @@
 problems, four comparable stopping criteria, and numeric certification of
 the inequalities relating them."""
 
-from .criteria import (CriterionValue, SmoothingParams, beta_grid, kkt_error, ogfe,
-                       projected_duality_gap, select_beta, smoothed_duality_gap)
+from .criteria import (SmoothingParams, beta_grid, kkt_error, ogfe, projected_duality_gap,
+                       select_beta, smoothed_duality_gap)
 from .instances import (make_1d, make_bp, make_do, make_iidg, make_instance,
                         make_ntc, make_pqp, read_libsvm)
 from .linalg import operator_norm
@@ -15,7 +15,7 @@ from .regularity import (QuadraticFormModel, RegularityConstants, lipschitz_cons
                          msr_gamma, qeb_eta)
 
 __all__ = [
-    "AffineConstraint", "CriterionValue", "L1Norm",
+    "AffineConstraint", "L1Norm",
     "LeastSquaresObjective", "NonnegativeQuadratic", "PrimalDualPoint",
     "ProblemInstance", "QuadraticFormModel", "ReferenceSolution",
     "RegularityConstants", "SmoothingParams", "SolveConfig", "StepSizes",

@@ -1,11 +1,12 @@
 """Evaluation of every comparability/approximation inequality at a
 primal-dual point: per-iteration reports of lhs, rhs, their ratio and the
-smoothing pair used, plus the trajectory-level ratio statistics.
+smoothing parameter beta = beta_x = beta_y used, plus the trajectory-level
+ratio statistics.
 
 Each ``bound_*`` writes one theorem's right-hand side (for the L6 floor, its
 left-hand side) as a numpy expression: scalars broadcast, so one formula
-serves a single smoothing pair and the whole beta grid.  The smoothing pair
-of each report follows the grid-selection rules: for ``g(z) <= h_beta(z)``
+serves a single smoothing pair and the whole beta grid.  The beta of each
+report follows the grid-selection rules: for ``g(z) <= h_beta(z)``
 the beta minimising the rhs; for ``g_beta(z) <= h_beta(z)`` the beta
 minimising rhs/lhs.
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import criteria as crit
-from .criteria import SmoothingParams, select_beta
+from .criteria import select_beta
 from .errors import ConfigError, StopgapError
 
 INF = float("inf")
@@ -38,7 +39,7 @@ class BoundReport:
     theorem_id: str
     lhs: float
     rhs: float
-    beta_used: SmoothingParams | None = None
+    beta_used: float | None = None  # beta = beta_x = beta_y of the report
 
     def __post_init__(self):
         if self.theorem_id not in THEOREMS:
@@ -190,7 +191,8 @@ def evaluate_bounds(problem, z, consts, eta_of, values=None, t2_constant="proof"
     Parameters
     ----------
     consts : RegularityConstants for the instance.
-    eta_of : callable SmoothingParams -> eta, such as a ``regularity.EtaCache``.
+    eta_of : callable float beta -> eta at (beta, beta), such as a
+             ``regularity.EtaCache``.
     values : the point's ``criteria.PointValues``; evaluated here when omitted.
     """
     problem.check_point(z)
@@ -204,7 +206,7 @@ def evaluate_bounds(problem, z, consts, eta_of, values=None, t2_constant="proof"
 
     if og is not None:
         reports["T1_OG_KKT"] = BoundReport("T1_OG_KKT", og, bound_T1(K, y_norm, consts.gamma))
-        eta = np.array([eta_of(SmoothingParams(b, b)) for b in beta.tolist()])
+        eta = np.array([eta_of(b) for b in beta.tolist()])
         rows += [("T2_OG_SDG", og, bound_T2(G, y_norm, beta, beta, eta, t2_constant), False),
                  ("T3_OG_PDG", og, bound_T3(D, x_norm, y_norm, beta, beta, eta), False)]
     rows += [("T4_SDG_KKT", G, bound_T4(K, beta, beta), True),
@@ -226,8 +228,7 @@ def evaluate_bounds(problem, z, consts, eta_of, values=None, t2_constant="proof"
             for tid, lhs, rhs, ratio in rows]
     keys = np.array([ratio_key(lhs, rhs) if ratio else rhs for _, lhs, rhs, ratio in rows])
     for (tid, lhs, rhs, _), j in zip(rows, select_beta(keys).tolist()):
-        b = float(beta[j])
-        reports[tid] = BoundReport(tid, float(lhs[j]), float(rhs[j]), SmoothingParams(b, b))
+        reports[tid] = BoundReport(tid, float(lhs[j]), float(rhs[j]), float(beta[j]))
     return reports
 
 

@@ -19,6 +19,7 @@ from .harness import ExperimentConfig, _sanitize, build_instance, emit_plot_data
 from .instances import FAMILIES
 from .oracles import (counterexample_kkt_vs_og, counterexample_kkt_vs_sdg,
                       verification_suite)
+from .pdhg import CRITERIA
 
 ALL_INSTANCES = ("1d", "iidg", "ntc", "do", "pqp", "bp")
 
@@ -29,10 +30,11 @@ def _add_common(p):
     p.add_argument("--max-iters", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=None,
                    help="instance seed (default: per-family choice)")
-    p.add_argument("--n", type=int, default=20)
-    p.add_argument("--m", type=int, default=10)
-    p.add_argument("--criterion", default="all",
-                   choices=["all", "ogfe", "kkt", "pdg", "sdg"])
+    p.add_argument("--n", type=int, default=None,
+                   help="columns of an iidg, ntc, pqp or bp instance (default: 20)")
+    p.add_argument("--m", type=int, default=None,
+                   help="rows of an iidg, ntc, pqp or bp instance (default: 10)")
+    p.add_argument("--criterion", default="all", choices=["all", *CRITERIA])
     p.add_argument("--beta-mode", dest="sdg_gate", default="surrogate",
                    choices=["surrogate", "raw"],
                    help="SDG stopping gate: epsilon-solution surrogate or raw value")
@@ -68,7 +70,7 @@ def cmd_run(args):
 
 def cmd_verify(args):
     cfg = _config_from(args)
-    problem = build_instance(cfg)
+    problem = build_instance(cfg.validate())
     report = verification_suite(problem, seed=args.seed or 0,
                                 sdg_samples=args.samples,
                                 witness_samples=args.samples)

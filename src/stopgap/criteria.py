@@ -7,7 +7,7 @@ beta_y) and is provably >= 0 for the self-centered version.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,22 +40,12 @@ def beta_grid(feasibility_error=0.0):
     return np.array(sorted(GRID_VALUES + extra))
 
 
-@dataclass
-class CriterionValue:
-    """Tagged scalar output of one optimality measure.
-
-    ``witnesses`` carries the PDG projection point ``a`` when applicable.
-    """
-
-    kind: str                       # OG | FE | KKT | PDG
-    value: float
-    witnesses: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in ("OG", "FE", "KKT", "PDG"):
-            raise ConfigError(f"unknown criterion kind {self.kind!r}")
-        if not (self.value >= 0.0 or self.value == INF):
-            raise StopgapError(f"criterion {self.kind} evaluated to {self.value}")
+def _checked(kind, value):
+    """``value`` itself; a measure is nonnegative or +inf, so a negative or
+    nan value raises."""
+    if not value >= 0.0:
+        raise StopgapError(f"criterion {kind} evaluated to {value}")
+    return value
 
 
 # Each measure takes the products of z it shares with the others when the
@@ -76,7 +66,7 @@ def ogfe(problem: ProblemInstance, z: PrimalDualPoint, r=None, fx=None):
     if r is None:
         r = problem.constraint.residual(z.x)
     og = max(fx - problem.reference.f_star, 0.0)
-    return (CriterionValue("OG", og), CriterionValue("FE", float(np.linalg.norm(r))))
+    return _checked("OG", og), _checked("FE", float(np.linalg.norm(r)))
 
 
 def kkt_error(problem: ProblemInstance, z: PrimalDualPoint, r=None, aty=None):
@@ -88,7 +78,7 @@ def kkt_error(problem: ProblemInstance, z: PrimalDualPoint, r=None, aty=None):
     if r is None:
         r = problem.constraint.residual(z.x)
     stat = problem.objective.stationarity_residual(z.x, aty)
-    return CriterionValue("KKT", stat + float(r @ r))
+    return _checked("KKT", stat + float(r @ r))
 
 
 def projected_duality_gap(problem: ProblemInstance, z: PrimalDualPoint, r=None, aty=None,
@@ -114,7 +104,7 @@ def projected_duality_gap(problem: ProblemInstance, z: PrimalDualPoint, r=None, 
     else:
         gap = fx + fa + float(problem.constraint.rhs @ z.y)
         value = gap * gap + float(da @ da) + float(r @ r)
-    return CriterionValue("PDG", value, witnesses={"a": a})
+    return _checked("PDG", value)
 
 
 def _smoothing(beta, name):
@@ -231,8 +221,8 @@ def evaluate_point(problem: ProblemInstance, z: PrimalDualPoint):
     aty = problem.constraint.matrix.T @ z.y
     fx = problem.objective(z.x)
     fe = float(np.linalg.norm(r))
-    og = None if problem.reference is None else ogfe(problem, z, r=r, fx=fx)[0].value
-    return PointValues(og=og, fe=fe, kkt=kkt_error(problem, z, r=r, aty=aty).value,
-                       pdg=projected_duality_gap(problem, z, r=r, aty=aty, fx=fx).value,
+    og = None if problem.reference is None else ogfe(problem, z, r=r, fx=fx)[0]
+    return PointValues(og=og, fe=fe, kkt=kkt_error(problem, z, r=r, aty=aty),
+                       pdg=projected_duality_gap(problem, z, r=r, aty=aty, fx=fx),
                        sdg=sdg_over_grid(problem, z, beta_grid(fe), r=r, aty=aty))
 

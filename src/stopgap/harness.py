@@ -1,6 +1,6 @@
 """Experiment driver: configures a benchmark run, solves it, evaluates every
 criterion and bound along the trajectory, and writes the disk artifacts
-(trace.csv, table1.json, table2.json, verification.json, plot CSVs).
+(trace.csv, table1.json, table2.json, plot CSVs).
 
 All floats are serialised with 17 significant digits so traces round-trip
 losslessly; +inf serialises as the string "inf".
@@ -16,24 +16,25 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import criteria as crit
-from . import oracles
 from .bounds import T2_CONSTANTS, THEOREMS, evaluate_bounds, ratio, ratio_stats
 from .errors import ConfigError
 from .instances import make_instance
-from .pdhg import SolveConfig, check_count, default_step_sizes, solve
+from .pdhg import CRITERIA, SolveConfig, check_count, default_step_sizes, solve
 from .regularity import EtaCache, lipschitz_constants
 
 # PDHG ordering per family: the splitting QP needs the prox-last version to
 # keep the slack block inside the nonnegativity domain
 DEFAULT_VERSION = {"pqp": 2}
 DEFAULT_SEED = {"bp": 5, "pqp": 8, "iidg": 7, "ntc": 7, "do": 0}
+# the families whose size n x m is set by ExperimentConfig.n and .m
+SIZED = ("iidg", "ntc", "pqp", "bp")
 
 
 @dataclass
 class ExperimentConfig:
     instance: str = "1d"
-    n: int = 20
-    m: int = 10
+    n: int | None = None            # None = family default (20 x 10)
+    m: int | None = None
     seed: int | None = None
     data_path: str | None = None
     epsilon: float = 1e-8
@@ -46,8 +47,6 @@ class ExperimentConfig:
     sdg_gate: str = "surrogate"
     t2_constant: str = "proof"
     out_dir: str = "out"
-    verify: bool = False
-    verify_samples: int = 50
 
     @classmethod
     def from_dict(cls, d):
@@ -61,11 +60,17 @@ class ExperimentConfig:
         if self.criteria is not None:
             if not self.criteria:
                 raise ConfigError("criteria list must not be empty; omit it for defaults")
-            if not set(self.criteria) <= {"ogfe", "kkt", "pdg", "sdg"}:
+            if not set(self.criteria) <= set(CRITERIA):
                 raise ConfigError(f"unknown criteria {self.criteria}")
             if self.criterion != "all" and self.criterion not in self.criteria:
                 raise ConfigError("stop criterion must be among the evaluated criteria")
-        for name in ("n", "m", "max_iters", "record_every", "verify_samples"):
+        for name in ("n", "m"):
+            if getattr(self, name) is not None:
+                if self.instance not in SIZED:
+                    raise ConfigError(f"{name} sets the size of {'/'.join(SIZED)} "
+                                      f"instances only, not {self.instance!r}")
+                check_count(name, getattr(self, name))
+        for name in ("max_iters", "record_every"):
             check_count(name, getattr(self, name))
         if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(
                 self.seed, numbers.Integral) or self.seed < 0):
@@ -75,6 +80,8 @@ class ExperimentConfig:
                               f"choose from {list(T2_CONSTANTS)}")
         if not set(self.bounds) <= set(THEOREMS):
             raise ConfigError(f"unknown bound ids {set(self.bounds) - set(THEOREMS)}")
+        if len(set(self.bounds)) < len(self.bounds):
+            raise ConfigError(f"bounds lists a theorem id twice: {list(self.bounds)}")
         return self
 
 
@@ -84,8 +91,9 @@ def build_instance(config: ExperimentConfig):
     if seed is None:
         seed = DEFAULT_SEED.get(name, 0)
     kwargs = {}
-    if name in ("iidg", "ntc", "pqp", "bp"):
-        kwargs = {"n": config.n, "m": config.m, "seed": seed}
+    if name in SIZED:
+        size = {"n": config.n, "m": config.m}
+        kwargs = {"seed": seed, **{k: v for k, v in size.items() if v is not None}}
     elif name == "do":
         kwargs = {"data_path": config.data_path, "seed": seed}
     return make_instance(name, **kwargs)
@@ -157,8 +165,7 @@ def run_experiment(config: ExperimentConfig):
                 if rep is None:
                     cells += ["", "", "", ""]
                 else:
-                    cells += [_fmt(rep.lhs), _fmt(rep.rhs), _fmt(rho),
-                              _fmt(rep.beta_used.beta_x if rep.beta_used else None)]
+                    cells += [_fmt(rep.lhs), _fmt(rep.rhs), _fmt(rho), _fmt(rep.beta_used)]
             writer.writerow(cells)
 
     table1 = {"instance": problem.label, "epsilon": config.epsilon,
@@ -177,19 +184,7 @@ def run_experiment(config: ExperimentConfig):
     with open(os.path.join(config.out_dir, "table2.json"), "w") as fh:
         json.dump(_sanitize(table2), fh, indent=2, sort_keys=True)
 
-    result = {"trace": trace_path,
-              "table1": table1, "table2": table2,
-              "trajectory": traj}
-
-    if config.verify:
-        report = oracles.verification_suite(problem, seed=0,
-                                            sdg_samples=config.verify_samples,
-                                            witness_samples=config.verify_samples)
-        vpath = os.path.join(config.out_dir, "verification.json")
-        with open(vpath, "w") as fh:
-            json.dump(_sanitize(report), fh, indent=2, sort_keys=True)
-        result["verification"] = report
-    return result
+    return {"trace": trace_path, "table1": table1, "table2": table2, "trajectory": traj}
 
 
 def _sanitize(obj):

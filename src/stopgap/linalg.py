@@ -1,5 +1,5 @@
 """Dense linear-algebra helpers: operator norms, row-wise products, guarded
-pseudo-inverses, orthonormal bases of subspaces."""
+pseudo-inverses, kernel bases."""
 
 import math
 
@@ -93,23 +93,6 @@ def stationarity_matrix(Q, A):
     M[n:, :n] = A
     M[n:, n:] = 0.0
     return M
-
-
-def orthonormal_basis(S, warn=None):
-    """Orthonormal basis of the column span of S (QR with rank filtering).
-
-    Parameters
-    ----------
-    S : (n, k) ndarray whose columns span the target subspace.
-    warn : callable or None
-        Called with a message when S is rank deficient.
-    """
-    S = np.atleast_2d(np.asarray(S, dtype=float))
-    U, sv, _ = np.linalg.svd(S, full_matrices=False)
-    r = int(np.sum(sv > RANK_RTOL * (sv[0] if sv.size else 1.0)))
-    if warn is not None and r < S.shape[1]:
-        warn("spanning set is rank deficient (%d < %d); basis recomputed" % (r, S.shape[1]))
-    return U[:, :r]
 
 
 def null_space_basis(M):

@@ -14,7 +14,6 @@ import numpy as np
 
 from .criteria import SmoothingParams, smoothed_duality_gap
 from .errors import ConfigError, ConvergenceError, StopgapError
-from .linalg import orthonormal_basis
 from .objectives import L1Norm, LeastSquaresObjective, NonnegativeQuadratic
 from .pdhg import SolveConfig, default_step_sizes, solve
 from .problem import PrimalDualPoint
@@ -420,34 +419,3 @@ def verification_suite(problem, seed=0, sdg_samples=100, witness_samples=200,
 
     report["passed"] = all(v for k, v in report.items() if k.endswith("_pass"))
     return report
-
-
-# ---------------------------------------------------------------------------
-# affine-domain chart checks
-
-
-def diffeomorphism_checks(offset, span, rng, samples=50, tol=1e-10, warn=None):
-    """Orthonormal chart of the affine set offset + span and its two
-    identities: the chart preserves norms of differences and its inverse's
-    Jacobian maps coordinate differences back to point differences."""
-    offset = np.asarray(offset, dtype=float)
-    basis = orthonormal_basis(span, warn=warn)
-    k = basis.shape[1]
-    ortho_err = float(np.abs(basis.T @ basis - np.eye(k)).max()) if k else 0.0
-    max_norm_err = 0.0
-    max_jac_err = 0.0
-    for _ in range(samples):
-        lam1 = rng.standard_normal(k)
-        lam2 = rng.standard_normal(k)
-        x1 = offset + basis @ lam1
-        x2 = offset + basis @ lam2
-        phi1 = basis.T @ (x1 - offset)
-        phi2 = basis.T @ (x2 - offset)
-        max_norm_err = max(max_norm_err,
-                           abs(np.linalg.norm(phi1 - phi2) - np.linalg.norm(x1 - x2)))
-        # the Jacobian of the inverse chart is the basis matrix itself
-        max_jac_err = max(max_jac_err,
-                          float(np.linalg.norm(basis @ (phi1 - phi2) - (x1 - x2))))
-    return {"dimension": k, "orthonormality_error": ortho_err,
-            "norm_preservation_error": max_norm_err, "jacobian_error": max_jac_err,
-            "passed": max(ortho_err, max_norm_err, max_jac_err) <= tol}

@@ -150,14 +150,13 @@ def _gate_value(problem, z, name, config, r, rr, fe):
     if name == "ogfe":
         if fe > config.epsilon:
             return math.inf, config.epsilon
-        og, fe_value = criteria.ogfe(problem, z)
-        return max(og.value, fe_value.value), config.epsilon
+        return max(criteria.ogfe(problem, z)), config.epsilon
     if name in ("kkt", "pdg"):
         threshold = config.epsilon ** 2
         if rr > threshold:
             return math.inf, threshold
         measure = criteria.kkt_error if name == "kkt" else criteria.projected_duality_gap
-        return measure(problem, z).value, threshold
+        return measure(problem, z), threshold
     # sdg: best certificate over the per-iteration grid
     raw = config.sdg_gate == "raw"
     grid = criteria.sdg_over_grid(problem, z, criteria.beta_grid(fe), r=r)

@@ -9,20 +9,16 @@ row's own beta through an ``EtaCache``, which solves for it on first use.
 
 For the least-squares family the smoothed gap is an explicit quadratic
 z^T H z + <z, v> + cst; eta comes from the smallest positive eigenvalue of H.
-The H assembled with step sizes (tau, sigma) corresponds to smoothing weights
-beta_x/tau and beta_y/sigma, i.e. it models the plain smoothed gap at the
-scaled pair (beta_x/tau, beta_y/sigma); pass tau = sigma = 1 to model the gap
-at beta itself.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .criteria import SmoothingParams
 from .errors import DegenerateProblemError, StopgapError
 from .linalg import RANK_RTOL, null_space_basis, pinv_solve, stationarity_matrix
 from .objectives import LeastSquaresObjective, NonnegativeQuadratic
-from .pdhg import StepSizes
 
 DECLARED_DEFAULT = 1e-8  # gamma = eta fallback where computing them is intractable
 
@@ -54,10 +50,6 @@ class QuadraticFormModel:
         z = np.asarray(z, dtype=float)
         return float(z @ self.H @ z + z @ self.v + self.constant)
 
-    def minimizer(self):
-        """Any minimiser of the quadratic (pseudo-inverse stationary point)."""
-        return pinv_solve(2.0 * self.H, -self.v)
-
 
 def msr_gamma(Q, A):
     """Smallest |eigenvalue| of the stationarity matrix above the rank
@@ -71,25 +63,23 @@ def msr_gamma(Q, A):
     return float(kept.min())
 
 
-def qeb_eta(Q, c, A, b, beta, steps: StepSizes | None = None):
-    """Quadratic-error-bound constant of the smoothed gap plus its model.
+def qeb_eta(Q, c, A, b, beta: SmoothingParams):
+    """Quadratic-error-bound constant of the smoothed gap at ``beta`` plus
+    its model.
 
-    Assembles B = Q^T Q + (beta_x/tau) Id and
+    Assembles B = Q^T Q + beta_x Id and
 
-        M_xx = Q^T Q / 2 + (sigma / 2 beta_y) A^T A
-               + (beta_x^2 / 2 tau^2) B^{-1} - (beta_x / 2 tau) Id
-        M_xy = A^T - (beta_x/tau) B^{-1} A^T
+        M_xx = Q^T Q / 2 + (1 / 2 beta_y) A^T A + (beta_x^2 / 2) B^{-1}
+               - (beta_x / 2) Id
+        M_xy = A^T - beta_x B^{-1} A^T
         M_yy = A B^{-1} A^T / 2
-        v_x  = (beta_x/tau) B^{-1} Q^T c - Q^T c - (sigma/beta_y) A^T b
+        v_x  = beta_x B^{-1} Q^T c - Q^T c - (1/beta_y) A^T b
         v_y  = -A B^{-1} Q^T c
 
     and returns (eta, model) with eta = (smallest positive eigenvalue of
     H)/2.  H must be PSD up to round-off since the gap is nonnegative.
     """
-    if steps is None:
-        steps = StepSizes(1.0, 1.0)
     bx, by = beta.beta_x, beta.beta_y
-    tau, sigma = steps.tau, steps.sigma
     Q = np.atleast_2d(np.asarray(Q, float))
     A = np.atleast_2d(np.asarray(A, float))
     c = np.asarray(c, float)
@@ -97,10 +87,10 @@ def qeb_eta(Q, c, A, b, beta, steps: StepSizes | None = None):
     n = Q.shape[1]
     gram = Q.T @ Q
     qtc = Q.T @ c
-    r = bx / tau
+    r = bx
     B = gram + r * np.eye(n)
     Binv = np.linalg.inv(B)
-    Mxx = 0.5 * gram + (sigma / (2.0 * by)) * (A.T @ A) + (r * r / 2.0) * Binv - (r / 2.0) * np.eye(n)
+    Mxx = 0.5 * gram + (1.0 / (2.0 * by)) * (A.T @ A) + (r * r / 2.0) * Binv - (r / 2.0) * np.eye(n)
     Mxy = A.T - r * (Binv @ A.T)
     Myy = 0.5 * (A @ Binv @ A.T)
     H = np.block([[Mxx, 0.5 * Mxy], [0.5 * Mxy.T, Myy]])
@@ -115,13 +105,19 @@ def qeb_eta(Q, c, A, b, beta, steps: StepSizes | None = None):
         raise DegenerateProblemError("quadratic form has no positive eigenvalues")
     eta = float(pos.min()) / 2.0
 
-    vx = r * (Binv @ qtc) - qtc - (sigma / by) * (A.T @ b)
+    vx = r * (Binv @ qtc) - qtc - (1.0 / by) * (A.T @ b)
     vy = -A @ (Binv @ qtc)
     resid = Q @ (Binv @ qtc) - c
-    cst = (0.5 * float(c @ c) + (sigma / (2.0 * by)) * float(b @ b)
+    cst = (0.5 * float(c @ c) + (1.0 / (2.0 * by)) * float(b @ b)
            - 0.5 * float(resid @ resid) - (r / 2.0) * float((Binv @ qtc) @ (Binv @ qtc)))
     model = QuadraticFormModel(H=H, v=np.concatenate([vx, vy]), constant=cst)
     return eta, model
+
+
+def _least_squares(instance):
+    """Whether ``instance`` is of the least-squares family, whose eta(beta)
+    ``qeb_eta`` computes."""
+    return isinstance(instance.objective, LeastSquaresObjective) and instance.family == "ls"
 
 
 def lipschitz_constants(instance, steps=None):
@@ -135,7 +131,7 @@ def lipschitz_constants(instance, steps=None):
     ``steps`` is unused; the keyword stays for existing callers.
     """
     obj = instance.objective
-    if isinstance(obj, LeastSquaresObjective) and instance.family == "ls":
+    if _least_squares(instance):
         gamma = msr_gamma(obj.data.design, instance.constraint.matrix)
         prov = {"gamma": "computed", "eta": "per-beta", "L": "computed", "L_g": "computed"}
         return RegularityConstants(gamma=gamma, eta=None, L=obj.smooth_lipschitz,
@@ -177,22 +173,21 @@ def distance_to_saddle_set(z, z_p, kernel_basis):
 
 
 class EtaCache:
-    """Memoised eta(beta) for one LS-family instance (main-text convention,
-    i.e. steps = (1, 1)); non-LS families return the declared default."""
+    """Memoised eta at the float beta, i.e. at the pair (beta, beta), for one
+    LS-family instance; non-LS families return the declared default."""
 
     def __init__(self, instance):
         self.instance = instance
         self._cache = {}
-        obj = instance.objective
-        self.computable = isinstance(obj, LeastSquaresObjective) and instance.family == "ls"
+        self.computable = _least_squares(instance)
 
     def __call__(self, beta):
         if not self.computable:
             return DECLARED_DEFAULT
-        key = (beta.beta_x, beta.beta_y)
-        if key not in self._cache:
+        if beta not in self._cache:
             obj = self.instance.objective
-            self._cache[key] = qeb_eta(obj.data.design, obj.data.target,
-                                       self.instance.constraint.matrix,
-                                       self.instance.constraint.rhs, beta)[0]
-        return self._cache[key]
+            self._cache[beta] = qeb_eta(obj.data.design, obj.data.target,
+                                        self.instance.constraint.matrix,
+                                        self.instance.constraint.rhs,
+                                        SmoothingParams(beta, beta))[0]
+        return self._cache[beta]

@@ -6,7 +6,7 @@ import pytest
 from stopgap.bounds import (BoundReport, bound_C1, bound_P4, bound_T1, bound_T2,
                             bound_T3, bound_T4, bound_T5, bound_T6, bound_T7,
                             evaluate_bounds, ratio_stats)
-from stopgap.criteria import PointValues, SdgGrid, SmoothingParams, evaluate_point
+from stopgap.criteria import PointValues, SdgGrid, evaluate_point
 from stopgap.errors import ConfigError
 from stopgap.harness import DEFAULT_VERSION, ExperimentConfig, build_instance
 from stopgap.instances import FAMILIES
@@ -221,15 +221,15 @@ def reference_bounds(problem, z, consts, eta_of, values):
         built = [(b, float(lhs_of(G)), float(rhs_of(b, G))) for b, G in zip(betas, gaps)]
         beta = select(built, mode)
         b, lhs, rhs = next(c for c in built if c[0] == beta)
-        return BoundReport(tid, lhs, rhs, SmoothingParams(b, b))
+        return BoundReport(tid, lhs, rhs, b)
 
     reports = {}
     if og is not None:
         reports["T1_OG_KKT"] = BoundReport("T1_OG_KKT", og, bound_T1(K, y_norm, consts.gamma))
         reports["T2_OG_SDG"] = pick("T2_OG_SDG", "one-sided", lambda G: og, lambda b, G: bound_T2(
-            G, y_norm, b, b, eta_of(SmoothingParams(b, b))))
+            G, y_norm, b, b, eta_of(b)))
         reports["T3_OG_PDG"] = pick("T3_OG_PDG", "one-sided", lambda G: og, lambda b, G: bound_T3(
-            D, x_norm, y_norm, b, b, eta_of(SmoothingParams(b, b))))
+            D, x_norm, y_norm, b, b, eta_of(b)))
     reports["T4_SDG_KKT"] = pick("T4_SDG_KKT", "ratio", lambda G: G,
                                  lambda b, G: bound_T4(K, b, b))
     reports["T5_KKT_SDG"] = pick("T5_KKT_SDG", "one-sided", lambda G: K,
@@ -251,7 +251,7 @@ def reference_bounds(problem, z, consts, eta_of, values):
         if math.isfinite(G):
             d = np.asarray(z.x, float) - np.asarray(p, float)
             lhs = 0.5 * b * float(d @ d) + fe * fe / (2.0 * b)
-            floor.append(BoundReport("L6_SDG_floor", lhs, G, SmoothingParams(b, b)))
+            floor.append(BoundReport("L6_SDG_floor", lhs, G, b))
     if floor:
         reports["L6_SDG_floor"] = min(
             floor, key=lambda rep: rep.rhs / rep.lhs if rep.lhs > 0 else INF)
@@ -261,7 +261,7 @@ def reference_bounds(problem, z, consts, eta_of, values):
 def report_bits(rep):
     beta = rep.beta_used
     return tuple(np.float64(v).tobytes() for v in
-                 (rep.lhs, rep.rhs) + ((beta.beta_x, beta.beta_y) if beta else ()))
+                 (rep.lhs, rep.rhs) + ((beta,) if beta is not None else ()))
 
 
 def assert_matches_reference(problem, z, consts, eta_of, values, where):
@@ -306,19 +306,19 @@ class TestSelectionEdgeCases:
     def test_all_infinite_rhs_falls_back_to_the_smallest_beta(self, one_d):
         reports = self.run(one_d, np.ones(5), kkt=INF, pdg=INF)
         for tid in ("T3_OG_PDG", "T4_SDG_KKT", "T6_SDG_PDG"):
-            assert reports[tid].rhs == INF and reports[tid].beta_used.beta_x == 0.25
+            assert reports[tid].rhs == INF and reports[tid].beta_used == 0.25
 
     def test_zero_lhs_at_every_beta_falls_back_in_ratio_mode(self, one_d):
         reports = self.run(one_d, np.zeros(5), fe=0.0, prox=np.full((5, 1), 0.5))
         for tid in ("T4_SDG_KKT", "T6_SDG_PDG", "L6_SDG_floor"):
-            assert reports[tid].lhs == 0.0 and reports[tid].beta_used.beta_x == 0.25
+            assert reports[tid].lhs == 0.0 and reports[tid].beta_used == 0.25
 
     def test_exact_ties_go_to_the_smaller_beta(self, one_d):
         # G = 1/beta makes T4's key K/(beta G) exactly K from the second beta on
         reports = self.run(one_d, [1.0, 2.0, 1.0, 0.5, 0.25])
-        assert reports["T4_SDG_KKT"].beta_used.beta_x == 0.5
+        assert reports["T4_SDG_KKT"].beta_used == 0.5
 
     def test_infinite_objective_drops_the_floor(self, one_d):
         reports = self.run(one_d, np.full(5, INF), pdg=INF, og=INF)
         assert "L6_SDG_floor" not in reports
-        assert reports["C1_FE_SDG"].rhs == INF and reports["C1_FE_SDG"].beta_used.beta_x == 0.25
+        assert reports["C1_FE_SDG"].rhs == INF and reports["C1_FE_SDG"].beta_used == 0.25

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stopgap import harness
+from stopgap import harness, regularity
 from stopgap.cli import main as cli_main
+from stopgap.criteria import SmoothingParams
 from stopgap.errors import ConfigError
 from stopgap.harness import (ExperimentConfig, build_instance, emit_plot_data,
                               run_experiment)
@@ -78,14 +79,26 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(cfg)
 
-    def test_verification_artifact(self, tmp_path):
-        cfg = ExperimentConfig(instance="1d", out_dir=str(tmp_path), verify=True,
-                               verify_samples=10)
-        res = run_experiment(cfg)
-        rep = json.loads((tmp_path / "verification.json").read_text())
-        assert rep["passed"] is True
-        assert res["verification"]["sdg_direct_pass"]
+    def test_run_builds_one_smoothing_pair_per_eta_solve(self, tmp_path, monkeypatch):
+        # eta is keyed by the float beta, and the reports carry that float: a
+        # SmoothingParams is built only for the qeb_eta solve of a new beta
+        built, solves = [], []
+        check, solve_eta = SmoothingParams.__post_init__, regularity.qeb_eta
 
+        def counted_check(params):
+            built.append(params)
+            check(params)
+
+        def counted_solve(*args, **kwargs):
+            solves.append(args)
+            return solve_eta(*args, **kwargs)
+
+        monkeypatch.setattr(SmoothingParams, "__post_init__", counted_check)
+        monkeypatch.setattr(regularity, "qeb_eta", counted_solve)
+        res = run_experiment(ExperimentConfig(instance="iidg", max_iters=30,
+                                              out_dir=str(tmp_path)))
+        assert len(res["trajectory"].iterates) == 31
+        assert solves and len(built) == len(solves)
 
     @pytest.mark.parametrize("instance", FAMILIES)
     def test_traced_run_keeps_the_benchmark_call_graph(self, tmp_path, monkeypatch, instance):
@@ -189,10 +202,11 @@ class TestCli:
         assert rep["counterexample_kkt_vs_sdg"]["passed"]
 
     def test_tables_subcommand(self, tmp_path):
-        rc = cli_main(["tables", "--instances", "1d", "--out", str(tmp_path)])
+        # every family, 1d and do included, runs with the default --n and --m
+        rc = cli_main(["tables", "--max-iters", "20", "--out", str(tmp_path)])
         assert rc == 0
         t1 = json.loads((tmp_path / "table1.json").read_text())
-        assert "1d" in t1
+        assert sorted(t1) == sorted(FAMILIES)
 
     def test_plot_subcommand(self, tmp_path):
         cli_main(["run", "--instance", "1d", "--out", str(tmp_path)])
@@ -208,8 +222,6 @@ class TestCli:
         for kwargs in ({"sdg_samples": samples}, {"witness_samples": samples}):
             with pytest.raises(ConfigError, match="samples must be at least 1"):
                 verification_suite(problem, **kwargs)
-        with pytest.raises(ConfigError, match="verify_samples must be at least 1"):
-            ExperimentConfig(instance="1d", verify=True, verify_samples=samples).validate()
         rc = cli_main(["verify", "--instance", "1d", "--samples", str(samples),
                        "--out", str(tmp_path)])
         err = capsys.readouterr().err
@@ -227,7 +239,39 @@ class TestCli:
                                             out_dir=str(tmp_path / "out")))
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("name", ["n", "m", "max_iters", "record_every", "verify_samples"])
+    def test_repeated_bound_id_fails_before_the_solve(self, tmp_path, monkeypatch):
+        # a repeated id used to write its four trace columns twice
+        monkeypatch.setattr(harness, "solve", unreachable)
+        with pytest.raises(ConfigError, match="^bounds lists a theorem id twice"):
+            run_experiment(ExperimentConfig(instance="1d", bounds=("T4_SDG_KKT", "T4_SDG_KKT"),
+                                            out_dir=str(tmp_path / "out")))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("instance", ["do", "1d"])
+    @pytest.mark.parametrize("name", ["n", "m"])
+    def test_size_of_a_fixed_size_family_is_refused(self, tmp_path, monkeypatch, capsys,
+                                                    instance, name):
+        # do and 1d have their own sizes, and used to ignore n and m silently
+        monkeypatch.setattr(harness, "build_instance", unreachable)
+        with pytest.raises(ConfigError, match=f"^{name} sets the size of iidg/ntc/pqp/bp "
+                                              f"instances only, not '{instance}'"):
+            run_experiment(ExperimentConfig(instance=instance, out_dir=str(tmp_path),
+                                            **{name: 50}))
+        for command in ("run", "verify"):
+            rc = cli_main([command, "--instance", instance, f"--{name}", "50",
+                           "--out", str(tmp_path)])
+            assert rc == 2
+            assert capsys.readouterr().err.startswith(f"stopgap: error: {name} sets the size")
+
+    def test_size_defaults_to_the_family_default(self):
+        assert build_instance(ExperimentConfig(instance="iidg")).label == \
+            "iidg(n=20,m=10,seed=7)"
+        assert build_instance(ExperimentConfig(instance="bp", n=30)).label == \
+            "bp(n=30,m=10,seed=5)"
+        assert build_instance(ExperimentConfig(instance="do")).label.startswith(
+            "do(synthetic,M=3,n=14,m=84,")
+
+    @pytest.mark.parametrize("name", ["n", "m", "max_iters", "record_every"])
     @pytest.mark.parametrize("value", [1000.0, 2.5, True, "10"])
     def test_integer_settings_must_be_integers(self, tmp_path, monkeypatch, name, value):
         monkeypatch.setattr(harness, "build_instance", unreachable)

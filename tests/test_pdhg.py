@@ -190,7 +190,7 @@ class TestSolve:
         st1 = default_step_sizes(one_d.constraint)
         for problem, st in ((one_d, st1), (iidg, default_step_sizes(iidg.constraint))):
             zs = PrimalDualPoint(problem.reference.x_star, problem.extras["y_star"])
-            if kkt_error(problem, zs).value > 1e-20:
+            if kkt_error(problem, zs) > 1e-20:
                 continue
             for stepper in (step_v1, step_v2):
                 zn = stepper(problem, zs, st)
@@ -227,14 +227,14 @@ def reference_solve(problem, config):
     for k in range(config.max_iters + 1):
         if k:
             z = stepper(problem, z, steps)
-        values = {"kkt": (criteria.kkt_error(problem, z).value, eps ** 2),
-                  "pdg": (criteria.projected_duality_gap(problem, z).value, eps ** 2)}
+        values = {"kkt": (criteria.kkt_error(problem, z), eps ** 2),
+                  "pdg": (criteria.projected_duality_gap(problem, z), eps ** 2)}
         fe = float(np.linalg.norm(problem.constraint.residual(z.x)))
         grid = criteria.sdg_over_grid(problem, z, beta_grid(fe))
         values["sdg"] = (criteria.best_sdg(grid)[1], eps)
         if problem.reference is not None:
             og, fe_value = criteria.ogfe(problem, z)
-            values["ogfe"] = (max(og.value, fe_value.value), eps)
+            values["ogfe"] = (max(og, fe_value), eps)
         for name in crossings:
             value, threshold = values[name]
             if crossings[name] is None and value <= threshold:

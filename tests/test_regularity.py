@@ -6,7 +6,7 @@ import pytest
 from stopgap import regularity
 from stopgap.criteria import SmoothingParams, smoothed_duality_gap
 from stopgap.instances import make_instance
-from stopgap.pdhg import StepSizes
+from stopgap.linalg import pinv_solve
 from stopgap.problem import PrimalDualPoint
 from stopgap.regularity import (EtaCache, distance_to_saddle_set, lipschitz_constants,
                                 msr_gamma, qeb_eta, saddle_set, stationarity_matrix)
@@ -40,17 +40,15 @@ class TestMsrGamma:
 
 class TestQebEta:
     def test_model_matches_sdg_with_step_scaling(self, iidg, rng):
-        # the (tau, sigma)-scaled model evaluates the gap at beta' = beta/steps
+        # the model evaluates the gap at beta itself (unit steps), beta_x != beta_y
         Q, c = iidg.objective.data.design, iidg.objective.data.target
         A, b = iidg.constraint.matrix, iidg.constraint.rhs
-        steps = StepSizes(0.31, 0.64)
         beta = SmoothingParams(0.8, 1.7)
-        eta, model = qeb_eta(Q, c, A, b, beta, steps)
+        eta, model = qeb_eta(Q, c, A, b, beta)
         assert eta > 0
-        scaled = SmoothingParams(beta.beta_x / steps.tau, beta.beta_y / steps.sigma)
         for _ in range(100):
             z = PrimalDualPoint(rng.standard_normal(20) * 2, rng.standard_normal(10) * 2)
-            direct = smoothed_duality_gap(iidg, z, scaled.beta_x, scaled.beta_y)[0]
+            direct = smoothed_duality_gap(iidg, z, beta.beta_x, beta.beta_y)[0]
             got = model.value(np.concatenate([z.x, z.y]))
             assert got == pytest.approx(direct, rel=1e-7, abs=1e-9)
 
@@ -58,7 +56,8 @@ class TestQebEta:
         Q, c = iidg.objective.data.design, iidg.objective.data.target
         A, b = iidg.constraint.matrix, iidg.constraint.rhs
         _, model = qeb_eta(Q, c, A, b, SmoothingParams(1.0, 1.0))
-        val = model.value(model.minimizer())
+        # any minimiser of the quadratic: the pseudo-inverse stationary point
+        val = model.value(pinv_solve(2.0 * model.H, -model.v))
         assert -1e-9 <= val <= 1e-9
 
     def test_one_dimensional_h_is_2x2(self, one_d):
@@ -160,14 +159,14 @@ class TestCertificates:
 class TestEtaCache:
     def test_caches_and_matches_direct(self, iidg):
         cache = EtaCache(iidg)
-        beta = SmoothingParams(0.3, 0.3)
-        v1 = cache(beta)
-        v2 = cache(beta)
+        v1 = cache(0.3)
+        v2 = cache(0.3)
         assert v1 == v2
         Q, c = iidg.objective.data.design, iidg.objective.data.target
-        direct = qeb_eta(Q, c, iidg.constraint.matrix, iidg.constraint.rhs, beta)[0]
+        direct = qeb_eta(Q, c, iidg.constraint.matrix, iidg.constraint.rhs,
+                         SmoothingParams(0.3, 0.3))[0]
         assert v1 == pytest.approx(direct)
 
     def test_non_ls_returns_default(self, bp):
         cache = EtaCache(bp)
-        assert cache(SmoothingParams(1.0, 1.0)) == 1e-8
+        assert cache(1.0) == 1e-8
