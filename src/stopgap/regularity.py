@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import SmoothingParams
+from .criteria import GRID_VALUES, SmoothingParams
 from .errors import DegenerateProblemError, StopgapError
 from .linalg import RANK_RTOL, null_space_basis, pinv_solve, stationarity_matrix
 from .objectives import LeastSquaresObjective, NonnegativeQuadratic
@@ -174,7 +174,11 @@ def distance_to_saddle_set(z, z_p, kernel_basis):
 
 class EtaCache:
     """Memoised eta at the float beta, i.e. at the pair (beta, beta), for one
-    LS-family instance; non-LS families return the declared default."""
+    LS-family instance; non-LS families return the declared default.
+
+    Only the fixed grid beta (``criteria.GRID_VALUES``) are kept: every row
+    reads them, while the one other beta of a row, its own feasibility error,
+    is solved for and returned without being stored."""
 
     def __init__(self, instance):
         self.instance = instance
@@ -184,10 +188,11 @@ class EtaCache:
     def __call__(self, beta):
         if not self.computable:
             return DECLARED_DEFAULT
-        if beta not in self._cache:
+        eta = self._cache.get(beta)
+        if eta is None:
             obj = self.instance.objective
-            self._cache[beta] = qeb_eta(obj.data.design, obj.data.target,
-                                        self.instance.constraint.matrix,
-                                        self.instance.constraint.rhs,
-                                        SmoothingParams(beta, beta))[0]
-        return self._cache[beta]
+            eta = qeb_eta(obj.data.design, obj.data.target, self.instance.constraint.matrix,
+                          self.instance.constraint.rhs, SmoothingParams(beta, beta))[0]
+            if beta in GRID_VALUES:
+                self._cache[beta] = eta
+        return eta

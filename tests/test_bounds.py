@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from stopgap import regularity
 from stopgap.bounds import (BoundReport, bound_C1, bound_P4, bound_T1, bound_T2,
                             bound_T3, bound_T4, bound_T5, bound_T6, bound_T7,
                             evaluate_bounds, ratio_stats)
-from stopgap.criteria import PointValues, SdgGrid, evaluate_point
+from stopgap.criteria import GRID_VALUES, PointValues, SdgGrid, evaluate_point
 from stopgap.errors import ConfigError
 from stopgap.harness import DEFAULT_VERSION, ExperimentConfig, build_instance
 from stopgap.instances import FAMILIES
@@ -181,6 +182,30 @@ def test_precomputed_point_values_give_the_same_reports(family, request, rng):
         for tid, rep in fresh.items():
             assert (rep.lhs, rep.rhs, rep.beta_used) == \
                    (shared[tid].lhs, shared[tid].rhs, shared[tid].beta_used), tid
+
+
+def test_eta_cache_keeps_only_the_grid_beta(iidg, monkeypatch):
+    # each row's own feasibility error is a beta no later row reads: it is
+    # solved for once and not stored, while the 40 grid beta are kept
+    solved = []
+    real = regularity.qeb_eta
+
+    def counted(*args, **kwargs):
+        solved.append(args[4].beta_x)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(regularity, "qeb_eta", counted)
+    consts = lipschitz_constants(iidg)
+    eta_of = EtaCache(iidg)
+    traj = solve(iidg, SolveConfig(max_iters=30))
+    looked_up = set()
+    for _, z in traj.iterates:
+        values = evaluate_point(iidg, z)
+        looked_up.update(values.sdg.beta.tolist())
+        evaluate_bounds(iidg, z, consts, eta_of=eta_of, values=values)
+    assert len(traj.iterates) == 31
+    assert set(eta_of._cache) <= set(GRID_VALUES)
+    assert sorted(solved) == sorted(looked_up)
 
 
 def test_t7_requires_separable_assumptions():

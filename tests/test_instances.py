@@ -5,8 +5,9 @@ from stopgap.errors import ConfigError, DegenerateProblemError
 from stopgap.instances import (make_do, make_iidg, make_instance, make_ntc,
                                read_libsvm, toeplitz_covariance)
 from stopgap.objectives import LeastSquaresObjective
-from stopgap.oracles import prox_oracle_pg
 from stopgap.problem import AffineConstraint
+
+from prox_oracles import prox_oracle_pg
 
 
 class TestOneDimensional:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from stopgap.errors import DegenerateProblemError, DimensionMismatchError
 from stopgap.linalg import operator_norm
 from stopgap.objectives import L1Norm, LeastSquaresObjective, NonnegativeQuadratic
-from stopgap.oracles import prox_oracle_1d, prox_oracle_pg
+
+from prox_oracles import prox_oracle_1d, prox_oracle_pg
 
 INF = float("inf")
 

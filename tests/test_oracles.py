@@ -9,9 +9,10 @@ from stopgap.instances import make_do
 from stopgap.linalg import RANK_RTOL
 from stopgap.objectives import L1Norm
 from stopgap.oracles import (counterexample_kkt_vs_og, counterexample_kkt_vs_sdg, gap_witness,
-                             prox_oracle_1d, sdg_decomposition_gap, sdg_direct,
-                             verification_suite)
+                             sdg_decomposition_gap, sdg_direct, verification_suite)
 from stopgap.problem import AffineConstraint, PrimalDualPoint, ProblemInstance
+
+from prox_oracles import prox_oracle_1d
 
 
 def random_z(problem, rng, scale=2.0):
