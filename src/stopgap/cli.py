@@ -21,7 +21,7 @@ from .oracles import (counterexample_kkt_vs_og, counterexample_kkt_vs_sdg,
                       verification_suite)
 from .pdhg import CRITERIA
 
-ALL_INSTANCES = ("1d", "iidg", "ntc", "do", "pqp", "bp")
+ALL_INSTANCES = tuple(FAMILIES)
 
 
 def _add_common(p):
@@ -92,6 +92,11 @@ def cmd_tables(args):
     unknown = set(names) - set(ALL_INSTANCES)
     if unknown:
         print(f"unknown instances: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        # each instance writes to out/<name>, so a repeat would overwrite itself
+        print(f"repeated instances: {repeated}", file=sys.stderr)
         return 2
     configs = []
     for name in names:

@@ -11,7 +11,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,6 +28,8 @@ DEFAULT_VERSION = {"pqp": 2}
 DEFAULT_SEED = {"bp": 5, "pqp": 8, "iidg": 7, "ntc": 7, "do": 0}
 # the families whose size n x m is set by ExperimentConfig.n and .m
 SIZED = ("iidg", "ntc", "pqp", "bp")
+# floor of a plotted series, so that zeros stay on a log axis
+PLOT_CLAMP = 1e-16
 
 
 @dataclass
@@ -41,20 +43,11 @@ class ExperimentConfig:
     max_iters: int = 100_000
     criterion: str = "all"          # stop gate; 'all' waits for every criterion
     criteria: tuple | None = None   # None = every criterion computable here
-    bounds: tuple = THEOREMS        # theorem ids to certify along the way
     record_every: int = 1
     version: int | None = None      # None = family default
     sdg_gate: str = "surrogate"
     t2_constant: str = "proof"
     out_dir: str = "out"
-
-    @classmethod
-    def from_dict(cls, d):
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d)
 
     def validate(self):
         if self.criteria is not None:
@@ -78,10 +71,6 @@ class ExperimentConfig:
         if self.t2_constant not in T2_CONSTANTS:
             raise ConfigError(f"unknown t2_constant {self.t2_constant!r}; "
                               f"choose from {list(T2_CONSTANTS)}")
-        if not set(self.bounds) <= set(THEOREMS):
-            raise ConfigError(f"unknown bound ids {set(self.bounds) - set(THEOREMS)}")
-        if len(set(self.bounds)) < len(self.bounds):
-            raise ConfigError(f"bounds lists a theorem id twice: {list(self.bounds)}")
         return self
 
 
@@ -141,10 +130,10 @@ def run_experiment(config: ExperimentConfig):
     os.makedirs(config.out_dir, exist_ok=True)
     trace_path = os.path.join(config.out_dir, "trace.csv")
     # table2's input: per theorem, the lhs and rhs of each row it certifies
-    shape = (len(config.bounds), len(traj.iterates))
+    shape = (len(THEOREMS), len(traj.iterates))
     lhs, rhs, certified = np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool)
     header = ["iteration", "og", "fe", "kkt", "pdg", "sdg", "sdg_beta", "sdg_gate"]
-    for tid in config.bounds:
+    for tid in THEOREMS:
         header += [f"{tid}_lhs", f"{tid}_rhs", f"{tid}_ratio", f"{tid}_beta"]
 
     with open(trace_path, "w", newline="") as fh:
@@ -157,7 +146,7 @@ def run_experiment(config: ExperimentConfig):
                                       t2_constant=config.t2_constant)
             cells = [k, _fmt(pv.og), _fmt(pv.fe), _fmt(pv.kkt), _fmt(pv.pdg),
                      _fmt(float(pv.sdg.gap[j])), _fmt(float(pv.sdg.beta[j])), _fmt(gate)]
-            row = [reports.get(tid) for tid in config.bounds]
+            row = [reports.get(tid) for tid in THEOREMS]
             for t, rep in enumerate(row):
                 if rep is not None:
                     lhs[t, i], rhs[t, i], certified[t, i] = rep.lhs, rep.rhs, True
@@ -176,7 +165,7 @@ def run_experiment(config: ExperimentConfig):
         json.dump(_sanitize(table1), fh, indent=2, sort_keys=True)
 
     table2 = {"instance": problem.label, "ratios": {}}
-    for t, tid in enumerate(config.bounds):
+    for t, tid in enumerate(THEOREMS):
         if certified[t].any():
             stats = asdict(ratio_stats(tid, lhs[t, certified[t]], rhs[t, certified[t]]))
             del stats["theorem_id"]
@@ -202,12 +191,12 @@ def _sanitize(obj):
     return obj
 
 
-def emit_plot_data(trace_path, selector, out_path, clamp=1e-16):
+def emit_plot_data(trace_path, selector, out_path):
     """Log-scale-ready series from a trace.
 
     selector 'criterion:<name>' emits iteration vs value; 'bound:<tid>'
-    emits iteration, lhs, rhs.  Zeros are clamped to ``clamp`` with a flag
-    column marking clamped rows.
+    emits iteration, lhs, rhs.  Zeros are clamped to ``PLOT_CLAMP`` with a
+    flag column marking clamped rows.
     """
     with open(trace_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -237,6 +226,6 @@ def emit_plot_data(trace_path, selector, out_path, clamp=1e-16):
             if any(v is None for v in vals):
                 continue
             clamped = int(any(v == 0.0 for v in vals))
-            vals = [max(v, clamp) for v in vals]
+            vals = [max(v, PLOT_CLAMP) for v in vals]
             writer.writerow([row["iteration"]] + [_fmt(v) for v in vals] + [clamped])
     return out_path

@@ -9,9 +9,13 @@ from .errors import ConvergenceError, DegenerateProblemError
 
 # relative cutoff below which singular/eigen values count as zero
 RANK_RTOL = 1e-10
+# power iteration: relative change of the Rayleigh quotient at which it
+# stops, and its budget (exceeding it raises ConvergenceError)
+NORM_RTOL = 1e-9
+NORM_MAX_ITERS = 10_000
 
 
-def operator_norm(A, rtol=1e-9, max_iters=10_000):
+def operator_norm(A):
     """Spectral norm of a matrix by power iteration on A^T A.
 
     The iteration runs on ``2**-e * A``, where ``2**(e-1) <= max|A_ij| <
@@ -20,18 +24,15 @@ def operator_norm(A, rtol=1e-9, max_iters=10_000):
     carries the bits of the unscaled iteration, and at any scale of ``A``
     (1e-300 to 1e300) the quotient neither overflows nor underflows.  Each
     step is one gemv with ``A``, one with ``A^T`` and two dot products.
-
-    Parameters
-    ----------
-    A : (m, n) ndarray
-    rtol : float
-        Relative change of the Rayleigh quotient at which to stop.
-    max_iters : int
-        Iteration budget; exceeding it raises ConvergenceError.
+    A nan or infinite entry raises DegenerateProblemError naming it.
     """
     A = np.asarray(A, dtype=float)
     absA = np.abs(A)
     amax = absA.max() if A.size else 0.0
+    if not math.isfinite(amax):
+        bad = np.argwhere(~np.isfinite(A))
+        raise DegenerateProblemError("operator norm of a matrix with non-finite entries, "
+                                     f"the first at {tuple(bad[0].tolist())}")
     if amax == 0.0:
         raise DegenerateProblemError("operator norm of a zero matrix")
     e = math.frexp(amax)[1]
@@ -41,7 +42,7 @@ def operator_norm(A, rtol=1e-9, max_iters=10_000):
     v = A[absA.sum(axis=1).argmax()]
     v = v / math.sqrt(v.dot(v))
     sq = 0.0
-    for _ in range(max_iters):
+    for _ in range(NORM_MAX_ITERS):
         w = np.dot(At, np.dot(A, v))
         sq_new = float(v.dot(w))
         nw = math.sqrt(w.dot(w))
@@ -50,10 +51,10 @@ def operator_norm(A, rtol=1e-9, max_iters=10_000):
             v = np.ones(A.shape[1]) / math.sqrt(A.shape[1])
             continue
         v = w / nw
-        if abs(sq_new - sq) <= rtol * max(sq_new, 1e-300):
+        if abs(sq_new - sq) <= NORM_RTOL * max(sq_new, 1e-300):
             return math.ldexp(math.sqrt(sq_new), e)
         sq = sq_new
-    raise ConvergenceError("power iteration did not converge in %d iterations" % max_iters)
+    raise ConvergenceError("power iteration did not converge in %d iterations" % NORM_MAX_ITERS)
 
 
 def check_finite(a, what):

@@ -19,6 +19,10 @@ from .pdhg import SolveConfig, default_step_sizes, solve
 from .problem import PrimalDualPoint
 
 INF = float("inf")
+# verification_suite: certificate tolerance of the inner minimisations, and
+# the range its smoothing parameters are drawn from, log-uniformly
+SUITE_INNER_TOL = 1e-8
+SUITE_BETA_RANGE = (1e-2, 1e2)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +292,7 @@ def _feasible_random_point(problem, rng, scale=2.0):
     return PrimalDualPoint(x, z.y)
 
 
-def verification_suite(problem, seed=0, sdg_samples=100, witness_samples=200,
-                       inner_tol=1e-8, beta_range=(1e-2, 1e2)):
+def verification_suite(problem, seed=0, sdg_samples=100, witness_samples=200):
     """Cross-checks of the closed-form machinery against the independent
     oracles on one instance; returns a JSON-ready summary.  Each check needs
     at least one sample: with none it would check nothing and pass."""
@@ -297,7 +300,7 @@ def verification_suite(problem, seed=0, sdg_samples=100, witness_samples=200,
         if count < 1:
             raise ConfigError(f"{name} must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
-    lo, hi = np.log(beta_range[0]), np.log(beta_range[1])
+    lo, hi = np.log(SUITE_BETA_RANGE[0]), np.log(SUITE_BETA_RANGE[1])
     report = {"instance": problem.label, "seed": seed}
 
     max_err = 0.0
@@ -306,10 +309,10 @@ def verification_suite(problem, seed=0, sdg_samples=100, witness_samples=200,
         b = float(np.exp(rng.uniform(lo, hi)))
         beta = SmoothingParams(b, b)
         closed = smoothed_duality_gap(problem, z, beta.beta_x, beta.beta_y)[0]
-        direct = sdg_direct(problem, z, beta, inner_tol)
+        direct = sdg_direct(problem, z, beta, SUITE_INNER_TOL)
         max_err = max(max_err, abs(closed - direct))
     report["sdg_direct_max_abs_err"] = max_err
-    report["sdg_direct_pass"] = max_err <= max(1e-6, 10.0 * inner_tol)
+    report["sdg_direct_pass"] = max_err <= max(1e-6, 10.0 * SUITE_INNER_TOL)
 
     worst = {}
     for _ in range(witness_samples):
@@ -336,7 +339,7 @@ def verification_suite(problem, seed=0, sdg_samples=100, witness_samples=200,
                 z = _feasible_random_point(problem, rng, scale=1.0)
                 b = float(np.exp(rng.uniform(np.log(1e-1), np.log(10.0))))
                 beta = SmoothingParams(b, b)
-                gap, parts = sdg_decomposition_gap(problem, z, (xs, ys), beta, inner_tol)
+                gap, parts = sdg_decomposition_gap(problem, z, (xs, ys), beta, SUITE_INNER_TOL)
                 decomp_err = max(decomp_err, abs(gap))
                 total, _, outer = parts
                 floor = -2.0 * math.sqrt(beta.beta_x * max(total, 0.0)) \
@@ -353,7 +356,7 @@ def verification_suite(problem, seed=0, sdg_samples=100, witness_samples=200,
                     init_bound_worst = min(init_bound_worst,
                                            rhs - (fx - problem.reference.f_star) + 1e-9)
             report["decomposition_max_abs_err"] = decomp_err
-            report["decomposition_pass"] = decomp_err <= max(1e-6, 10.0 * inner_tol)
+            report["decomposition_pass"] = decomp_err <= max(1e-6, 10.0 * SUITE_INNER_TOL)
             report["lemma10_min_slack"] = lemma10_worst + 1e-6
             report["lemma10_pass"] = report["lemma10_min_slack"] >= 0.0
             report["initial_bound_min_slack"] = init_bound_worst

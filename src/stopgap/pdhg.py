@@ -67,8 +67,6 @@ class SolveConfig:
     sdg_gate: str = "surrogate"     # surrogate: max(G, sqrt(2 by G)) <= eps
                                     # raw:       G <= eps^2
     evaluate: tuple = ()            # extra criteria recorded along the way
-    x0: np.ndarray | None = None
-    y0: np.ndarray | None = None
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < math.inf):
@@ -86,10 +84,6 @@ class SolveConfig:
         unknown = set(self.evaluate) - set(CRITERIA)
         if unknown:
             raise ConfigError(f"unknown criteria to evaluate: {sorted(unknown)}")
-        for name in ("x0", "y0"):
-            v = getattr(self, name)
-            if v is not None and (np.ndim(v) != 1 or not np.isfinite(v).all()):
-                raise ConfigError(f"{name} must be a finite 1-D array, got shape {np.shape(v)}")
 
 
 @dataclass
@@ -165,7 +159,7 @@ def _gate_value(problem, z, name, config, r, rr, fe):
 
 
 def solve(problem, config: SolveConfig, steps: StepSizes | None = None):
-    """Iterate PDHG from z0 until the configured gate fires or the budget
+    """Iterate PDHG from z = 0 until the configured gate fires or the budget
     runs out.  The gating criterion and those in ``config.evaluate`` are
     evaluated at each iterate until their first crossing is recorded.  KKT,
     PDG and OG/FE are not evaluated while the feasibility error alone keeps
@@ -190,9 +184,7 @@ def solve(problem, config: SolveConfig, steps: StepSizes | None = None):
     if "ogfe" in names and problem.reference is None:
         raise ConfigError("ogfe gate needs a reference solution")
 
-    x0 = np.zeros(problem.constraint.n) if config.x0 is None else np.asarray(config.x0, float)
-    y0 = np.zeros(problem.constraint.m) if config.y0 is None else np.asarray(config.y0, float)
-    z = problem.check_point(PrimalDualPoint(x0, y0))
+    z = PrimalDualPoint(np.zeros(problem.constraint.n), np.zeros(problem.constraint.m))
     stepper = step_v1 if config.version == 1 else step_v2
 
     traj = Trajectory(crossings={n: None for n in names})

@@ -7,6 +7,7 @@ keeps the iteration away from overflow and underflow at extreme scales of A.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -83,3 +84,15 @@ def test_same_bits_on_random_matrices(seed, m, n, log_scale, zeroed, repeated):
 def test_right_norm_at_extreme_scales(scale):
     A = scale * make_instance("bp", seed=5).constraint.matrix
     assert operator_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-8)
+
+
+@pytest.mark.parametrize("A, first", [([[math.nan, 1.0]], (0, 0)), ([[math.inf, 1.0]], (0, 0)),
+                                      ([[0.0, 1.0], [-math.inf, math.nan]], (1, 0))])
+def test_non_finite_entry_is_named_before_iterating(A, first):
+    # it used to run the whole budget, warn, and raise ConvergenceError
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DegenerateProblemError) as err:
+            operator_norm(np.array(A))
+    assert str(err.value) == f"operator norm of a matrix with non-finite entries, the first at {first}"
+    assert caught == []

@@ -138,15 +138,6 @@ class TestSolve:
             run_experiment(ExperimentConfig(epsilon=math.nan, out_dir=str(tmp_path / "out")))
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("name", ["x0", "y0"])
-    @pytest.mark.parametrize("value", [np.full(20, math.nan), np.array([0.0, -math.inf]),
-                                       np.zeros((2, 10))])
-    def test_bad_starting_point_rejected(self, name, value):
-        # a non-finite start would only fail inside the first prox, under a
-        # misleading message; a non-vector one would fail on shape later
-        with pytest.raises(ConfigError, match=f"{name} must be a finite 1-D array"):
-            SolveConfig(**{name: value})
-
     def test_max_iters_zero_forbidden(self):
         with pytest.raises(ConfigError):
             SolveConfig(max_iters=0)
