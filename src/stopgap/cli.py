@@ -19,7 +19,7 @@ from .harness import ExperimentConfig, _sanitize, build_instance, emit_plot_data
 from .instances import FAMILIES
 from .oracles import (counterexample_kkt_vs_og, counterexample_kkt_vs_sdg,
                       verification_suite)
-from .pdhg import CRITERIA
+from .pdhg import CRITERIA, check_count
 
 ALL_INSTANCES = tuple(FAMILIES)
 
@@ -35,9 +35,6 @@ def _add_common(p):
     p.add_argument("--m", type=int, default=None,
                    help="rows of an iidg, ntc, pqp or bp instance (default: 10)")
     p.add_argument("--criterion", default="all", choices=["all", *CRITERIA])
-    p.add_argument("--beta-mode", dest="sdg_gate", default="surrogate",
-                   choices=["surrogate", "raw"],
-                   help="SDG stopping gate: epsilon-solution surrogate or raw value")
     p.add_argument("--version", type=int, default=None, choices=[1, 2],
                    help="PDHG ordering (default: per-family choice)")
     p.add_argument("--record-every", type=int, default=1)
@@ -52,7 +49,7 @@ def _config_from(args):
         instance=args.instance, n=args.n, m=args.m, seed=args.seed,
         data_path=args.data_path, epsilon=args.epsilon, max_iters=args.max_iters,
         criterion=args.criterion, record_every=args.record_every,
-        version=args.version, sdg_gate=args.sdg_gate, out_dir=args.out)
+        version=args.version, out_dir=args.out)
 
 
 def _run_one(cfg):
@@ -88,6 +85,7 @@ def cmd_verify(args):
 
 
 def cmd_tables(args):
+    check_count("jobs", args.jobs)
     names = [s.strip() for s in args.instances.split(",")]
     unknown = set(names) - set(ALL_INSTANCES)
     if unknown:

@@ -180,14 +180,13 @@ def sdg_over_grid(problem, z, beta: np.ndarray, r=None, aty=None):
     return SdgGrid(beta, *smoothed_duality_gap(problem, z, beta, beta, r=r, aty=aty))
 
 
-def best_sdg(grid: SdgGrid, raw=False):
+def best_sdg(grid: SdgGrid):
     """Index of the smallest certificate over a grid, and that certificate:
     the surrogate max(G, sqrt(2 beta_y G)), small iff the gap certifies an
-    epsilon-solution at that beta, or G itself when ``raw``.  Ties go to the
-    first index, i.e. the smaller beta of a sorted grid; an all-+inf grid
-    returns index 0."""
+    epsilon-solution at that beta.  Ties go to the first index, i.e. the
+    smaller beta of a sorted grid; an all-+inf grid returns index 0."""
     G = grid.gap
-    cert = G if raw else np.maximum(G, np.sqrt(2.0 * grid.beta * G))
+    cert = np.maximum(G, np.sqrt(2.0 * grid.beta * G))
     j = int(select_beta(cert))
     return j, float(cert[j])
 

@@ -45,7 +45,6 @@ class ExperimentConfig:
     criteria: tuple | None = None   # None = every criterion computable here
     record_every: int = 1
     version: int | None = None      # None = family default
-    sdg_gate: str = "surrogate"
     t2_constant: str = "proof"
     out_dir: str = "out"
 
@@ -120,11 +119,10 @@ def run_experiment(config: ExperimentConfig):
     solve_cfg = SolveConfig(
         epsilon=config.epsilon, max_iters=config.max_iters,
         criterion=config.criterion, evaluate=tuple(names),
-        record_every=config.record_every, version=version,
-        sdg_gate=config.sdg_gate)
+        record_every=config.record_every, version=version)
     traj = solve(problem, solve_cfg, steps)
 
-    consts = lipschitz_constants(problem, steps=None)
+    consts = lipschitz_constants(problem)
     eta_of = EtaCache(problem)
 
     os.makedirs(config.out_dir, exist_ok=True)

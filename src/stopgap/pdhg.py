@@ -64,8 +64,6 @@ class SolveConfig:
     criterion: str = "sdg"          # which gate stops the run
     record_every: int = 1
     version: int = 1                # PDHG step ordering
-    sdg_gate: str = "surrogate"     # surrogate: max(G, sqrt(2 by G)) <= eps
-                                    # raw:       G <= eps^2
     evaluate: tuple = ()            # extra criteria recorded along the way
 
     def __post_init__(self):
@@ -79,8 +77,6 @@ class SolveConfig:
             raise ConfigError("criterion 'all' needs a non-empty evaluate list")
         if self.version not in (1, 2):
             raise ConfigError("version must be 1 or 2")
-        if self.sdg_gate not in ("surrogate", "raw"):
-            raise ConfigError(f"unknown sdg gate {self.sdg_gate!r}")
         unknown = set(self.evaluate) - set(CRITERIA)
         if unknown:
             raise ConfigError(f"unknown criteria to evaluate: {sorted(unknown)}")
@@ -152,10 +148,8 @@ def _gate_value(problem, z, name, config, r, rr, fe):
         measure = criteria.kkt_error if name == "kkt" else criteria.projected_duality_gap
         return measure(problem, z), threshold
     # sdg: best certificate over the per-iteration grid
-    raw = config.sdg_gate == "raw"
     grid = criteria.sdg_over_grid(problem, z, criteria.beta_grid(fe), r=r)
-    _, val = criteria.best_sdg(grid, raw=raw)
-    return val, config.epsilon ** 2 if raw else config.epsilon
+    return criteria.best_sdg(grid)[1], config.epsilon
 
 
 def solve(problem, config: SolveConfig, steps: StepSizes | None = None):

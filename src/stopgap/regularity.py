@@ -26,7 +26,6 @@ DECLARED_DEFAULT = 1e-8  # gamma = eta fallback where computing them is intracta
 @dataclass
 class RegularityConstants:
     gamma: float
-    eta: float | None  # None: read eta(beta) per beta from an EtaCache
     L: float | None
     L_g: float | None
     L_f1_star: float | None
@@ -34,8 +33,8 @@ class RegularityConstants:
     provenance: dict
 
     def __post_init__(self):
-        if self.gamma <= 0 or (self.eta is not None and self.eta <= 0):
-            raise StopgapError("regularity constants must be positive")
+        if self.gamma <= 0:
+            raise StopgapError("regularity constant gamma must be positive")
 
 
 @dataclass
@@ -121,34 +120,33 @@ def _least_squares(instance):
 
 
 def lipschitz_constants(instance, steps=None):
-    """Family dispatch for (gamma, eta, L, L_g, L_f1*, L_f*).
+    """Family dispatch for (gamma, L, L_g, L_f1*, L_f*).
 
-    LS family: gamma and the Lipschitz constants from the spectrum.  eta
-    depends on beta, so it is left as None (provenance "per-beta") and the
-    bounds read eta(beta) from an ``EtaCache``.
-    QP/BP: gamma and eta fall back to the declared default 1e-8 with
-    provenance recorded.
+    LS family: gamma and the Lipschitz constants from the spectrum.
+    QP/BP: gamma falls back to the declared default 1e-8 with provenance
+    recorded.  eta has one source, the ``EtaCache`` the bounds read eta(beta)
+    from; the provenance says whether that is "per-beta" or
+    "declared-default".
     ``steps`` is unused; the keyword stays for existing callers.
     """
     obj = instance.objective
     if _least_squares(instance):
         gamma = msr_gamma(obj.data.design, instance.constraint.matrix)
         prov = {"gamma": "computed", "eta": "per-beta", "L": "computed", "L_g": "computed"}
-        return RegularityConstants(gamma=gamma, eta=None, L=obj.smooth_lipschitz,
+        return RegularityConstants(gamma=gamma, L=obj.smooth_lipschitz,
                                    L_g=obj.conj_grad_lipschitz,
                                    L_f1_star=obj.conj_part_lipschitz,
                                    L_f_star=None, provenance=prov)
     if isinstance(obj, NonnegativeQuadratic):
         prov = {"gamma": "declared-default", "eta": "declared-default",
                 "L_g": "computed", "L_f1_star": "computed"}
-        return RegularityConstants(gamma=DECLARED_DEFAULT, eta=DECLARED_DEFAULT, L=None,
+        return RegularityConstants(gamma=DECLARED_DEFAULT, L=None,
                                    L_g=obj.conj_grad_lipschitz,
                                    L_f1_star=obj.conj_part_lipschitz,
                                    L_f_star=None, provenance=prov)
     # basis pursuit and other nonsmooth objectives with Lipschitz conjugate
     prov = {"gamma": "declared-default", "eta": "declared-default", "L_f_star": "computed"}
-    return RegularityConstants(gamma=DECLARED_DEFAULT, eta=DECLARED_DEFAULT, L=None,
-                               L_g=None, L_f1_star=None,
+    return RegularityConstants(gamma=DECLARED_DEFAULT, L=None, L_g=None, L_f1_star=None,
                                L_f_star=getattr(obj, "conj_lipschitz", None),
                                provenance=prov)
 

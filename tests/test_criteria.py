@@ -257,15 +257,14 @@ class TestBestSdg:
         # G = 1 dominates sqrt(2 beta G) at both betas, so both certify 1
         assert best_sdg(self.grid((0.1, 1.0), (0.2, 1.0))) == (0, 1.0)
 
-    def test_raw_ranks_by_gap(self):
+    def test_ranks_by_certificate_not_by_gap(self):
+        # the smaller gap at beta = 100 certifies only sqrt(2 * 100 * 0.01)
         grid = self.grid((1e-8, 0.5), (100.0, 0.01))
         assert best_sdg(grid) == (0, 0.5)   # surrogate of the second is sqrt(2)
-        assert best_sdg(grid, raw=True) == (1, 0.01)
 
     def test_all_infinite_returns_first_entry(self):
         grid = self.grid((1e-8, INF), (1.0, INF))
-        for raw in (False, True):
-            assert best_sdg(grid, raw=raw) == (0, INF)
+        assert best_sdg(grid) == (0, INF)
 
 
 def test_sdg_grid_matches_pointwise():

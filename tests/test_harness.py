@@ -218,6 +218,23 @@ class TestCli:
         assert capsys.readouterr().err == "repeated instances: ['1d']\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_is_refused(self, tmp_path, monkeypatch, capsys, jobs):
+        # such a value used to run serially and exit 0
+        monkeypatch.setattr("stopgap.cli.run_experiment", unreachable)
+        rc = cli_main(["tables", "--instances", "1d", "--jobs", str(jobs),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"stopgap: error: jobs must be at least 1, got {jobs}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_beta_mode_is_an_unrecognized_argument(self, tmp_path, capsys):
+        # the SDG gate has one rule, the surrogate certificate
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--beta-mode", "raw", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --beta-mode raw" in capsys.readouterr().err
+
     def test_plot_subcommand(self, tmp_path):
         cli_main(["run", "--instance", "1d", "--out", str(tmp_path)])
         rc = cli_main(["plot", str(tmp_path / "trace.csv"), "criterion:sdg",

@@ -122,11 +122,6 @@ class TestSolve:
         assert abs(traj.crossings["sdg"] - 11) <= 2
         assert abs(traj.crossings["pdg"] - 13) <= 2
 
-    def test_raw_sdg_gate(self, one_d):
-        cfg = SolveConfig(epsilon=1e-8, criterion="sdg", sdg_gate="raw")
-        traj = solve(one_d, cfg)
-        assert abs(traj.crossings["sdg"] - 11) <= 2
-
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
     def test_bad_epsilon_rejected(self, value):
         with pytest.raises(ConfigError, match="epsilon"):
@@ -247,6 +242,19 @@ def test_crossings_match_a_loop_that_evaluates_everything(name):
     assert traj.iterations_used == last
     assert traj.final_point.x.tobytes() == z_ref.x.tobytes()
     assert traj.final_point.y.tobytes() == z_ref.y.tobytes()
+
+
+@pytest.mark.parametrize("name, epsilon", [("1d", 1e-8), ("iidg", 1e-8), ("ntc", 1e-5),
+                                           ("do", 1e-4)])
+def test_sdg_stop_is_an_epsilon_solution(name, epsilon):
+    # the SDG gate certifies max(G, sqrt(2 beta G)) <= eps, which bounds OG and
+    # FE by eps; on do FE lands 0.1 % under eps, so no slack is allowed
+    problem = build_instance(ExperimentConfig(instance=name))
+    traj = solve(problem, SolveConfig(epsilon=epsilon, criterion="sdg"))
+    assert traj.stop_reason == "converged"
+    og, fe = criteria.ogfe(problem, traj.final_point)
+    assert og <= epsilon
+    assert fe <= epsilon
 
 
 def test_kkt_is_evaluated_only_where_the_feasibility_error_allows(bp, monkeypatch):

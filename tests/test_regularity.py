@@ -89,7 +89,6 @@ class TestLipschitzConstants:
         monkeypatch.setattr(regularity, "qeb_eta", counted)
         consts = lipschitz_constants(make_instance(family))
         assert len(calls) == 0
-        assert consts.eta is None
         assert consts.provenance["eta"] == "per-beta"
         assert consts.gamma > 0
 
@@ -105,8 +104,9 @@ class TestLipschitzConstants:
         consts = lipschitz_constants(bp)
         assert consts.L is None
         assert consts.L_f_star == 0.0
-        assert consts.gamma == consts.eta == 1e-8
+        assert consts.gamma == 1e-8
         assert consts.provenance["gamma"] == "declared-default"
+        assert [EtaCache(bp)(b) for b in (1e-8, 1.0)] == [1e-8, 1e-8]
 
     def test_qp_defaults(self, pqp):
         consts = lipschitz_constants(pqp)
@@ -114,6 +114,7 @@ class TestLipschitzConstants:
         assert consts.L_f1_star == 0.0
         assert consts.L_g is not None
         assert consts.gamma == 1e-8
+        assert [EtaCache(pqp)(b) for b in (1e-8, 1.0)] == [1e-8, 1e-8]
 
 
 @pytest.mark.parametrize("family", ["1d", "iidg", "ntc", "do"])
