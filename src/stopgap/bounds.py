@@ -190,7 +190,8 @@ def evaluate_bounds(problem, z, consts, eta_of, values=None, t2_constant="proof"
 
     Parameters
     ----------
-    consts : RegularityConstants for the instance.
+    consts : RegularityConstants for the instance.  The Lipschitz constants
+             of T5, T7 and P4 are read from ``problem.objective``.
     eta_of : callable float beta -> eta at (beta, beta), such as a
              ``regularity.EtaCache``.
     values : the point's ``criteria.PointValues``; evaluated here when omitted.
@@ -209,15 +210,17 @@ def evaluate_bounds(problem, z, consts, eta_of, values=None, t2_constant="proof"
         eta = np.array([eta_of(b) for b in beta.tolist()])
         rows += [("T2_OG_SDG", og, bound_T2(G, y_norm, beta, beta, eta, t2_constant), False),
                  ("T3_OG_PDG", og, bound_T3(D, x_norm, y_norm, beta, beta, eta), False)]
+    obj = problem.objective
     rows += [("T4_SDG_KKT", G, bound_T4(K, beta, beta), True),
-             ("T5_KKT_SDG", K, bound_T5(G, beta, beta, consts.L), False),
+             ("T5_KKT_SDG", K, bound_T5(G, beta, beta, obj.smooth_lipschitz), False),
              ("T6_SDG_PDG", G, bound_T6(D, x_norm, y_norm, beta, beta), True)]
-    if problem.objective.separable_conj and consts.L_g is not None:
+    if obj.separable_conj and obj.conj_grad_lipschitz is not None:
         rows.append(("T7_PDG_SDG_manifold", D, bound_T7(
-            G, x_norm, y_norm, beta, beta, consts.L_g, consts.L_f1_star), False))
-    if consts.L_f_star is not None:
+            G, x_norm, y_norm, beta, beta, obj.conj_grad_lipschitz, obj.conj_part_lipschitz),
+            False))
+    if obj.conj_lipschitz is not None:
         rows.append(("P4_PDG_SDG_lipschitz", D, bound_P4(
-            G, x_norm, y_norm, beta, beta, consts.L_f_star), False))
+            G, x_norm, y_norm, beta, beta, obj.conj_lipschitz), False))
     rows.append(("C1_FE_SDG", fe, bound_C1(G, beta), False))
     # the floor's lhs varies with beta through the prox point; the gaps are
     # all +inf exactly when f(x) is, and then the floor says nothing

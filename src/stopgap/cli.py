@@ -24,32 +24,46 @@ from .pdhg import CRITERIA, check_count
 ALL_INSTANCES = tuple(FAMILIES)
 
 
-def _add_common(p):
-    p.add_argument("--instance", default="1d", choices=sorted(FAMILIES))
-    p.add_argument("--epsilon", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=100_000)
+def _add_build_flags(p):
+    """Flags that set how each instance is built, and the output directory."""
     p.add_argument("--seed", type=int, default=None,
                    help="instance seed (default: per-family choice)")
     p.add_argument("--n", type=int, default=None,
                    help="columns of an iidg, ntc, pqp or bp instance (default: 20)")
     p.add_argument("--m", type=int, default=None,
                    help="rows of an iidg, ntc, pqp or bp instance (default: 10)")
-    p.add_argument("--criterion", default="all", choices=["all", *CRITERIA])
-    p.add_argument("--version", type=int, default=None, choices=[1, 2],
-                   help="PDHG ordering (default: per-family choice)")
-    p.add_argument("--record-every", type=int, default=1)
     p.add_argument("--data-path", default=None,
                    help="LIBSVM file for the distributed instance "
                         "(default: $STOPGAP_DATA_DIR/bodyfat, else synthetic)")
     p.add_argument("--out", default="out")
 
 
-def _config_from(args):
-    return ExperimentConfig(
-        instance=args.instance, n=args.n, m=args.m, seed=args.seed,
-        data_path=args.data_path, epsilon=args.epsilon, max_iters=args.max_iters,
+def _add_instance_flags(p):
+    """The one instance of ``run`` and ``verify``, and how it is built."""
+    p.add_argument("--instance", default="1d", choices=sorted(FAMILIES))
+    _add_build_flags(p)
+
+
+def _add_solve_flags(p):
+    """Flags that set the solve and its recording."""
+    p.add_argument("--epsilon", type=float, default=1e-8)
+    p.add_argument("--max-iters", type=int, default=100_000)
+    p.add_argument("--criterion", default="all", choices=["all", *CRITERIA])
+    p.add_argument("--version", type=int, default=None, choices=[1, 2],
+                   help="PDHG ordering (default: per-family choice)")
+    p.add_argument("--record-every", type=int, default=1)
+
+
+def _instance_config(args, instance, **solve):
+    return ExperimentConfig(instance=instance, n=args.n, m=args.m, seed=args.seed,
+                            data_path=args.data_path, **solve)
+
+
+def _solve_config(args, instance, out_dir):
+    return _instance_config(
+        args, instance, epsilon=args.epsilon, max_iters=args.max_iters,
         criterion=args.criterion, record_every=args.record_every,
-        version=args.version, out_dir=args.out)
+        version=args.version, out_dir=out_dir)
 
 
 def _run_one(cfg):
@@ -58,16 +72,14 @@ def _run_one(cfg):
 
 
 def cmd_run(args):
-    cfg = _config_from(args)
-    res = run_experiment(cfg)
+    res = run_experiment(_solve_config(args, args.instance, args.out))
     print(json.dumps(_sanitize(res["table1"]), indent=2, sort_keys=True))
     print(f"trace written to {res['trace']}")
     return 0
 
 
 def cmd_verify(args):
-    cfg = _config_from(args)
-    problem = build_instance(cfg.validate())
+    problem = build_instance(_instance_config(args, args.instance).validate())
     report = verification_suite(problem, seed=args.seed or 0,
                                 sdg_samples=args.samples,
                                 witness_samples=args.samples)
@@ -96,14 +108,12 @@ def cmd_tables(args):
         # each instance writes to out/<name>, so a repeat would overwrite itself
         print(f"repeated instances: {repeated}", file=sys.stderr)
         return 2
-    configs = []
-    for name in names:
-        cfg = _config_from(args)
-        cfg.instance = name
-        cfg.out_dir = os.path.join(args.out, name)
-        configs.append(cfg)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
+    configs = [_solve_config(args, name, os.path.join(args.out, name)) for name in names]
+    # a fork-started pool forks all its workers at the first submit, so it
+    # gets no more of them than there are instances
+    workers = min(args.jobs, len(configs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_run_one, configs))
     else:
         results = [_run_one(cfg) for cfg in configs]
@@ -131,17 +141,23 @@ def main(argv=None):
                     "certification")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="solve one instance and record everything")
-    _add_common(p_run)
+    # no prefix matching: tables would take --instance as --instances
+    p_run = sub.add_parser("run", allow_abbrev=False,
+                           help="solve one instance and record everything")
+    _add_instance_flags(p_run)
+    _add_solve_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
-    p_ver = sub.add_parser("verify", help="independent oracle suite for one instance")
-    _add_common(p_ver)
+    p_ver = sub.add_parser("verify", allow_abbrev=False,
+                           help="independent oracle suite for one instance")
+    _add_instance_flags(p_ver)
     p_ver.add_argument("--samples", type=int, default=50)
     p_ver.set_defaults(func=cmd_verify)
 
-    p_tab = sub.add_parser("tables", help="batch experiments into summary tables")
-    _add_common(p_tab)
+    p_tab = sub.add_parser("tables", allow_abbrev=False,
+                           help="batch experiments into summary tables")
+    _add_build_flags(p_tab)
+    _add_solve_flags(p_tab)
     p_tab.add_argument("--instances", default=",".join(ALL_INSTANCES))
     p_tab.add_argument("--jobs", type=int, default=1)
     p_tab.set_defaults(func=cmd_tables)

@@ -113,8 +113,6 @@ def run_experiment(config: ExperimentConfig):
         names = list(config.criteria)
     else:
         names = ["kkt", "sdg", "pdg"] + (["ogfe"] if problem.reference is not None else [])
-    if "ogfe" in names and problem.reference is None:
-        raise ConfigError(f"{problem.label}: ogfe requested but no reference solution")
 
     solve_cfg = SolveConfig(
         epsilon=config.epsilon, max_iters=config.max_iters,

@@ -52,7 +52,7 @@ def make_1d():
         objective=LeastSquaresObjective(Q, c),
         constraint=AffineConstraint(A, b),
         reference=ReferenceSolution(x_star=x_star, f_star=f_star, provenance="analytic"),
-        label="1d", family="ls", extras={"y_star": y_star})
+        label="1d", extras={"y_star": y_star})
 
 
 def make_iidg(n=20, m=10, seed=0):
@@ -68,7 +68,7 @@ def make_iidg(n=20, m=10, seed=0):
     return ProblemInstance(
         objective=LeastSquaresObjective(Q, c),
         constraint=AffineConstraint(A, b),
-        reference=ref, label=f"iidg(n={n},m={m},seed={seed})", family="ls",
+        reference=ref, label=f"iidg(n={n},m={m},seed={seed})",
         extras={"y_star": y_star} if ref is not None else {})
 
 
@@ -104,7 +104,7 @@ def make_ntc(n=20, m=10, seed=0, rho=0.5, first_row_a=None, first_row_q=None):
     return ProblemInstance(
         objective=LeastSquaresObjective(Q, c),
         constraint=AffineConstraint(A, b),
-        reference=ref, label=f"ntc(n={n},m={m},seed={seed},rho={rho})", family="ls",
+        reference=ref, label=f"ntc(n={n},m={m},seed={seed},rho={rho})",
         extras={"y_star": y_star} if ref is not None else {})
 
 
@@ -114,26 +114,33 @@ def read_libsvm(path):
     rows = []
     labels = []
     width = 0
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                labels.append(float(parts[0]))
-                entries = []
-                for tok in parts[1:]:
-                    idx, val = tok.split(":")
-                    entries.append((int(idx), float(val)))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{ln}: malformed LIBSVM entry ({exc})") from exc
-            if not all(math.isfinite(v) for v in [labels[-1]] + [v for _, v in entries]):
-                raise ConfigError(f"{path}:{ln}: non-finite value")
-            for idx, _ in entries:
-                if idx < 1:
-                    raise ConfigError(f"{path}:{ln}: indices are 1-based")
-                width = max(width, idx)
-            rows.append(entries)
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read LIBSVM file ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: cannot read LIBSVM file (not {exc.encoding} text "
+                          f"at byte {exc.start})") from exc
+    for ln, line in enumerate(lines, start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            labels.append(float(parts[0]))
+            entries = []
+            for tok in parts[1:]:
+                idx, val = tok.split(":")
+                entries.append((int(idx), float(val)))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{ln}: malformed LIBSVM entry ({exc})") from exc
+        if not all(math.isfinite(v) for v in [labels[-1]] + [v for _, v in entries]):
+            raise ConfigError(f"{path}:{ln}: non-finite value")
+        for idx, _ in entries:
+            if idx < 1:
+                raise ConfigError(f"{path}:{ln}: indices are 1-based")
+            width = max(width, idx)
+        rows.append(entries)
     X = np.zeros((len(rows), width))
     for i, entries in enumerate(rows):
         for idx, val in entries:
@@ -199,7 +206,7 @@ def make_do(data_path=None, M=3, n=14, m=84, seed=0):
         objective=LeastSquaresObjective(bigQ, bigc),
         constraint=AffineConstraint(A, b),
         reference=ReferenceSolution(x_star=X_star, f_star=f_star, provenance="normal-equations"),
-        label=label, family="ls",
+        label=label,
         extras={"M": M, "block_shape": (m, n), "y_star": y_star})
 
 
@@ -216,7 +223,7 @@ def make_pqp(n=20, m=10, seed=0):
     return ProblemInstance(
         objective=NonnegativeQuadratic(Q, c),
         constraint=AffineConstraint(At, B),
-        reference=None, label=f"pqp(n={n},m={m},seed={seed})", family="qp",
+        reference=None, label=f"pqp(n={n},m={m},seed={seed})",
         extras={"base_constraint": (A, b)})
 
 
@@ -228,7 +235,7 @@ def make_bp(n=20, m=10, seed=0):
     return ProblemInstance(
         objective=L1Norm(n),
         constraint=AffineConstraint(A, b),
-        reference=None, label=f"bp(n={n},m={m},seed={seed})", family="bp")
+        reference=None, label=f"bp(n={n},m={m},seed={seed})")
 
 
 FAMILIES = {

@@ -166,8 +166,6 @@ def solve(problem, config: SolveConfig, steps: StepSizes | None = None):
     norm are formed once and shared by every gate; the SDG grid takes the
     residual instead of forming it again.
     """
-    if problem.constraint.m < 1:
-        raise ConfigError("the solver requires at least one constraint row")
     if steps is None:
         steps = default_step_sizes(problem.constraint)
     steps.check(problem.constraint.norm())
@@ -176,7 +174,7 @@ def solve(problem, config: SolveConfig, steps: StepSizes | None = None):
     gating = tuple(config.evaluate) if gate_all else (config.criterion,)
     names = list(dict.fromkeys(gating + tuple(config.evaluate)))
     if "ogfe" in names and problem.reference is None:
-        raise ConfigError("ogfe gate needs a reference solution")
+        raise ConfigError(f"{problem.label}: ogfe requested but no reference solution")
 
     z = PrimalDualPoint(np.zeros(problem.constraint.n), np.zeros(problem.constraint.m))
     stepper = step_v1 if config.version == 1 else step_v2

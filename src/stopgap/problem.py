@@ -10,18 +10,15 @@ from .linalg import check_finite, operator_norm
 
 
 class AffineConstraint:
-    """Equality constraint A x = b.
+    """Equality constraint A x = b with at least one row and one column; an
+    unconstrained problem is written with the zero row A = 0, b = 0."""
 
-    ``allow_empty`` admits m = 0 (used only when evaluating criteria on
-    unconstrained counterexamples); the solver itself requires m >= 1.
-    """
-
-    def __init__(self, matrix, rhs, allow_empty=False):
+    def __init__(self, matrix, rhs):
         self.matrix = check_finite(np.atleast_2d(np.asarray(matrix, dtype=float)),
                                    "constraint matrix A")
         self.rhs = check_finite(np.asarray(rhs, dtype=float).reshape(-1), "constraint rhs b")
         m, n = self.matrix.shape
-        if n < 1 or (m < 1 and not allow_empty):
+        if n < 1 or m < 1:
             raise DimensionMismatchError("constraint matrix needs at least one row and column")
         if self.rhs.shape != (m,):
             raise DimensionMismatchError(
@@ -81,13 +78,16 @@ class ReferenceSolution:
 
 @dataclass
 class ProblemInstance:
-    """Objective + affine constraint (+ optional reference solution)."""
+    """Objective + affine constraint (+ optional reference solution).
+
+    What the constants and the bounds assume of an instance is read from its
+    objective: its class (least squares or not) and its Lipschitz attributes.
+    """
 
     objective: object
     constraint: AffineConstraint
     reference: ReferenceSolution | None = None
     label: str = ""
-    family: str = ""  # ls | qp | bp: drives constants and bound applicability
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):

@@ -1,13 +1,14 @@
 """Regularity constants feeding the bound theorems: the metric sub-regularity
-constant gamma (smallest nonzero |eigenvalue| of the stationarity matrix),
-the quadratic-error-bound constant eta of the smoothed gap, and the Lipschitz
-constants of the objective and its conjugate parts.
+constant gamma (smallest nonzero |eigenvalue| of the stationarity matrix) and
+the quadratic-error-bound constant eta of the smoothed gap.
 
-Set-up (``lipschitz_constants``) computes gamma and the Lipschitz constants
-once per instance.  eta depends on beta, so the bounds read eta(beta) at each
-row's own beta through an ``EtaCache``, which solves for it on first use.
+Set-up (``lipschitz_constants``) computes gamma once per instance.  eta
+depends on beta, so the bounds read eta(beta) at each row's own beta through
+an ``EtaCache``, which solves for it on first use.  The Lipschitz constants of
+the objective and its conjugate parts are attributes of the objective
+(``objectives.ObjectiveOracle``), and the bounds read them there.
 
-For the least-squares family the smoothed gap is an explicit quadratic
+For least-squares instances the smoothed gap is an explicit quadratic
 z^T H z + <z, v> + cst; eta comes from the smallest positive eigenvalue of H.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 from .criteria import GRID_VALUES, SmoothingParams
 from .errors import DegenerateProblemError, StopgapError
 from .linalg import RANK_RTOL, null_space_basis, pinv_solve, stationarity_matrix
-from .objectives import LeastSquaresObjective, NonnegativeQuadratic
+from .objectives import LeastSquaresObjective
 
 DECLARED_DEFAULT = 1e-8  # gamma = eta fallback where computing them is intractable
 
@@ -26,10 +27,6 @@ DECLARED_DEFAULT = 1e-8  # gamma = eta fallback where computing them is intracta
 @dataclass
 class RegularityConstants:
     gamma: float
-    L: float | None
-    L_g: float | None
-    L_f1_star: float | None
-    L_f_star: float | None
     provenance: dict
 
     def __post_init__(self):
@@ -113,42 +110,21 @@ def qeb_eta(Q, c, A, b, beta: SmoothingParams):
     return eta, model
 
 
-def _least_squares(instance):
-    """Whether ``instance`` is of the least-squares family, whose eta(beta)
-    ``qeb_eta`` computes."""
-    return isinstance(instance.objective, LeastSquaresObjective) and instance.family == "ls"
-
-
 def lipschitz_constants(instance, steps=None):
-    """Family dispatch for (gamma, L, L_g, L_f1*, L_f*).
+    """Set-up constants of ``instance``: gamma with its provenance.
 
-    LS family: gamma and the Lipschitz constants from the spectrum.
-    QP/BP: gamma falls back to the declared default 1e-8 with provenance
-    recorded.  eta has one source, the ``EtaCache`` the bounds read eta(beta)
-    from; the provenance says whether that is "per-beta" or
+    Least squares: gamma from the spectrum of the stationarity matrix, and
+    eta per beta.  Other objectives: gamma and eta fall back to the declared
+    default 1e-8.  eta has one source, the ``EtaCache`` the bounds read
+    eta(beta) from; the provenance says whether that is "per-beta" or
     "declared-default".
     ``steps`` is unused; the keyword stays for existing callers.
     """
-    obj = instance.objective
-    if _least_squares(instance):
-        gamma = msr_gamma(obj.data.design, instance.constraint.matrix)
-        prov = {"gamma": "computed", "eta": "per-beta", "L": "computed", "L_g": "computed"}
-        return RegularityConstants(gamma=gamma, L=obj.smooth_lipschitz,
-                                   L_g=obj.conj_grad_lipschitz,
-                                   L_f1_star=obj.conj_part_lipschitz,
-                                   L_f_star=None, provenance=prov)
-    if isinstance(obj, NonnegativeQuadratic):
-        prov = {"gamma": "declared-default", "eta": "declared-default",
-                "L_g": "computed", "L_f1_star": "computed"}
-        return RegularityConstants(gamma=DECLARED_DEFAULT, L=None,
-                                   L_g=obj.conj_grad_lipschitz,
-                                   L_f1_star=obj.conj_part_lipschitz,
-                                   L_f_star=None, provenance=prov)
-    # basis pursuit and other nonsmooth objectives with Lipschitz conjugate
-    prov = {"gamma": "declared-default", "eta": "declared-default", "L_f_star": "computed"}
-    return RegularityConstants(gamma=DECLARED_DEFAULT, L=None, L_g=None, L_f1_star=None,
-                               L_f_star=getattr(obj, "conj_lipschitz", None),
-                               provenance=prov)
+    if isinstance(instance.objective, LeastSquaresObjective):
+        gamma = msr_gamma(instance.objective.data.design, instance.constraint.matrix)
+        return RegularityConstants(gamma, {"gamma": "computed", "eta": "per-beta"})
+    return RegularityConstants(DECLARED_DEFAULT, {"gamma": "declared-default",
+                                                  "eta": "declared-default"})
 
 
 def saddle_set(Q, c, A, b):
@@ -172,7 +148,7 @@ def distance_to_saddle_set(z, z_p, kernel_basis):
 
 class EtaCache:
     """Memoised eta at the float beta, i.e. at the pair (beta, beta), for one
-    LS-family instance; non-LS families return the declared default.
+    least-squares instance; other objectives return the declared default.
 
     Only the fixed grid beta (``criteria.GRID_VALUES``) are kept: every row
     reads them, while the one other beta of a row, its own feasibility error,
@@ -181,7 +157,7 @@ class EtaCache:
     def __init__(self, instance):
         self.instance = instance
         self._cache = {}
-        self.computable = _least_squares(instance)
+        self.computable = isinstance(instance.objective, LeastSquaresObjective)
 
     def __call__(self, beta):
         if not self.computable:

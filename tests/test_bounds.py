@@ -257,18 +257,20 @@ def reference_bounds(problem, z, consts, eta_of, values):
             D, x_norm, y_norm, b, b, eta_of(b)))
     reports["T4_SDG_KKT"] = pick("T4_SDG_KKT", "ratio", lambda G: G,
                                  lambda b, G: bound_T4(K, b, b))
+    obj = problem.objective
     reports["T5_KKT_SDG"] = pick("T5_KKT_SDG", "one-sided", lambda G: K,
-                                 lambda b, G: bound_T5(G, b, b, consts.L))
+                                 lambda b, G: bound_T5(G, b, b, obj.smooth_lipschitz))
     reports["T6_SDG_PDG"] = pick("T6_SDG_PDG", "ratio", lambda G: G,
                                  lambda b, G: bound_T6(D, x_norm, y_norm, b, b))
-    if problem.objective.separable_conj and consts.L_g is not None:
+    if obj.separable_conj and obj.conj_grad_lipschitz is not None:
         reports["T7_PDG_SDG_manifold"] = pick(
             "T7_PDG_SDG_manifold", "one-sided", lambda G: D,
-            lambda b, G: bound_T7(G, x_norm, y_norm, b, b, consts.L_g, consts.L_f1_star))
-    if consts.L_f_star is not None:
+            lambda b, G: bound_T7(G, x_norm, y_norm, b, b, obj.conj_grad_lipschitz,
+                                  obj.conj_part_lipschitz))
+    if obj.conj_lipschitz is not None:
         reports["P4_PDG_SDG_lipschitz"] = pick(
             "P4_PDG_SDG_lipschitz", "one-sided", lambda G: D,
-            lambda b, G: bound_P4(G, x_norm, y_norm, b, b, consts.L_f_star))
+            lambda b, G: bound_P4(G, x_norm, y_norm, b, b, obj.conj_lipschitz))
     reports["C1_FE_SDG"] = pick("C1_FE_SDG", "one-sided", lambda G: fe,
                                 lambda b, G: bound_C1(G, b))
     floor = []

@@ -101,14 +101,13 @@ class TestSmoothedDualityGap:
         assert v[0] <= 1e-10
 
     def test_unconstrained_absolute_value_formula(self):
-        # |x| with no constraints at beta = (1, 1)
+        # |x| at beta = (1, 1); the zero row 0 x = 0 constrains nothing
         problem = ProblemInstance(
             objective=L1Norm(1),
-            constraint=AffineConstraint(np.zeros((0, 1)), np.zeros(0), allow_empty=True),
-            label="abs", family="bp")
+            constraint=AffineConstraint([[0.0]], [0.0]), label="abs")
         beta = SmoothingParams(1.0, 1.0)
         for x, expected in [(0.5, 0.375), (2.0, 0.5), (0.01, 0.01 - 0.5e-4)]:
-            z = PrimalDualPoint(np.array([x]), np.zeros(0))
+            z = PrimalDualPoint(np.array([x]), np.zeros(1))
             got = smoothed_duality_gap(problem, z, beta.beta_x, beta.beta_y)[0]
             assert got == pytest.approx(expected, abs=1e-12)
 

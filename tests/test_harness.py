@@ -77,7 +77,7 @@ class TestRunExperiment:
     def test_empty_criteria_on_no_reference_instance(self, tmp_path):
         cfg = ExperimentConfig(instance="bp", criteria=("ogfe",),
                                out_dir=str(tmp_path))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^bp\(n=20,m=10,seed=5\): ogfe requested"):
             run_experiment(cfg)
 
     def test_run_builds_one_smoothing_pair_per_eta_solve(self, tmp_path, monkeypatch):
@@ -227,6 +227,65 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err == f"stopgap: error: jobs must be at least 1, got {jobs}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_pool_is_capped_at_the_instance_count(self, tmp_path, monkeypatch):
+        # a fork-started pool forks every worker it is given at the first submit
+        asked = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("stopgap.cli.ProcessPoolExecutor", FakePool)
+        for instances, pools in (("1d,bp", [2]), ("1d", [])):
+            asked.clear()
+            rc = cli_main(["tables", "--instances", instances, "--max-iters", "20",
+                           "--jobs", "64", "--out", str(tmp_path / instances)])
+            assert rc == 0
+            assert asked == pools
+
+    def test_pool_writes_the_serial_tables(self, tmp_path):
+        for jobs in ("1", "2"):
+            rc = cli_main(["tables", "--instances", "1d,bp", "--max-iters", "200",
+                           "--jobs", jobs, "--out", str(tmp_path / jobs)])
+            assert rc == 0
+        for table in ("table1.json", "table2.json"):
+            assert (tmp_path / "1" / table).read_bytes() == (tmp_path / "2" / table).read_bytes()
+
+    @pytest.mark.parametrize("what", ["missing", "directory", "binary"])
+    def test_unreadable_data_path_is_a_one_line_error(self, tmp_path, capsys, what):
+        # it used to end in a FileNotFoundError, IsADirectoryError or
+        # UnicodeDecodeError traceback
+        path = {"missing": tmp_path / "bodyfat", "directory": tmp_path,
+                "binary": tmp_path / "bodyfat.bin"}[what]
+        (tmp_path / "bodyfat.bin").write_bytes(b"\xff\xfe 1:2\n")
+        rc = cli_main(["run", "--instance", "do", "--data-path", str(path),
+                       "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"stopgap: error: {path}: cannot read LIBSVM file (")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        *(("verify", flag) for flag in ("--epsilon=5", "--max-iters=10", "--criterion=kkt",
+                                        "--version=1", "--record-every=2")),
+        ("tables", "--instance=1d")])
+    def test_unread_flag_is_an_unrecognized_argument(self, tmp_path, capsys, command, flag):
+        # verify solved nothing and tables overwrote --instance, so each was ignored
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, flag, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_beta_mode_is_an_unrecognized_argument(self, tmp_path, capsys):
         # the SDG gate has one rule, the surrogate certificate

@@ -114,14 +114,14 @@ class TestCounterexamples:
         assert all(r["kkt"] == 1.0 for r in rep["rows"])
 
     def test_formula_agrees_with_criteria_module(self):
-        # unconstrained |x| instance cross-checks the counterexample formula
+        # |x| under the zero row 0 x = 0, which constrains nothing, cross-checks
+        # the counterexample formula
         problem = ProblemInstance(
             objective=L1Norm(1),
-            constraint=AffineConstraint(np.zeros((0, 1)), np.zeros(0), allow_empty=True),
-            label="abs", family="bp")
+            constraint=AffineConstraint([[0.0]], [0.0]), label="abs")
         rep = counterexample_kkt_vs_sdg([0.5, 0.1, 0.01])
         for row in rep["rows"]:
-            z = PrimalDualPoint(np.array([row["x"]]), np.zeros(0))
+            z = PrimalDualPoint(np.array([row["x"]]), np.zeros(1))
             crit = smoothed_duality_gap(problem, z, 1.0, 1.0)
             assert crit[0] == pytest.approx(row["sdg"], abs=1e-12)
             direct = sdg_direct(problem, z, SmoothingParams(1.0, 1.0))

@@ -5,7 +5,7 @@ import pytest
 
 from stopgap import criteria
 from stopgap.criteria import beta_grid, kkt_error
-from stopgap.errors import ConfigError, DegenerateProblemError, StopgapError
+from stopgap.errors import ConfigError, DegenerateProblemError, DimensionMismatchError, StopgapError
 from stopgap.harness import DEFAULT_VERSION, ExperimentConfig, build_instance, run_experiment
 from stopgap.instances import FAMILIES
 from stopgap.objectives import L1Norm, LeastSquaresObjective
@@ -24,7 +24,7 @@ def free_problem(n, A=None, b=None):
     b = np.zeros(n) if b is None else b
     return ProblemInstance(objective=zero_objective(n),
                            constraint=AffineConstraint(A, b),
-                           label="free", family="ls")
+                           label="free")
 
 
 class TestStepSizes:
@@ -183,14 +183,10 @@ class TestSolve:
                 moved = np.linalg.norm(zn.x - zs.x) + np.linalg.norm(zn.y - zs.y)
                 assert moved < 1e-9
 
-    def test_solver_rejects_unconstrained(self):
-        problem = ProblemInstance(
-            objective=zero_objective(2),
-            constraint=AffineConstraint(np.zeros((0, 2)), np.zeros(0), allow_empty=True),
-            label="unconstrained", family="ls")
-        with pytest.raises(ConfigError):
-            solve(problem, SolveConfig(max_iters=5, criterion="kkt"),
-                  StepSizes(0.1, 0.1))
+    def test_constraint_without_rows_is_refused(self):
+        # the solver needs a row; an unconstrained problem is written 0 x = 0
+        with pytest.raises(DimensionMismatchError, match="at least one row"):
+            AffineConstraint(np.zeros((0, 2)), np.zeros(0))
 
     def test_record_every_keeps_final_iterate(self, iidg):
         cfg = SolveConfig(epsilon=1e-8, max_iters=10_000, criterion="kkt",

@@ -71,8 +71,8 @@ class TestQebEta:
 class TestLipschitzConstants:
     def test_one_dimensional(self, one_d):
         consts = lipschitz_constants(one_d)
-        assert consts.L == pytest.approx(1.0 / 81.0)
-        assert consts.L_f1_star == 0.0
+        assert one_d.objective.smooth_lipschitz == pytest.approx(1.0 / 81.0)
+        assert one_d.objective.conj_part_lipschitz == 0.0
         assert consts.provenance["gamma"] == "computed"
 
     @pytest.mark.parametrize("family", ["1d", "iidg", "ntc", "do"])
@@ -102,17 +102,17 @@ class TestLipschitzConstants:
 
     def test_bp_defaults(self, bp):
         consts = lipschitz_constants(bp)
-        assert consts.L is None
-        assert consts.L_f_star == 0.0
+        assert bp.objective.smooth_lipschitz is None
+        assert bp.objective.conj_lipschitz == 0.0
         assert consts.gamma == 1e-8
         assert consts.provenance["gamma"] == "declared-default"
         assert [EtaCache(bp)(b) for b in (1e-8, 1.0)] == [1e-8, 1e-8]
 
     def test_qp_defaults(self, pqp):
         consts = lipschitz_constants(pqp)
-        assert consts.L is None
-        assert consts.L_f1_star == 0.0
-        assert consts.L_g is not None
+        assert pqp.objective.smooth_lipschitz is None
+        assert pqp.objective.conj_part_lipschitz == 0.0
+        assert pqp.objective.conj_grad_lipschitz is not None
         assert consts.gamma == 1e-8
         assert [EtaCache(pqp)(b) for b in (1e-8, 1.0)] == [1e-8, 1e-8]
 
