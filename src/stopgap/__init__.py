@@ -2,8 +2,8 @@
 problems, four comparable stopping criteria, and numeric certification of
 the inequalities relating them."""
 
-from .criteria import (SmoothingParams, beta_grid, kkt_error, ogfe, projected_duality_gap,
-                       select_beta, smoothed_duality_gap)
+from .criteria import (beta_grid, kkt_error, ogfe, projected_duality_gap, select_beta,
+                       smoothed_duality_gap)
 from .instances import (make_1d, make_bp, make_do, make_iidg, make_instance,
                         make_ntc, make_pqp, read_libsvm)
 from .linalg import operator_norm
@@ -18,7 +18,7 @@ __all__ = [
     "AffineConstraint", "L1Norm",
     "LeastSquaresObjective", "NonnegativeQuadratic", "PrimalDualPoint",
     "ProblemInstance", "QuadraticFormModel", "ReferenceSolution",
-    "RegularityConstants", "SmoothingParams", "SolveConfig", "StepSizes",
+    "RegularityConstants", "SolveConfig", "StepSizes",
     "Trajectory", "beta_grid", "default_step_sizes", "kkt_error", "lipschitz_constants",
     "make_1d", "make_bp", "make_do", "make_iidg", "make_instance", "make_ntc",
     "make_pqp", "msr_gamma", "ogfe", "operator_norm", "projected_duality_gap",

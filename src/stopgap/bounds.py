@@ -1,11 +1,10 @@
 """Evaluation of every comparability/approximation inequality at a
 primal-dual point: per-iteration reports of lhs, rhs, their ratio and the
-smoothing parameter beta = beta_x = beta_y used, plus the trajectory-level
-ratio statistics.
+smoothing parameter beta used, plus the trajectory-level ratio statistics.
 
 Each ``bound_*`` writes one theorem's right-hand side (for the L6 floor, its
 left-hand side) as a numpy expression: scalars broadcast, so one formula
-serves a single smoothing pair and the whole beta grid.  The beta of each
+serves a single beta and the whole beta grid.  The beta of each
 report follows the grid-selection rules: for ``g(z) <= h_beta(z)``
 the beta minimising the rhs; for ``g_beta(z) <= h_beta(z)`` the beta
 minimising rhs/lhs.
@@ -39,7 +38,7 @@ class BoundReport:
     theorem_id: str
     lhs: float
     rhs: float
-    beta_used: float | None = None  # beta = beta_x = beta_y of the report
+    beta_used: float | None = None  # the beta of the report
 
     def __post_init__(self):
         if self.theorem_id not in THEOREMS:
@@ -96,81 +95,80 @@ def bound_T1(K, y_norm, gamma):
 
 
 @np.errstate(invalid="ignore")
-def bound_T2(G, y_norm, bx, by, eta, constant="proof"):
-    """OG <= (1 + c_beta) G + sqrt(2 beta_y) ||y|| sqrt(G) under the
-    quadratic error bound; c_beta is 2 sqrt(beta_x/eta) as established by the
-    proof ('statement' selects the printed 1 + sqrt(2 beta_x / eta))."""
+def bound_T2(G, y_norm, beta, eta, constant="proof"):
+    """OG <= (1 + c_beta) G + sqrt(2 beta) ||y|| sqrt(G) under the quadratic
+    error bound; c_beta is 2 sqrt(beta/eta) as established by the proof
+    ('statement' selects the printed 1 + sqrt(2 beta / eta))."""
     if constant == "proof":
-        c = 2.0 * np.sqrt(bx / eta)
+        c = 2.0 * np.sqrt(beta / eta)
     elif constant == "statement":
-        c = np.sqrt(2.0 * bx / eta)
+        c = np.sqrt(2.0 * beta / eta)
     else:
         raise ConfigError(f"unknown T2 constant {constant!r}")
-    return _inf_unless_finite(G, (1.0 + c) * G + np.sqrt(2.0 * by) * y_norm * np.sqrt(G))
+    return _inf_unless_finite(G, (1.0 + c) * G + np.sqrt(2.0 * beta) * y_norm * np.sqrt(G))
 
 
-def bound_T3(D, x_norm, y_norm, bx, by, eta):
+def bound_T3(D, x_norm, y_norm, beta, eta):
     """OG <= (1 + ||x|| + sqrt(2/eta) sqrt((1+||x||+||y||) sqrt(D)
-    + D/(2 beta_min))) sqrt(D)."""
-    inner = (1.0 + x_norm + y_norm) * np.sqrt(D) + D / (2.0 * np.minimum(bx, by))
+    + D/(2 beta))) sqrt(D)."""
+    inner = (1.0 + x_norm + y_norm) * np.sqrt(D) + D / (2.0 * beta)
     return (1.0 + x_norm + np.sqrt(2.0 / eta) * np.sqrt(inner)) * np.sqrt(D)
 
 
-def bound_T4(K, bx, by):
-    """G <= max(1/beta_x, 1/(2 beta_y)) K."""
-    return np.maximum(1.0 / bx, 1.0 / (2.0 * by)) * K
+def bound_T4(K, beta):
+    """G <= max(1/beta, 1/(2 beta)) K = K/beta."""
+    return (1.0 / beta) * K
 
 
-def bound_T5(G, bx, by, L):
-    """K <= max(2(L+beta_x)^2/beta_x, 2 beta_y) G for L-smooth objectives;
-    rhs is +inf when the objective is not smooth."""
+def bound_T5(G, beta, L):
+    """K <= max(2(L+beta)^2/beta, 2 beta) G for L-smooth objectives; rhs is
+    +inf when the objective is not smooth."""
     if L is None:
         return INF
     # Python's ** (libm pow) per beta: numpy's exact square differs from it
     # in the last bit for about one beta in a thousand
-    sq = np.reshape([(L + b) ** 2 for b in np.ravel(bx).tolist()], np.shape(bx))
-    return np.maximum(2.0 * sq / bx, 2.0 * by) * G
+    sq = np.reshape([(L + b) ** 2 for b in np.ravel(beta).tolist()], np.shape(beta))
+    return np.maximum(2.0 * sq / beta, 2.0 * beta) * G
 
 
-def bound_T6(D, x_norm, y_norm, bx, by):
-    """G <= (1 + ||x|| + ||y||) sqrt(D) + D/(2 beta_min)."""
-    return (1.0 + x_norm + y_norm) * np.sqrt(D) + D / (2.0 * np.minimum(bx, by))
+def bound_T6(D, x_norm, y_norm, beta):
+    """G <= (1 + ||x|| + ||y||) sqrt(D) + D/(2 beta)."""
+    return (1.0 + x_norm + y_norm) * np.sqrt(D) + D / (2.0 * beta)
 
 
 @np.errstate(invalid="ignore")
-def bound_T7(G, x_norm, y_norm, bx, by, L_g, L_f1_star):
-    """D <= ((3 + beta_x L_g) G + (sqrt(2 beta_x)(2||x|| + L_f1*)
-    + sqrt(2 beta_y)||y||) sqrt(G))^2 + 2 beta_max G, for objectives whose
-    conjugate splits into a Lipschitz part and a smooth affine-domain part."""
+def bound_T7(G, x_norm, y_norm, beta, L_g, L_f1_star):
+    """D <= ((3 + beta L_g) G + sqrt(2 beta)(2||x|| + L_f1* + ||y||)
+    sqrt(G))^2 + 2 beta G, for objectives whose conjugate splits into a
+    Lipschitz part and a smooth affine-domain part."""
     if L_g is None or L_f1_star is None:
         raise ConfigError("instance does not satisfy the separable-conjugate assumptions")
-    lin = ((3.0 + bx * L_g) * G
-           + (np.sqrt(2.0 * bx) * (2.0 * x_norm + L_f1_star)
-              + np.sqrt(2.0 * by) * y_norm) * np.sqrt(G))
-    return _inf_unless_finite(G, lin * lin + 2.0 * np.maximum(bx, by) * G)
+    s = np.sqrt(2.0 * beta)
+    lin = (3.0 + beta * L_g) * G + (s * (2.0 * x_norm + L_f1_star) + s * y_norm) * np.sqrt(G)
+    return _inf_unless_finite(G, lin * lin + 2.0 * beta * G)
 
 
 @np.errstate(invalid="ignore")
-def bound_P4(G, x_norm, y_norm, bx, by, L_f_star):
-    """D <= (G + (sqrt(2 beta_x)(||x|| + L_f*) + sqrt(2 beta_y)||y||)
-    sqrt(G))^2 + 2 beta_max G, for conjugates Lipschitz on their domain."""
+def bound_P4(G, x_norm, y_norm, beta, L_f_star):
+    """D <= (G + sqrt(2 beta)(||x|| + L_f* + ||y||) sqrt(G))^2 + 2 beta G,
+    for conjugates Lipschitz on their domain."""
     if L_f_star is None:
         raise ConfigError("objective conjugate is not Lipschitz on its domain")
-    lin = (G + (np.sqrt(2.0 * bx) * (x_norm + L_f_star)
-                + np.sqrt(2.0 * by) * y_norm) * np.sqrt(G))
-    return _inf_unless_finite(G, lin * lin + 2.0 * np.maximum(bx, by) * G)
+    s = np.sqrt(2.0 * beta)
+    lin = G + (s * (x_norm + L_f_star) + s * y_norm) * np.sqrt(G)
+    return _inf_unless_finite(G, lin * lin + 2.0 * beta * G)
 
 
-def bound_C1(G, by):
-    """||Ax - b|| <= sqrt(2 beta_y G)."""
-    return np.sqrt(2.0 * by * G)
+def bound_C1(G, beta):
+    """||Ax - b|| <= sqrt(2 beta G)."""
+    return np.sqrt(2.0 * beta * G)
 
 
-def bound_L6(x, p, fe, bx, by):
-    """Left-hand side of the floor beta_x/2 ||x - p||^2 + ||Ax-b||^2/(2 beta_y)
+def bound_L6(x, p, fe, beta):
+    """Left-hand side of the floor beta/2 ||x - p||^2 + ||Ax-b||^2/(2 beta)
     <= G, with one prox point ``p`` per beta (rows of a 2-D array)."""
     d = x - p
-    return 0.5 * bx * np.vecdot(d, d) + fe * fe / (2.0 * by)
+    return 0.5 * beta * np.vecdot(d, d) + fe * fe / (2.0 * beta)
 
 
 def ratio_key(lhs, rhs):
@@ -192,7 +190,7 @@ def evaluate_bounds(problem, z, consts, eta_of, values=None, t2_constant="proof"
     ----------
     consts : RegularityConstants for the instance.  The Lipschitz constants
              of T5, T7 and P4 are read from ``problem.objective``.
-    eta_of : callable float beta -> eta at (beta, beta), such as a
+    eta_of : callable float beta -> eta(beta), such as a
              ``regularity.EtaCache``.
     values : the point's ``criteria.PointValues``; evaluated here when omitted.
     """
@@ -208,24 +206,23 @@ def evaluate_bounds(problem, z, consts, eta_of, values=None, t2_constant="proof"
     if og is not None:
         reports["T1_OG_KKT"] = BoundReport("T1_OG_KKT", og, bound_T1(K, y_norm, consts.gamma))
         eta = np.array([eta_of(b) for b in beta.tolist()])
-        rows += [("T2_OG_SDG", og, bound_T2(G, y_norm, beta, beta, eta, t2_constant), False),
-                 ("T3_OG_PDG", og, bound_T3(D, x_norm, y_norm, beta, beta, eta), False)]
+        rows += [("T2_OG_SDG", og, bound_T2(G, y_norm, beta, eta, t2_constant), False),
+                 ("T3_OG_PDG", og, bound_T3(D, x_norm, y_norm, beta, eta), False)]
     obj = problem.objective
-    rows += [("T4_SDG_KKT", G, bound_T4(K, beta, beta), True),
-             ("T5_KKT_SDG", K, bound_T5(G, beta, beta, obj.smooth_lipschitz), False),
-             ("T6_SDG_PDG", G, bound_T6(D, x_norm, y_norm, beta, beta), True)]
+    rows += [("T4_SDG_KKT", G, bound_T4(K, beta), True),
+             ("T5_KKT_SDG", K, bound_T5(G, beta, obj.smooth_lipschitz), False),
+             ("T6_SDG_PDG", G, bound_T6(D, x_norm, y_norm, beta), True)]
     if obj.separable_conj and obj.conj_grad_lipschitz is not None:
         rows.append(("T7_PDG_SDG_manifold", D, bound_T7(
-            G, x_norm, y_norm, beta, beta, obj.conj_grad_lipschitz, obj.conj_part_lipschitz),
-            False))
+            G, x_norm, y_norm, beta, obj.conj_grad_lipschitz, obj.conj_part_lipschitz), False))
     if obj.conj_lipschitz is not None:
         rows.append(("P4_PDG_SDG_lipschitz", D, bound_P4(
-            G, x_norm, y_norm, beta, beta, obj.conj_lipschitz), False))
+            G, x_norm, y_norm, beta, obj.conj_lipschitz), False))
     rows.append(("C1_FE_SDG", fe, bound_C1(G, beta), False))
     # the floor's lhs varies with beta through the prox point; the gaps are
     # all +inf exactly when f(x) is, and then the floor says nothing
     if np.isfinite(G).any():
-        rows.append(("L6_SDG_floor", bound_L6(z.x, values.sdg.prox, fe, beta, beta), G, True))
+        rows.append(("L6_SDG_floor", bound_L6(z.x, values.sdg.prox, fe, beta), G, True))
 
     rows = [(tid, np.broadcast_to(lhs, beta.shape), np.broadcast_to(rhs, beta.shape), ratio)
             for tid, lhs, rhs, ratio in rows]

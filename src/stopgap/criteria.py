@@ -2,8 +2,10 @@
 smoothing-parameter grid and its selection rule.
 
 Conventions: KKT and PDG are sums of squared residuals; OG/FE are plain
-values; the smoothed gap is evaluated per smoothing pair beta = (beta_x,
-beta_y) and is provably >= 0 for the self-centered version.
+values; the smoothed gap is evaluated per smoothing parameter beta > 0 and
+is provably >= 0 for the self-centered version.  The paper smooths with a
+pair (beta_x, beta_y); every grid, gate and bound here sets both to one
+beta, so only that diagonal is kept.
 """
 
 import math
@@ -19,18 +21,6 @@ INF = float("inf")
 
 # grid of 40 log-equispaced smoothing values spanning [1e-8, 100]
 GRID_VALUES = tuple(np.logspace(-8.0, 2.0, 40).tolist())
-
-
-@dataclass(frozen=True)
-class SmoothingParams:
-    """beta = (beta_x, beta_y), both strictly positive and finite."""
-
-    beta_x: float
-    beta_y: float
-
-    def __post_init__(self):
-        if not (0.0 < self.beta_x < INF and 0.0 < self.beta_y < INF):
-            raise ConfigError(f"smoothing parameters must be in (0, inf): {self}")
 
 
 def beta_grid(feasibility_error=0.0):
@@ -107,40 +97,38 @@ def projected_duality_gap(problem: ProblemInstance, z: PrimalDualPoint, r=None, 
     return _checked("PDG", value)
 
 
-def _smoothing(beta, name):
+def check_beta(beta):
+    """``beta`` as a float array: a scalar or a 1-D array of values in
+    (0, inf); anything else raises."""
     b = np.asarray(beta, dtype=float)
     if b.ndim > 1 or not ((b > 0.0) & (b < INF)).all():
-        raise ConfigError(f"{name} must be a scalar or 1-D array of values in "
-                          f"(0, inf), got {beta}")
+        raise ConfigError(f"beta must be a scalar or 1-D array of values in (0, inf), "
+                          f"got {beta}")
     return b
 
 
-def smoothed_duality_gap(problem: ProblemInstance, z: PrimalDualPoint, beta_x, beta_y,
-                         r=None, aty=None):
+def smoothed_duality_gap(problem: ProblemInstance, z: PrimalDualPoint, beta, r=None,
+                         aty=None):
     """Self-centered smoothed gap in closed form, and its prox point.
 
-    G_beta(z) = f(x) - f(p) + <A(x-p), y> - beta_x/2 ||p-x||^2
-                + ||Ax-b||^2 / (2 beta_y)
-    with p = prox_{f/beta_x}(x - A^T y / beta_x).  Nonnegative up to
-    round-off; tiny negatives are clamped to zero.
+    G_beta(z) = f(x) - f(p) + <A(x-p), y> - beta/2 ||p-x||^2
+                + ||Ax-b||^2 / (2 beta)
+    with p = prox_{f/beta}(x - A^T y / beta).  Nonnegative up to round-off;
+    tiny negatives are clamped to zero.
 
-    ``beta_x`` and ``beta_y`` are floats, giving (G, p) as a float and an
-    (n,) vector, or equal-shape (k,) arrays, giving a (k,) array and one
-    C-contiguous prox point per row of a (k, n) array.  Entry j of an array
-    call has the bits of the call at (beta_x[j], beta_y[j]).  ``r`` (Ax - b)
-    and ``aty`` (A^T y) are the caller's, when it has already formed them.
+    ``beta`` is a float, giving (G, p) as a float and an (n,) vector, or a
+    (k,) array, giving a (k,) array and one C-contiguous prox point per row
+    of a (k, n) array.  Entry j of an array call has the bits of the call at
+    beta[j].  ``r`` (Ax - b) and ``aty`` (A^T y) are the caller's, when it
+    has already formed them.
     """
-    bx = _smoothing(beta_x, "beta_x")
-    # the grid passes one array as both: check it once
-    by = bx if beta_y is beta_x else _smoothing(beta_y, "beta_y")
-    if bx.shape != by.shape:
-        raise ConfigError(f"beta_x and beta_y differ in shape: {bx.shape} != {by.shape}")
+    b = check_beta(beta)
     problem.check_point(z)
     obj = problem.objective
     A = problem.constraint.matrix
     if aty is None:
         aty = A.T @ z.y
-    P = obj.prox(1.0 / bx, z.x - aty / bx[..., None])
+    P = obj.prox(1.0 / b, z.x - aty / b[..., None])
     if not np.isfinite(P).all():
         raise StopgapError("prox returned a non-finite point")
     if r is None:
@@ -150,7 +138,7 @@ def smoothed_duality_gap(problem: ProblemInstance, z: PrimalDualPoint, beta_x, b
     # f(x) - f(p) through the cancellation-free path: near convergence the
     # difference sits many orders below f itself; it is +inf with f(x)
     value = (obj.value_diff(z.x, P) + np.vecdot(rowwise(A, D), z.y)
-             - 0.5 * bx * np.vecdot(D, D) + fe2 / (2.0 * by))
+             - 0.5 * b * np.vecdot(D, D) + fe2 / (2.0 * b))
     # the round-off tolerance -1e-9 * max(1, |f(x)|, ||r||^2) is at most
     # -1e-9, so f(x) is needed only when some value is below that
     if not (value >= -1e-9).all() and not (
@@ -165,9 +153,8 @@ def smoothed_duality_gap(problem: ProblemInstance, z: PrimalDualPoint, beta_x, b
 
 @dataclass(frozen=True)
 class SdgGrid:
-    """The smoothed gap at every entry of a beta grid with beta_x = beta_y:
-    ``beta`` (k,), ``gap`` (k,) and ``prox`` (k, n), one C-contiguous prox
-    point per beta."""
+    """The smoothed gap at every entry of a beta grid: ``beta`` (k,), ``gap``
+    (k,) and ``prox`` (k, n), one C-contiguous prox point per beta."""
 
     beta: np.ndarray
     gap: np.ndarray
@@ -175,14 +162,14 @@ class SdgGrid:
 
 
 def sdg_over_grid(problem, z, beta: np.ndarray, r=None, aty=None):
-    """``smoothed_duality_gap`` at every entry of the beta array, with
-    beta_x = beta_y, and with ``r`` and ``aty`` when the caller has them."""
-    return SdgGrid(beta, *smoothed_duality_gap(problem, z, beta, beta, r=r, aty=aty))
+    """``smoothed_duality_gap`` at every entry of the beta array, with ``r``
+    and ``aty`` when the caller has them."""
+    return SdgGrid(beta, *smoothed_duality_gap(problem, z, beta, r=r, aty=aty))
 
 
 def best_sdg(grid: SdgGrid):
     """Index of the smallest certificate over a grid, and that certificate:
-    the surrogate max(G, sqrt(2 beta_y G)), small iff the gap certifies an
+    the surrogate max(G, sqrt(2 beta G)), small iff the gap certifies an
     epsilon-solution at that beta.  Ties go to the first index, i.e. the
     smaller beta of a sorted grid; an all-+inf grid returns index 0."""
     G = grid.gap

@@ -194,8 +194,13 @@ def emit_plot_data(trace_path, selector, out_path):
     emits iteration, lhs, rhs.  Zeros are clamped to ``PLOT_CLAMP`` with a
     flag column marking clamped rows.
     """
-    with open(trace_path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    try:
+        with open(trace_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    except OSError as exc:
+        raise ConfigError(f"{trace_path}: cannot read trace ({exc.strerror})") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"{trace_path}: cannot read trace ({exc})") from exc
     if not rows:
         raise ConfigError(f"trace {trace_path} is empty")
     kind, _, name = selector.partition(":")

@@ -169,6 +169,8 @@ def make_do(data_path=None, M=3, n=14, m=84, seed=0):
                 data_path = candidate
     if data_path is not None:
         X, yv = read_libsvm(data_path)
+        if X.shape[0] < M:
+            raise ConfigError(f"{data_path}: too few data rows ({X.shape[0]}) for {M} blocks")
         n = X.shape[1]
         m = X.shape[0] // M
         if X.shape[0] % M:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import SmoothingParams, smoothed_duality_gap
+from .criteria import check_beta, smoothed_duality_gap
 from .errors import ConfigError, ConvergenceError, StopgapError
 from .objectives import L1Norm, LeastSquaresObjective, NonnegativeQuadratic
 from .pdhg import SolveConfig, default_step_sizes, solve
@@ -101,25 +101,25 @@ def _inner_min(problem, dual, center, bx, tol):
     raise StopgapError(f"no independent inner solver for {type(obj).__name__}")
 
 
-def sdg_general_direct(problem, u, v, x_dot, y_dot, beta: SmoothingParams,
-                       inner_tol=1e-10):
+def sdg_general_direct(problem, u, v, x_dot, y_dot, beta, inner_tol=1e-10):
     """Direct-sup smoothed gap G_beta((u, v); (x_dot, y_dot)).
 
     The dual maximisation is closed form; the primal minimisation goes
     through the independent inner solvers above.
     """
+    check_beta(beta)
     A = problem.constraint.matrix
     fu = problem.objective(u)
     if not math.isfinite(fu):
         return INF
     ru = A @ u - problem.constraint.rhs
-    val = fu + float(ru @ y_dot) + float(ru @ ru) / (2.0 * beta.beta_y)
+    val = fu + float(ru @ y_dot) + float(ru @ ru) / (2.0 * beta)
     val += float(problem.constraint.rhs @ v)
-    val -= _inner_min(problem, v, x_dot, beta.beta_x, inner_tol)
+    val -= _inner_min(problem, v, x_dot, beta, inner_tol)
     return val
 
 
-def sdg_direct(problem, z: PrimalDualPoint, beta: SmoothingParams, inner_tol=1e-10):
+def sdg_direct(problem, z: PrimalDualPoint, beta, inner_tol=1e-10):
     """Self-centered direct-sup smoothed gap (cross-check of the closed form)."""
     problem.check_point(z)
     return sdg_general_direct(problem, z.x, z.y, z.x, z.y, beta, inner_tol)
@@ -141,34 +141,33 @@ def sdg_decomposition_gap(problem, z, z_star, beta, inner_tol=1e-10):
 
 @dataclass
 class GapWitness:
-    p: np.ndarray        # prox_{f/beta_x}(x - A^T y / beta_x)
-    p_star: np.ndarray   # prox_{beta_x f*}(beta_x x - A^T y) + A^T y  (= beta_x (x-p))
-    a_tilde: np.ndarray  # -A^T y + beta_x (x - p), a subgradient at p
+    p: np.ndarray        # prox_{f/beta}(x - A^T y / beta)
+    p_star: np.ndarray   # prox_{beta f*}(beta x - A^T y) + A^T y  (= beta (x-p))
+    a_tilde: np.ndarray  # -A^T y + beta (x - p), a subgradient at p
     a: np.ndarray        # projection of -A^T y onto dom f*
     checks: dict         # name -> signed slack (>= 0 means pass)
 
 
-def gap_witness(problem, z: PrimalDualPoint, beta: SmoothingParams, tol=1e-9):
+def gap_witness(problem, z: PrimalDualPoint, beta, tol=1e-9):
     """Witness vectors and their identities/inequalities at (z, beta).
 
     Checks (slack convention: value >= 0 passes; tolerances are folded in):
-      moreau             ||p + p*/beta_x - x|| ~ 0
+      moreau             ||p + p*/beta - x|| ~ 0
       proj_norm_monotone ||a + A^T y|| <= ||a~ + A^T y||
       atilde_norm        ||a~ + A^T y|| = ||p*||
       a_minus_atilde     ||a - a~|| <= ||p*||
-      pstar_floor        ||p*||^2 <= 2 beta_x G
+      pstar_floor        ||p*||^2 <= 2 beta G
       fenchel_young      f(p) + f*(a~) = <p, a~>
       proj_inner         <-A^T y - a, a~ - a> <= 0
     """
     obj = problem.objective
-    G, p = smoothed_duality_gap(problem, z, beta.beta_x, beta.beta_y)
+    G, p = smoothed_duality_gap(problem, z, beta)
     aty = problem.constraint.matrix.T @ z.y
-    bx = beta.beta_x
-    # Moreau gives prox_{bx f*}(bx x - A^T y) = bx (x - p) - A^T y; adding
+    # Moreau gives prox_{beta f*}(beta x - A^T y) = beta (x - p) - A^T y; adding
     # A^T y back yields the quantity the norm chain and the gap floor use,
     # while keeping p_star on the independent conjugate-prox code path
-    p_star = obj.prox_conj(bx, bx * z.x - aty) + aty
-    a_tilde = -aty + bx * (z.x - p)
+    p_star = obj.prox_conj(beta, beta * z.x - aty) + aty
+    a_tilde = -aty + beta * (z.x - p)
     a = obj.project_conj_domain(-aty)
 
     scale = max(1.0, float(np.linalg.norm(z.x)), float(np.linalg.norm(aty)))
@@ -183,11 +182,11 @@ def gap_witness(problem, z: PrimalDualPoint, beta: SmoothingParams, tol=1e-9):
     fy_scale = max(1.0, abs(fp), abs(fconj),
                    float(np.linalg.norm(p)) * float(np.linalg.norm(a_tilde)))
     checks = {
-        "moreau": tol * scale - float(np.linalg.norm(p + p_star / bx - z.x)),
+        "moreau": tol * scale - float(np.linalg.norm(p + p_star / beta - z.x)),
         "proj_norm_monotone": nat - na + tol * scale,
         "atilde_norm": tol * scale - abs(nat - nps),
         "a_minus_atilde": nps - float(np.linalg.norm(a - a_tilde)) + tol * scale,
-        "pstar_floor": 2.0 * bx * G - nps ** 2 + tol * max(1.0, nps ** 2),
+        "pstar_floor": 2.0 * beta * G - nps ** 2 + tol * max(1.0, nps ** 2),
         "fenchel_young": tol * fy_scale - abs(fp + fconj - inner),
         "proj_inner": -float((-aty - a) @ (a_tilde - a)) + tol * scale,
     }
@@ -223,7 +222,7 @@ def counterexample_kkt_vs_og(epsilon_list):
 
 
 def counterexample_kkt_vs_sdg(x_list):
-    """Unconstrained |x| at beta = (1, 1): the KKT error stays 1 while the
+    """Unconstrained |x| at beta = 1: the KKT error stays 1 while the
     smoothed gap |x| - [|x|-1]_+ - ([|x|-1]_+ sgn(x) - x)^2 / 2 vanishes."""
     rows = []
     for x in x_list:
@@ -307,9 +306,8 @@ def verification_suite(problem, seed=0, sdg_samples=100, witness_samples=200):
     for _ in range(sdg_samples):
         z = _feasible_random_point(problem, rng)
         b = float(np.exp(rng.uniform(lo, hi)))
-        beta = SmoothingParams(b, b)
-        closed = smoothed_duality_gap(problem, z, beta.beta_x, beta.beta_y)[0]
-        direct = sdg_direct(problem, z, beta, SUITE_INNER_TOL)
+        closed = smoothed_duality_gap(problem, z, b)[0]
+        direct = sdg_direct(problem, z, b, SUITE_INNER_TOL)
         max_err = max(max_err, abs(closed - direct))
     report["sdg_direct_max_abs_err"] = max_err
     report["sdg_direct_pass"] = max_err <= max(1e-6, 10.0 * SUITE_INNER_TOL)
@@ -318,7 +316,7 @@ def verification_suite(problem, seed=0, sdg_samples=100, witness_samples=200):
     for _ in range(witness_samples):
         z = _random_point(problem, rng)
         b = float(np.exp(rng.uniform(lo, hi)))
-        w = gap_witness(problem, z, SmoothingParams(b, b))
+        w = gap_witness(problem, z, b)
         for name, slack in w.checks.items():
             worst[name] = min(worst.get(name, INF), slack)
     report["witness_min_slack"] = worst
@@ -338,11 +336,10 @@ def verification_suite(problem, seed=0, sdg_samples=100, witness_samples=200):
             for _ in range(10):
                 z = _feasible_random_point(problem, rng, scale=1.0)
                 b = float(np.exp(rng.uniform(np.log(1e-1), np.log(10.0))))
-                beta = SmoothingParams(b, b)
-                gap, parts = sdg_decomposition_gap(problem, z, (xs, ys), beta, SUITE_INNER_TOL)
+                gap, parts = sdg_decomposition_gap(problem, z, (xs, ys), b, SUITE_INNER_TOL)
                 decomp_err = max(decomp_err, abs(gap))
                 total, _, outer = parts
-                floor = -2.0 * math.sqrt(beta.beta_x * max(total, 0.0)) \
+                floor = -2.0 * math.sqrt(b * max(total, 0.0)) \
                     * float(np.linalg.norm(z.x - xs))
                 lemma10_worst = min(lemma10_worst, outer - floor)
                 # oracle-mode initial bound: f(x) - f* <= ||q|| ||x - x*|| + ||y|| ||Ax-b||

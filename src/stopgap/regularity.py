@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import GRID_VALUES, SmoothingParams
+from .criteria import GRID_VALUES, check_beta
 from .errors import DegenerateProblemError, StopgapError
 from .linalg import RANK_RTOL, null_space_basis, pinv_solve, stationarity_matrix
 from .objectives import LeastSquaresObjective
@@ -59,23 +59,23 @@ def msr_gamma(Q, A):
     return float(kept.min())
 
 
-def qeb_eta(Q, c, A, b, beta: SmoothingParams):
-    """Quadratic-error-bound constant of the smoothed gap at ``beta`` plus
-    its model.
+def qeb_eta(Q, c, A, b, beta):
+    """Quadratic-error-bound constant of the smoothed gap at the float
+    ``beta`` plus its model.
 
-    Assembles B = Q^T Q + beta_x Id and
+    Assembles B = Q^T Q + beta Id and
 
-        M_xx = Q^T Q / 2 + (1 / 2 beta_y) A^T A + (beta_x^2 / 2) B^{-1}
-               - (beta_x / 2) Id
-        M_xy = A^T - beta_x B^{-1} A^T
+        M_xx = Q^T Q / 2 + (1 / 2 beta) A^T A + (beta^2 / 2) B^{-1}
+               - (beta / 2) Id
+        M_xy = A^T - beta B^{-1} A^T
         M_yy = A B^{-1} A^T / 2
-        v_x  = beta_x B^{-1} Q^T c - Q^T c - (1/beta_y) A^T b
+        v_x  = beta B^{-1} Q^T c - Q^T c - (1/beta) A^T b
         v_y  = -A B^{-1} Q^T c
 
     and returns (eta, model) with eta = (smallest positive eigenvalue of
     H)/2.  H must be PSD up to round-off since the gap is nonnegative.
     """
-    bx, by = beta.beta_x, beta.beta_y
+    check_beta(beta)
     Q = np.atleast_2d(np.asarray(Q, float))
     A = np.atleast_2d(np.asarray(A, float))
     c = np.asarray(c, float)
@@ -83,11 +83,11 @@ def qeb_eta(Q, c, A, b, beta: SmoothingParams):
     n = Q.shape[1]
     gram = Q.T @ Q
     qtc = Q.T @ c
-    r = bx
-    B = gram + r * np.eye(n)
+    B = gram + beta * np.eye(n)
     Binv = np.linalg.inv(B)
-    Mxx = 0.5 * gram + (1.0 / (2.0 * by)) * (A.T @ A) + (r * r / 2.0) * Binv - (r / 2.0) * np.eye(n)
-    Mxy = A.T - r * (Binv @ A.T)
+    Mxx = (0.5 * gram + (1.0 / (2.0 * beta)) * (A.T @ A) + (beta * beta / 2.0) * Binv
+           - (beta / 2.0) * np.eye(n))
+    Mxy = A.T - beta * (Binv @ A.T)
     Myy = 0.5 * (A @ Binv @ A.T)
     H = np.block([[Mxx, 0.5 * Mxy], [0.5 * Mxy.T, Myy]])
     H = 0.5 * (H + H.T)
@@ -101,11 +101,11 @@ def qeb_eta(Q, c, A, b, beta: SmoothingParams):
         raise DegenerateProblemError("quadratic form has no positive eigenvalues")
     eta = float(pos.min()) / 2.0
 
-    vx = r * (Binv @ qtc) - qtc - (1.0 / by) * (A.T @ b)
+    vx = beta * (Binv @ qtc) - qtc - (1.0 / beta) * (A.T @ b)
     vy = -A @ (Binv @ qtc)
     resid = Q @ (Binv @ qtc) - c
-    cst = (0.5 * float(c @ c) + (1.0 / (2.0 * by)) * float(b @ b)
-           - 0.5 * float(resid @ resid) - (r / 2.0) * float((Binv @ qtc) @ (Binv @ qtc)))
+    cst = (0.5 * float(c @ c) + (1.0 / (2.0 * beta)) * float(b @ b)
+           - 0.5 * float(resid @ resid) - (beta / 2.0) * float((Binv @ qtc) @ (Binv @ qtc)))
     model = QuadraticFormModel(H=H, v=np.concatenate([vx, vy]), constant=cst)
     return eta, model
 
@@ -147,8 +147,8 @@ def distance_to_saddle_set(z, z_p, kernel_basis):
 
 
 class EtaCache:
-    """Memoised eta at the float beta, i.e. at the pair (beta, beta), for one
-    least-squares instance; other objectives return the declared default.
+    """Memoised eta at the float beta for one least-squares instance; other
+    objectives return the declared default.
 
     Only the fixed grid beta (``criteria.GRID_VALUES``) are kept: every row
     reads them, while the one other beta of a row, its own feasibility error,
@@ -166,7 +166,7 @@ class EtaCache:
         if eta is None:
             obj = self.instance.objective
             eta = qeb_eta(obj.data.design, obj.data.target, self.instance.constraint.matrix,
-                          self.instance.constraint.rhs, SmoothingParams(beta, beta))[0]
+                          self.instance.constraint.rhs, beta)[0]
             if beta in GRID_VALUES:
                 self._cache[beta] = eta
         return eta

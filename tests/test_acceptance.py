@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from stopgap.bounds import evaluate_bounds, ratio_stats
-from stopgap.criteria import SmoothingParams, smoothed_duality_gap
+from stopgap.criteria import smoothed_duality_gap
 from stopgap.harness import ExperimentConfig, run_experiment
 from stopgap.instances import make_1d, make_bp, make_do, make_iidg, make_ntc, make_pqp
 from stopgap.oracles import (counterexample_kkt_vs_og,
@@ -114,9 +114,8 @@ def test_criterion_3_sdg_closed_form_equivalence():
         for _ in range(100):
             z = _feasible_z(problem, rng)
             b = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
-            beta = SmoothingParams(b, b)
-            closed = smoothed_duality_gap(problem, z, beta.beta_x, beta.beta_y)[0]
-            direct = sdg_direct(problem, z, beta, inner_tol=1e-10)
+            closed = smoothed_duality_gap(problem, z, b)[0]
+            direct = sdg_direct(problem, z, b, inner_tol=1e-10)
             err = max(err, abs(closed - direct))
         worst[name] = err
     ok = all(e <= 1e-6 for e in worst.values())
@@ -133,7 +132,7 @@ def test_criterion_4_gap_witness_suite():
             z = PrimalDualPoint(2 * rng.standard_normal(problem.constraint.n),
                                 2 * rng.standard_normal(problem.constraint.m))
             b = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
-            w = gap_witness(problem, z, SmoothingParams(b, b), tol=1e-9)
+            w = gap_witness(problem, z, b, tol=1e-9)
             for cname, slack in w.checks.items():
                 key = f"{name}:{cname}"
                 worst[key] = min(worst.get(key, math.inf), slack)
@@ -152,7 +151,7 @@ def test_criterion_5_regularity_certificates():
         A, b = problem.constraint.matrix, problem.constraint.rhs
         n, m = A.shape[1], A.shape[0]
         gamma = msr_gamma(Q, A)
-        beta = SmoothingParams(1.0, 1.0)
+        beta = 1.0
         eta, model = qeb_eta(Q, c, A, b, beta)
         z_p, kern = saddle_set(Q, c, A, b)
         M = stationarity_matrix(Q, A)
@@ -164,14 +163,13 @@ def test_criterion_5_regularity_certificates():
             if np.linalg.norm(M @ z - rhs) < gamma * dist - 1e-8:
                 msr_bad += 1
             zz = PrimalDualPoint(z[:n], z[n:])
-            gap = smoothed_duality_gap(problem, zz, beta.beta_x, beta.beta_y)[0]
+            gap = smoothed_duality_gap(problem, zz, beta)[0]
             if gap < 0.5 * eta * dist * dist - 1e-8:
                 qeb_bad += 1
         model_err = 0.0
         for _ in range(100):
             z = rng.standard_normal(n + m) * 2
-            direct = smoothed_duality_gap(problem, PrimalDualPoint(z[:n], z[n:]),
-                                          beta.beta_x, beta.beta_y)[0]
+            direct = smoothed_duality_gap(problem, PrimalDualPoint(z[:n], z[n:]), beta)[0]
             model_err = max(model_err,
                             abs(model.value(z) - direct) / max(1.0, abs(direct)))
         ok = ok and msr_bad == 0 and qeb_bad == 0 and model_err <= 1e-7

@@ -31,13 +31,13 @@ def stats_of(reports):
 class TestFormulas:
     def test_saddle_zeros_hold(self):
         assert holds("T1_OG_KKT", 0.0, bound_T1(0.0, 0.0, 1e-8))
-        assert holds("T2_OG_SDG", 0.0, bound_T2(0.0, 0.0, 1.0, 1.0, 1e-8))
-        assert holds("T3_OG_PDG", 0.0, bound_T3(0.0, 0.0, 0.0, 1.0, 1.0, 1e-8))
-        assert holds("T4_SDG_KKT", 0.0, bound_T4(0.0, 1.0, 1.0))
-        assert holds("T5_KKT_SDG", 0.0, bound_T5(0.0, 1.0, 1.0, 1.0))
-        assert holds("T6_SDG_PDG", 0.0, bound_T6(0.0, 0.0, 0.0, 1.0, 1.0))
-        assert holds("T7_PDG_SDG_manifold", 0.0, bound_T7(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0))
-        assert holds("P4_PDG_SDG_lipschitz", 0.0, bound_P4(0.0, 0.0, 0.0, 1.0, 1.0, 0.0))
+        assert holds("T2_OG_SDG", 0.0, bound_T2(0.0, 0.0, 1.0, 1e-8))
+        assert holds("T3_OG_PDG", 0.0, bound_T3(0.0, 0.0, 0.0, 1.0, 1e-8))
+        assert holds("T4_SDG_KKT", 0.0, bound_T4(0.0, 1.0))
+        assert holds("T5_KKT_SDG", 0.0, bound_T5(0.0, 1.0, 1.0))
+        assert holds("T6_SDG_PDG", 0.0, bound_T6(0.0, 0.0, 0.0, 1.0))
+        assert holds("T7_PDG_SDG_manifold", 0.0, bound_T7(0.0, 0.0, 0.0, 1.0, 1.0, 0.0))
+        assert holds("P4_PDG_SDG_lipschitz", 0.0, bound_P4(0.0, 0.0, 0.0, 1.0, 0.0))
         assert holds("C1_FE_SDG", 0.0, bound_C1(0.0, 1.0))
 
     def test_t1_default_gamma_inflates_rhs(self):
@@ -47,29 +47,44 @@ class TestFormulas:
         assert huge > small and holds("T1_OG_KKT", 0.5, huge)
 
     def test_t2_constants(self):
-        proof = bound_T2(1.0, 0.0, 1.0, 1.0, 4.0, constant="proof")
-        stmt = bound_T2(1.0, 0.0, 1.0, 1.0, 4.0, constant="statement")
+        proof = bound_T2(1.0, 0.0, 1.0, 4.0, constant="proof")
+        stmt = bound_T2(1.0, 0.0, 1.0, 4.0, constant="statement")
         assert proof == pytest.approx(1.0 + 2.0 * math.sqrt(1.0 / 4.0))
         assert stmt == pytest.approx(1.0 + math.sqrt(2.0 / 4.0))
 
     def test_t2_beta_limit(self):
-        # beta_x -> 0: rhs -> G + sqrt(2 beta_y)||y|| sqrt(G)
-        rhs = bound_T2(4.0, 2.0, 1e-16, 1.0, 1.0)
-        assert rhs == pytest.approx(4.0 + math.sqrt(2.0) * 2.0 * 2.0, rel=1e-6)
+        # beta -> 0: c_beta -> 0 and sqrt(2 beta) -> 0, so rhs -> G
+        rhs = bound_T2(4.0, 2.0, 1e-16, 1.0)
+        assert rhs == pytest.approx(4.0, rel=1e-6)
 
     def test_t3_t6_zero_pdg(self):
-        assert bound_T3(0.0, 3.0, 4.0, 1.0, 1.0, 1e-8) == 0.0
-        assert bound_T6(0.0, 3.0, 4.0, 1.0, 1.0) == 0.0
+        assert bound_T3(0.0, 3.0, 4.0, 1.0, 1e-8) == 0.0
+        assert bound_T6(0.0, 3.0, 4.0, 1.0) == 0.0
 
     def test_t4_unit_beta_constant(self):
-        assert bound_T4(5.0, 1.0, 1.0) == pytest.approx(5.0)  # max(1, 1/2) = 1
+        assert bound_T4(5.0, 1.0) == pytest.approx(5.0)  # max(1, 1/2) = 1
+
+    def test_one_beta_keeps_the_bits_of_the_equal_pair(self, rng):
+        # with beta_x = beta_y = beta the paper's min and max over the pair
+        # return beta itself, and rounding is monotone, so the computed
+        # 1/(2 beta) never exceeds the computed 1/beta
+        beta = np.concatenate([10.0 ** rng.uniform(-320.0, 307.0, 20_000), [5e-324, 1e308]])
+        K, D, G = 0.7, 0.3, 0.2
+        with np.errstate(over="ignore"):  # the extreme beta overflow on both sides
+            assert bound_T4(K, beta).tobytes() == (
+                np.maximum(1.0 / beta, 1.0 / (2.0 * beta)) * K).tobytes()
+            assert bound_T6(D, 1.5, 2.5, beta).tobytes() == (
+                (1.0 + 1.5 + 2.5) * np.sqrt(D) + D / (2.0 * np.minimum(beta, beta))).tobytes()
+            lin = G + (np.sqrt(2.0 * beta) * (1.5 + 0.4) + np.sqrt(2.0 * beta) * 2.5) * np.sqrt(G)
+            assert bound_P4(G, 1.5, 2.5, beta, 0.4).tobytes() == (
+                lin * lin + 2.0 * np.maximum(beta, beta) * G).tobytes()
 
     def test_t5_nonsmooth_is_infinite(self):
-        rhs = bound_T5(1.0, 1.0, 1.0, None)
+        rhs = bound_T5(1.0, 1.0, None)
         assert rhs == INF and holds("T5_KKT_SDG", 3.0, rhs)
 
     def test_t5_constant_at_zero_lipschitz(self):
-        assert bound_T5(1.0, 1.0, 1.0, 0.0) == pytest.approx(2.0)  # max(2, 2)
+        assert bound_T5(1.0, 1.0, 0.0) == pytest.approx(2.0)  # max(2, 2)
 
     def test_t5_squares_with_python_pow(self, rng):
         # numpy's exact square and libm's pow disagree in the last bit for
@@ -77,7 +92,7 @@ class TestFormulas:
         beta = 10.0 ** rng.uniform(-8.0, 2.0, 20_000)
         L, G = 3.7, 0.3
         want = [max(2.0 * (L + b) ** 2 / b, 2.0 * b) * G for b in beta.tolist()]
-        assert bound_T5(G, beta, beta, L).tolist() == want
+        assert bound_T5(G, beta, L).tolist() == want
 
     def test_p4_tighter_than_t7_when_comparable(self, rng):
         # with L_g = 0 and L_f1* = L_f*, P4's linear term has smaller factors
@@ -85,8 +100,8 @@ class TestFormulas:
             G = float(rng.uniform(0, 3))
             xn, yn = rng.uniform(0, 2, 2)
             L = float(rng.uniform(0, 1))
-            t7 = bound_T7(G, xn, yn, 1.0, 1.0, 0.0, L)
-            p4 = bound_P4(G, xn, yn, 1.0, 1.0, L)
+            t7 = bound_T7(G, xn, yn, 1.0, 0.0, L)
+            p4 = bound_P4(G, xn, yn, 1.0, L)
             assert p4 <= t7 + 1e-12
 
     def test_c1_rhs_scales_with_sqrt_beta_y(self):
@@ -99,8 +114,8 @@ class TestFormulas:
         for _ in range(20):
             K = float(rng.uniform(0.1, 5))
             c = 3.7
-            r1 = BoundReport("T4_SDG_KKT", 1.0, float(bound_T4(K, 1.0, 1.0)))
-            r2 = BoundReport("T4_SDG_KKT", c * 1.0, float(bound_T4(c * K, 1.0, 1.0)))
+            r1 = BoundReport("T4_SDG_KKT", 1.0, float(bound_T4(K, 1.0)))
+            r2 = BoundReport("T4_SDG_KKT", c * 1.0, float(bound_T4(c * K, 1.0)))
             assert r2.lhs == pytest.approx(c * r1.lhs)
             assert r2.rhs == pytest.approx(c * r1.rhs)
 
@@ -191,7 +206,7 @@ def test_eta_cache_keeps_only_the_grid_beta(iidg, monkeypatch):
     real = regularity.qeb_eta
 
     def counted(*args, **kwargs):
-        solved.append(args[4].beta_x)
+        solved.append(args[4])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(regularity, "qeb_eta", counted)
@@ -210,12 +225,12 @@ def test_eta_cache_keeps_only_the_grid_beta(iidg, monkeypatch):
 
 def test_t7_requires_separable_assumptions():
     with pytest.raises(ConfigError):
-        bound_T7(1.0, 0.0, 0.0, 1.0, 1.0, None, None)
+        bound_T7(1.0, 0.0, 0.0, 1.0, None, None)
 
 
 def test_p4_requires_lipschitz_conjugate():
     with pytest.raises(ConfigError):
-        bound_P4(1.0, 0.0, 0.0, 1.0, 1.0, None)
+        bound_P4(1.0, 0.0, 0.0, 1.0, None)
 
 
 def reference_bounds(problem, z, consts, eta_of, values):
@@ -252,25 +267,25 @@ def reference_bounds(problem, z, consts, eta_of, values):
     if og is not None:
         reports["T1_OG_KKT"] = BoundReport("T1_OG_KKT", og, bound_T1(K, y_norm, consts.gamma))
         reports["T2_OG_SDG"] = pick("T2_OG_SDG", "one-sided", lambda G: og, lambda b, G: bound_T2(
-            G, y_norm, b, b, eta_of(b)))
+            G, y_norm, b, eta_of(b)))
         reports["T3_OG_PDG"] = pick("T3_OG_PDG", "one-sided", lambda G: og, lambda b, G: bound_T3(
-            D, x_norm, y_norm, b, b, eta_of(b)))
+            D, x_norm, y_norm, b, eta_of(b)))
     reports["T4_SDG_KKT"] = pick("T4_SDG_KKT", "ratio", lambda G: G,
-                                 lambda b, G: bound_T4(K, b, b))
+                                 lambda b, G: bound_T4(K, b))
     obj = problem.objective
     reports["T5_KKT_SDG"] = pick("T5_KKT_SDG", "one-sided", lambda G: K,
-                                 lambda b, G: bound_T5(G, b, b, obj.smooth_lipschitz))
+                                 lambda b, G: bound_T5(G, b, obj.smooth_lipschitz))
     reports["T6_SDG_PDG"] = pick("T6_SDG_PDG", "ratio", lambda G: G,
-                                 lambda b, G: bound_T6(D, x_norm, y_norm, b, b))
+                                 lambda b, G: bound_T6(D, x_norm, y_norm, b))
     if obj.separable_conj and obj.conj_grad_lipschitz is not None:
         reports["T7_PDG_SDG_manifold"] = pick(
             "T7_PDG_SDG_manifold", "one-sided", lambda G: D,
-            lambda b, G: bound_T7(G, x_norm, y_norm, b, b, obj.conj_grad_lipschitz,
+            lambda b, G: bound_T7(G, x_norm, y_norm, b, obj.conj_grad_lipschitz,
                                   obj.conj_part_lipschitz))
     if obj.conj_lipschitz is not None:
         reports["P4_PDG_SDG_lipschitz"] = pick(
             "P4_PDG_SDG_lipschitz", "one-sided", lambda G: D,
-            lambda b, G: bound_P4(G, x_norm, y_norm, b, b, obj.conj_lipschitz))
+            lambda b, G: bound_P4(G, x_norm, y_norm, b, obj.conj_lipschitz))
     reports["C1_FE_SDG"] = pick("C1_FE_SDG", "one-sided", lambda G: fe,
                                 lambda b, G: bound_C1(G, b))
     floor = []

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from stopgap.bounds import ratio_key
-from stopgap.criteria import (GRID_VALUES, SdgGrid, SmoothingParams, best_sdg, beta_grid,
-                              evaluate_point, kkt_error, ogfe, projected_duality_gap,
-                              sdg_over_grid, select_beta, smoothed_duality_gap)
+from stopgap.criteria import (GRID_VALUES, SdgGrid, best_sdg, beta_grid, evaluate_point,
+                              kkt_error, ogfe, projected_duality_gap, sdg_over_grid,
+                              select_beta, smoothed_duality_gap)
 from stopgap.errors import ConfigError, StopgapError
 from stopgap.harness import DEFAULT_VERSION, ExperimentConfig, build_instance
 from stopgap.instances import FAMILIES, make_1d, make_do
@@ -97,18 +97,17 @@ class TestProjectedDualityGap:
 
 class TestSmoothedDualityGap:
     def test_zero_at_saddle(self, one_d):
-        v = smoothed_duality_gap(one_d, saddle_point(one_d), 1.0, 1.0)
+        v = smoothed_duality_gap(one_d, saddle_point(one_d), 1.0)
         assert v[0] <= 1e-10
 
     def test_unconstrained_absolute_value_formula(self):
-        # |x| at beta = (1, 1); the zero row 0 x = 0 constrains nothing
+        # |x| at beta = 1; the zero row 0 x = 0 constrains nothing
         problem = ProblemInstance(
             objective=L1Norm(1),
             constraint=AffineConstraint([[0.0]], [0.0]), label="abs")
-        beta = SmoothingParams(1.0, 1.0)
         for x, expected in [(0.5, 0.375), (2.0, 0.5), (0.01, 0.01 - 0.5e-4)]:
             z = PrimalDualPoint(np.array([x]), np.zeros(1))
-            got = smoothed_duality_gap(problem, z, beta.beta_x, beta.beta_y)[0]
+            got = smoothed_duality_gap(problem, z, 1.0)[0]
             assert got == pytest.approx(expected, abs=1e-12)
 
     def test_floor_and_feasibility_bounds(self, iidg, rng):
@@ -117,8 +116,7 @@ class TestSmoothedDualityGap:
         for _ in range(1000):
             z = PrimalDualPoint(rng.standard_normal(20) * 2, rng.standard_normal(10) * 2)
             b = float(np.exp(rng.uniform(np.log(1e-4), np.log(1e3))))
-            beta = SmoothingParams(b, b)
-            cv = smoothed_duality_gap(iidg, z, beta.beta_x, beta.beta_y)
+            cv = smoothed_duality_gap(iidg, z, b)
             p = cv[1]
             fe = float(np.linalg.norm(iidg.constraint.residual(z.x)))
             floor = 0.5 * b * float((z.x - p) @ (z.x - p)) + fe * fe / (2 * b)
@@ -126,12 +124,12 @@ class TestSmoothedDualityGap:
             assert fe <= math.sqrt(2 * b * cv[0]) + 1e-9
 
     def test_fermat_witness_subgradient(self, iidg, rng):
-        # beta_x (x - p) - A^T y is a subgradient at p: Fenchel-Young is tight
+        # beta (x - p) - A^T y is a subgradient at p: Fenchel-Young is tight
         obj = iidg.objective
         for _ in range(50):
             z = PrimalDualPoint(rng.standard_normal(20), rng.standard_normal(10))
             b = float(np.exp(rng.uniform(-2, 2)))
-            cv = smoothed_duality_gap(iidg, z, b, b)
+            cv = smoothed_duality_gap(iidg, z, b)
             p = cv[1]
             q = b * (z.x - p) - iidg.constraint.matrix.T @ z.y
             assert obj(p) + obj.conj(q) == pytest.approx(float(q @ p), abs=1e-7)
@@ -140,14 +138,14 @@ class TestSmoothedDualityGap:
         zs = saddle_point(one_d)
         assert kkt_error(one_d, zs) <= 1e-12
         assert projected_duality_gap(one_d, zs) <= 1e-10
-        assert smoothed_duality_gap(one_d, zs, 1, 1)[0] <= 1e-10
+        assert smoothed_duality_gap(one_d, zs, 1)[0] <= 1e-10
         for _ in range(20):
             dx, dy = rng.standard_normal(2)
             scale = 1e-3 / max(abs(dx), abs(dy))
             z = PrimalDualPoint(zs.x + scale * dx, zs.y + scale * dy)
             assert kkt_error(one_d, z) > 0
             assert projected_duality_gap(one_d, z) > 0
-            assert smoothed_duality_gap(one_d, z, 1, 1)[0] > 0
+            assert smoothed_duality_gap(one_d, z, 1)[0] > 0
 
 
 @pytest.mark.parametrize("value", [-1.0, math.nan])
@@ -189,19 +187,16 @@ def test_negativity_tolerance_scales_with_the_objective(diff, raises):
     for beta in (1.0, beta_grid()):
         if raises:
             with pytest.raises(StopgapError, match="negative"):
-                smoothed_duality_gap(problem, z, beta, beta)
+                smoothed_duality_gap(problem, z, beta)
         else:
-            assert np.all(smoothed_duality_gap(problem, z, beta, beta)[0] == 0.0)
+            assert np.all(smoothed_duality_gap(problem, z, beta)[0] == 0.0)
 
 
-@pytest.mark.parametrize("beta_x, beta_y, match", [
-    (0.0, 1.0, "beta_x"), (1.0, -2.0, "beta_y"), (math.nan, 1.0, "beta_x"),
-    (1.0, INF, "beta_y"), (np.array([0.5, 0.0]), np.ones(2), "beta_x"),
-    (np.ones(2), np.array([0.5, math.nan]), "beta_y"), (np.ones((2, 1)), np.ones((2, 1)), "beta_x"),
-    (np.ones(2), np.ones(3), "beta_x and beta_y differ"), (np.ones(2), 1.0, "beta_x and beta_y differ")])
-def test_smoothed_gap_rejects_bad_smoothing(one_d, beta_x, beta_y, match):
-    with pytest.raises(ConfigError, match=match):
-        smoothed_duality_gap(one_d, saddle_point(one_d), beta_x, beta_y)
+@pytest.mark.parametrize("beta", [
+    0.0, -2.0, math.nan, INF, np.array([0.5, 0.0]), np.array([0.5, math.nan]), np.ones((2, 1))])
+def test_smoothed_gap_rejects_bad_smoothing(one_d, beta):
+    with pytest.raises(ConfigError, match="^beta must be"):
+        smoothed_duality_gap(one_d, saddle_point(one_d), beta)
 
 
 class TestBetaGrid:
@@ -280,7 +275,7 @@ def test_sdg_grid_matches_pointwise():
             assert got.beta.tolist() == grid.tolist()
             assert got.prox.flags.c_contiguous
             for j, b in enumerate(grid.tolist()):
-                want = smoothed_duality_gap(problem, z, b, b)
+                want = smoothed_duality_gap(problem, z, b)
                 where = f"{name} iteration {k} beta {b}"
                 assert np.float64(want[0]).tobytes() == got.gap[j].tobytes(), where
                 assert want[1].tobytes() == got.prox[j].tobytes(), where

@@ -10,9 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stopgap import harness, regularity
+from stopgap import harness
 from stopgap.cli import main as cli_main
-from stopgap.criteria import SmoothingParams
 from stopgap.errors import ConfigError
 from stopgap.harness import (ExperimentConfig, build_instance, emit_plot_data,
                               run_experiment)
@@ -79,27 +78,6 @@ class TestRunExperiment:
                                out_dir=str(tmp_path))
         with pytest.raises(ConfigError, match=r"^bp\(n=20,m=10,seed=5\): ogfe requested"):
             run_experiment(cfg)
-
-    def test_run_builds_one_smoothing_pair_per_eta_solve(self, tmp_path, monkeypatch):
-        # eta is keyed by the float beta, and the reports carry that float: a
-        # SmoothingParams is built only for the qeb_eta solve of a new beta
-        built, solves = [], []
-        check, solve_eta = SmoothingParams.__post_init__, regularity.qeb_eta
-
-        def counted_check(params):
-            built.append(params)
-            check(params)
-
-        def counted_solve(*args, **kwargs):
-            solves.append(args)
-            return solve_eta(*args, **kwargs)
-
-        monkeypatch.setattr(SmoothingParams, "__post_init__", counted_check)
-        monkeypatch.setattr(regularity, "qeb_eta", counted_solve)
-        res = run_experiment(ExperimentConfig(instance="iidg", max_iters=30,
-                                              out_dir=str(tmp_path)))
-        assert len(res["trajectory"].iterates) == 31
-        assert solves and len(built) == len(solves)
 
     @pytest.mark.parametrize("instance", FAMILIES)
     def test_traced_run_keeps_the_benchmark_call_graph(self, tmp_path, monkeypatch, instance):
@@ -300,6 +278,22 @@ class TestCli:
                        str(tmp_path / "series.csv")])
         assert rc == 0
         assert (tmp_path / "series.csv").exists()
+
+    @pytest.mark.parametrize("what", ["missing", "directory", "binary", "oversized"])
+    def test_plot_of_an_unreadable_trace_is_a_one_line_error(self, tmp_path, capsys, what):
+        # it used to end in a FileNotFoundError, IsADirectoryError,
+        # UnicodeDecodeError or csv.Error traceback with exit status 1
+        path = {"missing": tmp_path / "trace.csv", "directory": tmp_path,
+                "binary": tmp_path / "trace.bin", "oversized": tmp_path / "trace.big"}[what]
+        (tmp_path / "trace.bin").write_bytes(b"iteration,sdg\n\xff\xfe\n")
+        # one field past the csv module's default limit of 131072 characters
+        (tmp_path / "trace.big").write_text("iteration,sdg\n0," + "1" * 200_000 + "\n")
+        rc = cli_main(["plot", str(path), "criterion:sdg", str(tmp_path / "series.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"stopgap: error: {path}: cannot read trace (")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "series.csv").exists()
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_verification_without_samples_is_refused(self, tmp_path, capsys, samples):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,14 @@ class TestDistributed:
             p = make_do(data_path=str(path), M=3)
         assert p.objective.data.design.shape == (6, 6)  # 3 blocks of 2x2
         assert p.extras["block_shape"] == (2, 2)
+
+    def test_libsvm_with_fewer_rows_than_blocks_is_refused(self, tmp_path):
+        # it used to build empty blocks, solve, and fail only at the tables
+        path = tmp_path / "one.libsvm"
+        path.write_text("1.0 1:2 2:3\n2.0 1:1\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: too few data rows "
+                                              r"\(2\) for 3 blocks$"):
+            make_do(data_path=str(path), M=3)
 
 
 class TestQpSplitting:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from stopgap.criteria import SmoothingParams, smoothed_duality_gap
-from stopgap.errors import StopgapError
+from stopgap.criteria import smoothed_duality_gap
+from stopgap.errors import ConfigError, StopgapError
 from stopgap.instances import make_do
 from stopgap.linalg import RANK_RTOL
 from stopgap.objectives import L1Norm
@@ -31,31 +31,37 @@ class TestSdgDirect:
                 x[20:] = np.abs(x[20:])
                 z = PrimalDualPoint(x, z.y)
             b = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
-            beta = SmoothingParams(b, b)
-            closed = smoothed_duality_gap(problem, z, beta.beta_x, beta.beta_y)[0]
-            direct = sdg_direct(problem, z, beta, inner_tol=1e-10)
+            closed = smoothed_duality_gap(problem, z, b)[0]
+            direct = sdg_direct(problem, z, b, inner_tol=1e-10)
             assert direct == pytest.approx(closed, abs=1e-6)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_beta(self, one_d, beta):
+        # the direct sup checks beta as the closed form does; unchecked, a
+        # negative beta gives a negative "gap" and a zero one divides by zero
+        z = PrimalDualPoint(np.array([1.0]), np.array([0.5]))
+        with pytest.raises(ConfigError, match="^beta must be"):
+            sdg_direct(one_d, z, beta)
 
     def test_zero_at_saddle(self, one_d):
         z = PrimalDualPoint(one_d.reference.x_star, one_d.extras["y_star"])
-        assert sdg_direct(one_d, z, SmoothingParams(1.0, 1.0)) == pytest.approx(0.0, abs=1e-10)
+        assert sdg_direct(one_d, z, 1.0) == pytest.approx(0.0, abs=1e-10)
 
     def test_decomposition_identity(self, iidg, rng):
         zs = (iidg.reference.x_star, iidg.extras["y_star"])
         for _ in range(5):
             z = random_z(iidg, rng, scale=1.0)
             b = float(np.exp(rng.uniform(-1, 1)))
-            gap, _ = sdg_decomposition_gap(iidg, z, zs, SmoothingParams(b, b))
+            gap, _ = sdg_decomposition_gap(iidg, z, zs, b)
             assert abs(gap) <= 1e-6
 
     def test_outer_saddle_lower_bound(self, iidg, rng):
-        # outer-saddle gap >= -2 sqrt(beta_x G) ||x - x*||
+        # outer-saddle gap >= -2 sqrt(beta G) ||x - x*||
         zs = (iidg.reference.x_star, iidg.extras["y_star"])
         for _ in range(10):
             z = random_z(iidg, rng, scale=1.0)
             b = float(np.exp(rng.uniform(-1, 1)))
-            beta = SmoothingParams(b, b)
-            _, (total, _, outer) = sdg_decomposition_gap(iidg, z, zs, beta)
+            _, (total, _, outer) = sdg_decomposition_gap(iidg, z, zs, b)
             floor = -2.0 * math.sqrt(b * max(total, 0.0)) \
                 * float(np.linalg.norm(z.x - zs[0]))
             assert outer >= floor - 1e-6
@@ -89,7 +95,7 @@ class TestGapWitness:
         for _ in range(200):
             z = random_z(problem, rng)
             b = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
-            w = gap_witness(problem, z, SmoothingParams(b, b))
+            w = gap_witness(problem, z, b)
             for name, slack in w.checks.items():
                 assert slack >= 0.0, f"{fixture}: witness check {name} failed ({slack})"
 
@@ -122,9 +128,9 @@ class TestCounterexamples:
         rep = counterexample_kkt_vs_sdg([0.5, 0.1, 0.01])
         for row in rep["rows"]:
             z = PrimalDualPoint(np.array([row["x"]]), np.zeros(1))
-            crit = smoothed_duality_gap(problem, z, 1.0, 1.0)
+            crit = smoothed_duality_gap(problem, z, 1.0)
             assert crit[0] == pytest.approx(row["sdg"], abs=1e-12)
-            direct = sdg_direct(problem, z, SmoothingParams(1.0, 1.0))
+            direct = sdg_direct(problem, z, 1.0)
             assert direct == pytest.approx(row["sdg"], abs=1e-10)
 
     def test_rejects_degenerate_inputs(self):

@@ -241,16 +241,20 @@ def test_crossings_match_a_loop_that_evaluates_everything(name):
 
 
 @pytest.mark.parametrize("name, epsilon", [("1d", 1e-8), ("iidg", 1e-8), ("ntc", 1e-5),
-                                           ("do", 1e-4)])
+                                           ("do", 1e-4), ("bp", 1e-8), ("pqp", 1e-6)])
 def test_sdg_stop_is_an_epsilon_solution(name, epsilon):
     # the SDG gate certifies max(G, sqrt(2 beta G)) <= eps, which bounds OG and
-    # FE by eps; on do FE lands 0.1 % under eps, so no slack is allowed
+    # FE by eps; on do FE lands 0.1 % under eps and on pqp 0.25 %, so no slack
+    # is allowed
     problem = build_instance(ExperimentConfig(instance=name))
-    traj = solve(problem, SolveConfig(epsilon=epsilon, criterion="sdg"))
+    traj = solve(problem, SolveConfig(epsilon=epsilon, criterion="sdg",
+                                      version=DEFAULT_VERSION.get(name, 1)))
     assert traj.stop_reason == "converged"
-    og, fe = criteria.ogfe(problem, traj.final_point)
-    assert og <= epsilon
-    assert fe <= epsilon
+    z = traj.final_point
+    assert float(np.linalg.norm(problem.constraint.residual(z.x))) <= epsilon
+    # OG needs a reference solution, which bp and pqp do not have
+    if problem.reference is not None:
+        assert criteria.ogfe(problem, z)[0] <= epsilon
 
 
 def test_kkt_is_evaluated_only_where_the_feasibility_error_allows(bp, monkeypatch):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from stopgap import regularity
-from stopgap.criteria import SmoothingParams, smoothed_duality_gap
+from stopgap.criteria import smoothed_duality_gap
+from stopgap.errors import ConfigError
 from stopgap.instances import make_instance
 from stopgap.linalg import pinv_solve
 from stopgap.problem import PrimalDualPoint
@@ -40,22 +41,29 @@ class TestMsrGamma:
 
 class TestQebEta:
     def test_model_matches_sdg_with_step_scaling(self, iidg, rng):
-        # the model evaluates the gap at beta itself (unit steps), beta_x != beta_y
+        # the model evaluates the gap at beta itself (unit steps), at a beta
+        # below and one above 1
         Q, c = iidg.objective.data.design, iidg.objective.data.target
         A, b = iidg.constraint.matrix, iidg.constraint.rhs
-        beta = SmoothingParams(0.8, 1.7)
-        eta, model = qeb_eta(Q, c, A, b, beta)
-        assert eta > 0
-        for _ in range(100):
-            z = PrimalDualPoint(rng.standard_normal(20) * 2, rng.standard_normal(10) * 2)
-            direct = smoothed_duality_gap(iidg, z, beta.beta_x, beta.beta_y)[0]
-            got = model.value(np.concatenate([z.x, z.y]))
-            assert got == pytest.approx(direct, rel=1e-7, abs=1e-9)
+        for beta in (0.8, 1.7):
+            eta, model = qeb_eta(Q, c, A, b, beta)
+            assert eta > 0
+            for _ in range(100):
+                z = PrimalDualPoint(rng.standard_normal(20) * 2, rng.standard_normal(10) * 2)
+                direct = smoothed_duality_gap(iidg, z, beta)[0]
+                got = model.value(np.concatenate([z.x, z.y]))
+                assert got == pytest.approx(direct, rel=1e-7, abs=1e-9)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_beta(self, one_d, beta):
+        Q, c = one_d.objective.data.design, one_d.objective.data.target
+        with pytest.raises(ConfigError, match="^beta must be"):
+            qeb_eta(Q, c, one_d.constraint.matrix, one_d.constraint.rhs, beta)
 
     def test_model_minimum_is_zero(self, iidg):
         Q, c = iidg.objective.data.design, iidg.objective.data.target
         A, b = iidg.constraint.matrix, iidg.constraint.rhs
-        _, model = qeb_eta(Q, c, A, b, SmoothingParams(1.0, 1.0))
+        _, model = qeb_eta(Q, c, A, b, 1.0)
         # any minimiser of the quadratic: the pseudo-inverse stationary point
         val = model.value(pinv_solve(2.0 * model.H, -model.v))
         assert -1e-9 <= val <= 1e-9
@@ -63,7 +71,7 @@ class TestQebEta:
     def test_one_dimensional_h_is_2x2(self, one_d):
         Q, c = one_d.objective.data.design, one_d.objective.data.target
         A, b = one_d.constraint.matrix, one_d.constraint.rhs
-        eta, model = qeb_eta(Q, c, A, b, SmoothingParams(1.0, 1.0))
+        eta, model = qeb_eta(Q, c, A, b, 1.0)
         assert model.H.shape == (2, 2)
         assert eta > 0
 
@@ -146,13 +154,13 @@ class TestCertificates:
     def test_qeb_certificate_near_saddle(self, iidg, rng):
         Q, c = iidg.objective.data.design, iidg.objective.data.target
         A, b = iidg.constraint.matrix, iidg.constraint.rhs
-        beta = SmoothingParams(1.0, 1.0)
+        beta = 1.0
         eta, _ = qeb_eta(Q, c, A, b, beta)
         z_p, kern = saddle_set(Q, c, A, b)
         for _ in range(1000):
             z = z_p + rng.standard_normal(30) * 10.0 ** rng.uniform(-3, 0)
             zz = PrimalDualPoint(z[:20], z[20:])
-            gap = smoothed_duality_gap(iidg, zz, beta.beta_x, beta.beta_y)[0]
+            gap = smoothed_duality_gap(iidg, zz, beta)[0]
             dist = distance_to_saddle_set(z, z_p, kern)
             assert gap >= 0.5 * eta * dist * dist - 1e-8
 
@@ -164,8 +172,7 @@ class TestEtaCache:
         v2 = cache(0.3)
         assert v1 == v2
         Q, c = iidg.objective.data.design, iidg.objective.data.target
-        direct = qeb_eta(Q, c, iidg.constraint.matrix, iidg.constraint.rhs,
-                         SmoothingParams(0.3, 0.3))[0]
+        direct = qeb_eta(Q, c, iidg.constraint.matrix, iidg.constraint.rhs, 0.3)[0]
         assert v1 == pytest.approx(direct)
 
     def test_non_ls_returns_default(self, bp):
