@@ -62,8 +62,10 @@ class ExperimentConfig:
                     raise ConfigError(f"{name} sets the size of {'/'.join(SIZED)} "
                                       f"instances only, not {self.instance!r}")
                 check_count(name, getattr(self, name))
-        for name in ("max_iters", "record_every"):
-            check_count(name, getattr(self, name))
+        # the solver's own checks, made before the instance is built
+        SolveConfig(epsilon=self.epsilon, max_iters=self.max_iters, criterion=self.criterion,
+                    record_every=self.record_every, evaluate=CRITERIA,
+                    version=1 if self.version is None else self.version)
         if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(
                 self.seed, numbers.Integral) or self.seed < 0):
             raise ConfigError(f"seed must be None or a non-negative integer, got {self.seed!r}")

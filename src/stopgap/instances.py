@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateProblemError, DimensionMismatchError
+from .errors import ConfigError, DegenerateProblemError
 from .linalg import pinv_solve, stationarity_matrix
 from .objectives import L1Norm, LeastSquaresObjective, NonnegativeQuadratic
 from .problem import AffineConstraint, ProblemInstance, ReferenceSolution
@@ -21,9 +21,10 @@ from .problem import AffineConstraint, ProblemInstance, ReferenceSolution
 DATA_DIR_ENV = "STOPGAP_DATA_DIR"
 
 
-def _ls_reference(Q, c, A, b, provenance="high-accuracy-solve"):
+def _ls_reference(Q, c, A, b):
     """Reference saddle point of a linearly-constrained LS problem from its
-    stationarity system [[Q^T Q, A^T], [A, 0]] [x; y] = [Q^T c; b]."""
+    stationarity system [[Q^T Q, A^T], [A, 0]] [x; y] = [Q^T c; b], or None
+    when the solve does not satisfy that system."""
     n = Q.shape[1]
     M = stationarity_matrix(Q, A)
     rhs = np.concatenate([Q.T @ c, b])
@@ -32,9 +33,10 @@ def _ls_reference(Q, c, A, b, provenance="high-accuracy-solve"):
     feas = np.linalg.norm(A @ x_star - b)
     stat = np.linalg.norm(M @ sol - rhs)
     if feas > 1e-8 * (1.0 + np.linalg.norm(b)) or stat > 1e-6 * (1.0 + np.linalg.norm(rhs)):
-        return None, sol[n:]
+        return None
     f_star = 0.5 * float(np.linalg.norm(Q @ x_star - c) ** 2)
-    return ReferenceSolution(x_star=x_star, f_star=f_star, provenance=provenance), sol[n:]
+    return ReferenceSolution(x_star=x_star, f_star=f_star, y_star=sol[n:],
+                             provenance="high-accuracy-solve")
 
 
 def make_1d():
@@ -51,8 +53,7 @@ def make_1d():
     return ProblemInstance(
         objective=LeastSquaresObjective(Q, c),
         constraint=AffineConstraint(A, b),
-        reference=ReferenceSolution(x_star=x_star, f_star=f_star, provenance="analytic"),
-        label="1d", extras={"y_star": y_star})
+        reference=ReferenceSolution(x_star=x_star, f_star=f_star, y_star=y_star), label="1d")
 
 
 def make_iidg(n=20, m=10, seed=0):
@@ -64,12 +65,10 @@ def make_iidg(n=20, m=10, seed=0):
     c = rng.standard_normal(m)
     A = rng.standard_normal((m, n))
     b = rng.standard_normal(m)
-    ref, y_star = _ls_reference(Q, c, A, b)
     return ProblemInstance(
         objective=LeastSquaresObjective(Q, c),
         constraint=AffineConstraint(A, b),
-        reference=ref, label=f"iidg(n={n},m={m},seed={seed})",
-        extras={"y_star": y_star} if ref is not None else {})
+        reference=_ls_reference(Q, c, A, b), label=f"iidg(n={n},m={m},seed={seed})")
 
 
 def toeplitz_covariance(first_row):
@@ -81,31 +80,20 @@ def toeplitz_covariance(first_row):
     return first_row[np.abs(np.subtract.outer(np.arange(k), np.arange(k)))]
 
 
-def make_ntc(n=20, m=10, seed=0, rho=0.5, first_row_a=None, first_row_q=None):
-    """LC-LS with A = Sigma_a X_a, Q = Sigma_q X_q where the Sigmas are
-    symmetric Toeplitz covariances (default first row 1, rho, rho^2, ...)."""
+def make_ntc(n=20, m=10, seed=0):
+    """LC-LS with Q = Sigma X_q and A = Sigma X_a, where Sigma is the m x m
+    symmetric Toeplitz covariance with first row 1, rho, rho^2, ... at
+    rho = 0.5 (a Kac-Murdock-Szego matrix, eigenvalues in [1/3, 3])."""
     rng = np.random.default_rng(seed)
-    if first_row_a is None:
-        first_row_a = rho ** np.arange(m)
-    if first_row_q is None:
-        first_row_q = rho ** np.arange(m)
-    Sa = toeplitz_covariance(first_row_a)
-    Sq = toeplitz_covariance(first_row_q)
-    for S, name in ((Sa, "Sigma_a"), (Sq, "Sigma_q")):
-        if S.shape != (m, m):
-            raise DimensionMismatchError(f"{name} must be {m}x{m}")
-        if np.linalg.eigvalsh(S).min() <= 0:
-            raise DegenerateProblemError(f"{name} is not positive definite")
-    Q = Sq @ rng.standard_normal((m, n))
+    S = toeplitz_covariance(0.5 ** np.arange(m))
+    Q = S @ rng.standard_normal((m, n))
     c = rng.standard_normal(m)
-    A = Sa @ rng.standard_normal((m, n))
+    A = S @ rng.standard_normal((m, n))
     b = rng.standard_normal(m)
-    ref, y_star = _ls_reference(Q, c, A, b)
     return ProblemInstance(
         objective=LeastSquaresObjective(Q, c),
         constraint=AffineConstraint(A, b),
-        reference=ref, label=f"ntc(n={n},m={m},seed={seed},rho={rho})",
-        extras={"y_star": y_star} if ref is not None else {})
+        reference=_ls_reference(Q, c, A, b), label=f"ntc(n={n},m={m},seed={seed},rho=0.5)")
 
 
 def read_libsvm(path):
@@ -207,9 +195,8 @@ def make_do(data_path=None, M=3, n=14, m=84, seed=0):
     return ProblemInstance(
         objective=LeastSquaresObjective(bigQ, bigc),
         constraint=AffineConstraint(A, b),
-        reference=ReferenceSolution(x_star=X_star, f_star=f_star, provenance="normal-equations"),
-        label=label,
-        extras={"M": M, "block_shape": (m, n), "y_star": y_star})
+        reference=ReferenceSolution(x_star=X_star, f_star=f_star, y_star=y_star,
+                                    provenance="normal-equations"), label=label)
 
 
 def make_pqp(n=20, m=10, seed=0):
@@ -225,8 +212,7 @@ def make_pqp(n=20, m=10, seed=0):
     return ProblemInstance(
         objective=NonnegativeQuadratic(Q, c),
         constraint=AffineConstraint(At, B),
-        reference=None, label=f"pqp(n={n},m={m},seed={seed})",
-        extras={"base_constraint": (A, b)})
+        reference=None, label=f"pqp(n={n},m={m},seed={seed})")
 
 
 def make_bp(n=20, m=10, seed=0):

@@ -323,41 +323,34 @@ def verification_suite(problem, seed=0, sdg_samples=100, witness_samples=200):
     report["witness_pass"] = all(v >= 0.0 for v in worst.values())
 
     if problem.reference is not None:
-        xs = problem.reference.x_star
-        # dual part of a saddle from the stationarity system when available
-        ys = problem.extras.get("y_star")
-        if ys is None and hasattr(problem.objective, "gradient"):
-            ys, *_ = np.linalg.lstsq(problem.constraint.matrix.T,
-                                     -problem.objective.gradient(xs), rcond=None)
-        if ys is not None:
-            decomp_err = 0.0
-            lemma10_worst = INF
-            init_bound_worst = INF
-            for _ in range(10):
-                z = _feasible_random_point(problem, rng, scale=1.0)
-                b = float(np.exp(rng.uniform(np.log(1e-1), np.log(10.0))))
-                gap, parts = sdg_decomposition_gap(problem, z, (xs, ys), b, SUITE_INNER_TOL)
-                decomp_err = max(decomp_err, abs(gap))
-                total, _, outer = parts
-                floor = -2.0 * math.sqrt(b * max(total, 0.0)) \
-                    * float(np.linalg.norm(z.x - xs))
-                lemma10_worst = min(lemma10_worst, outer - floor)
-                # oracle-mode initial bound: f(x) - f* <= ||q|| ||x - x*|| + ||y|| ||Ax-b||
-                fx = problem.objective(z.x)
-                if math.isfinite(fx):
-                    q = math.sqrt(problem.objective.stationarity_residual(
-                        z.x, problem.constraint.matrix.T @ z.y))
-                    rhs = (q * float(np.linalg.norm(z.x - xs))
-                           + float(np.linalg.norm(z.y))
-                           * float(np.linalg.norm(problem.constraint.residual(z.x))))
-                    init_bound_worst = min(init_bound_worst,
-                                           rhs - (fx - problem.reference.f_star) + 1e-9)
-            report["decomposition_max_abs_err"] = decomp_err
-            report["decomposition_pass"] = decomp_err <= max(1e-6, 10.0 * SUITE_INNER_TOL)
-            report["lemma10_min_slack"] = lemma10_worst + 1e-6
-            report["lemma10_pass"] = report["lemma10_min_slack"] >= 0.0
-            report["initial_bound_min_slack"] = init_bound_worst
-            report["initial_bound_pass"] = init_bound_worst >= 0.0
+        xs, ys = problem.reference.x_star, problem.reference.y_star
+        decomp_err = 0.0
+        lemma10_worst = INF
+        init_bound_worst = INF
+        for _ in range(10):
+            z = _feasible_random_point(problem, rng, scale=1.0)
+            b = float(np.exp(rng.uniform(np.log(1e-1), np.log(10.0))))
+            gap, parts = sdg_decomposition_gap(problem, z, (xs, ys), b, SUITE_INNER_TOL)
+            decomp_err = max(decomp_err, abs(gap))
+            total, _, outer = parts
+            floor = -2.0 * math.sqrt(b * max(total, 0.0)) * float(np.linalg.norm(z.x - xs))
+            lemma10_worst = min(lemma10_worst, outer - floor)
+            # oracle-mode initial bound: f(x) - f* <= ||q|| ||x - x*|| + ||y|| ||Ax-b||
+            fx = problem.objective(z.x)
+            if math.isfinite(fx):
+                q = math.sqrt(problem.objective.stationarity_residual(
+                    z.x, problem.constraint.matrix.T @ z.y))
+                rhs = (q * float(np.linalg.norm(z.x - xs))
+                       + float(np.linalg.norm(z.y))
+                       * float(np.linalg.norm(problem.constraint.residual(z.x))))
+                init_bound_worst = min(init_bound_worst,
+                                       rhs - (fx - problem.reference.f_star) + 1e-9)
+        report["decomposition_max_abs_err"] = decomp_err
+        report["decomposition_pass"] = decomp_err <= max(1e-6, 10.0 * SUITE_INNER_TOL)
+        report["lemma10_min_slack"] = lemma10_worst + 1e-6
+        report["lemma10_pass"] = report["lemma10_min_slack"] >= 0.0
+        report["initial_bound_min_slack"] = init_bound_worst
+        report["initial_bound_pass"] = init_bound_worst >= 0.0
 
     report["passed"] = all(v for k, v in report.items() if k.endswith("_pass"))
     return report

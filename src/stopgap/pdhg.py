@@ -9,6 +9,7 @@ zeros/projections survive, which matters for the nonsmooth problems).
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -127,9 +128,23 @@ def _ensure_finite(x, y):
         raise StopgapError("PDHG produced a non-finite iterate")
 
 
-def _gate_value(problem, z, name, config, r, rr, fe):
-    """Value and threshold of one stopping gate at ``z``, whose residual
-    ``Ax - b`` is ``r``, with squared norm ``rr`` and norm ``fe``.
+class _Products:
+    """What the gates share at one iterate z: r = Ax - b, rr = ||r||^2 and
+    fe = ||r||, and A^T y and f(x) formed at first use, since a gate shut by
+    its floor reads neither."""
+
+    def __init__(self, problem, z):
+        self.problem, self.z = problem, z
+        self.r = problem.constraint.residual(z.x)
+        self.rr = float(self.r @ self.r)
+        self.fe = math.sqrt(self.rr)  # the bits of np.linalg.norm(r)
+
+    aty = cached_property(lambda self: self.problem.constraint.matrix.T @ self.z.y)
+    fx = cached_property(lambda self: self.problem.objective(self.z.x))
+
+
+def _gate_value(name, config, p: _Products):
+    """Value and threshold of one stopping gate at the iterate ``p.z``.
 
     KKT and PDG are a nonnegative term plus ||r||^2 and OG/FE is
     max(OG, FE); rounding is monotone, so each computed value is at least its
@@ -138,17 +153,18 @@ def _gate_value(problem, z, name, config, r, rr, fe):
     SDG certificate has no such float-safe floor.
     """
     if name == "ogfe":
-        if fe > config.epsilon:
+        if p.fe > config.epsilon:
             return math.inf, config.epsilon
-        return max(criteria.ogfe(problem, z)), config.epsilon
+        return max(criteria.ogfe(p.problem, p.z, r=p.r, fx=p.fx)), config.epsilon
     if name in ("kkt", "pdg"):
         threshold = config.epsilon ** 2
-        if rr > threshold:
+        if p.rr > threshold:
             return math.inf, threshold
-        measure = criteria.kkt_error if name == "kkt" else criteria.projected_duality_gap
-        return measure(problem, z), threshold
+        if name == "kkt":
+            return criteria.kkt_error(p.problem, p.z, r=p.r, aty=p.aty), threshold
+        return criteria.projected_duality_gap(p.problem, p.z, r=p.r, aty=p.aty, fx=p.fx), threshold
     # sdg: best certificate over the per-iteration grid
-    grid = criteria.sdg_over_grid(problem, z, criteria.beta_grid(fe), r=r)
+    grid = criteria.sdg_over_grid(p.problem, p.z, criteria.beta_grid(p.fe), r=p.r, aty=p.aty)
     return criteria.best_sdg(grid)[1], config.epsilon
 
 
@@ -163,8 +179,8 @@ def solve(problem, config: SolveConfig, steps: StepSizes | None = None):
     once the feasibility error is at most epsilon, while ``run_experiment``,
     which evaluates every measure at every recorded iterate, raises it at
     the first row.  Each iterate's residual Ax - b, its squared norm and its
-    norm are formed once and shared by every gate; the SDG grid takes the
-    residual instead of forming it again.
+    norm are formed once, and A^T y and f(x) at most once, and every gate
+    takes them instead of forming them again.
     """
     if steps is None:
         steps = default_step_sizes(problem.constraint)
@@ -182,13 +198,11 @@ def solve(problem, config: SolveConfig, steps: StepSizes | None = None):
     traj = Trajectory(crossings={n: None for n in names})
 
     def evaluate(k, zk):
-        r = problem.constraint.residual(zk.x)
-        rr = float(r @ r)
-        fe = math.sqrt(rr)  # the bits of np.linalg.norm(r)
+        products = _Products(problem, zk)
         for name in names:
             if traj.crossings[name] is not None:
                 continue  # first crossing already recorded; skip the recompute
-            val, thr = _gate_value(problem, zk, name, config, r, rr, fe)
+            val, thr = _gate_value(name, config, products)
             if val <= thr:
                 traj.crossings[name] = k
         if gate_all:

@@ -1,7 +1,7 @@
 """Problem containers: affine constraints, primal-dual points, reference
 solutions and the bundle tying an objective to its constraint."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,10 +69,12 @@ class PrimalDualPoint:
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """Known minimiser and optimal value with how they were obtained."""
+    """Known saddle point (x*, y*), the optimal value f* = f(x*) and how they
+    were obtained."""
 
     x_star: np.ndarray
     f_star: float
+    y_star: np.ndarray
     provenance: str = "analytic"  # analytic | normal-equations | high-accuracy-solve
 
 
@@ -88,7 +90,6 @@ class ProblemInstance:
     constraint: AffineConstraint
     reference: ReferenceSolution | None = None
     label: str = ""
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.constraint.n != self.objective.dim:

@@ -18,7 +18,7 @@ INF = float("inf")
 
 
 def saddle_point(problem):
-    return PrimalDualPoint(problem.reference.x_star, problem.extras["y_star"])
+    return PrimalDualPoint(problem.reference.x_star, problem.reference.y_star)
 
 
 class TestOgfe:

@@ -28,7 +28,8 @@ def random_problem(kind, m, n, rank, scale, rng):
     A = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, obj.dim))
     return ProblemInstance(objective=obj,
                            constraint=AffineConstraint(scale * A, scale * rng.standard_normal(m)),
-                           reference=ReferenceSolution(np.zeros(obj.dim), float(rng.normal())))
+                           reference=ReferenceSolution(np.zeros(obj.dim), float(rng.normal()),
+                                                       np.zeros(m)))
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -362,6 +363,22 @@ class TestCli:
         monkeypatch.setattr(harness, "build_instance", unreachable)
         with pytest.raises(ConfigError, match="seed must be None or a non-negative integer"):
             run_experiment(ExperimentConfig(instance="iidg", seed=seed, out_dir=str(tmp_path)))
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"criterion": "bogus"}, "unknown stopping criterion 'bogus'"),
+        ({"version": 3}, "version must be 1 or 2"),
+        ({"version": 0}, "version must be 1 or 2"),
+        ({"epsilon": math.nan}, "epsilon must be positive and finite, got nan"),
+        ({"epsilon": math.inf}, "epsilon must be positive and finite, got inf"),
+        ({"epsilon": -math.inf}, "epsilon must be positive and finite, got -inf"),
+        ({"epsilon": 0.0}, "epsilon must be positive and finite, got 0.0"),
+        ({"epsilon": -1e-8}, "epsilon must be positive and finite, got -1e-08")])
+    def test_solver_settings_fail_before_the_set_up(self, tmp_path, monkeypatch, settings,
+                                                    message):
+        # these used to build the instance first and fail only at SolveConfig
+        monkeypatch.setattr(harness, "build_instance", unreachable)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_experiment(ExperimentConfig(instance="iidg", out_dir=str(tmp_path), **settings))
 
     @pytest.mark.parametrize("seed", [None, 0, 7, np.int64(7), np.uint8(7)])
     def test_integer_seeds_are_accepted(self, seed):

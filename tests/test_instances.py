@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stopgap.errors import ConfigError, DegenerateProblemError
+from stopgap.harness import ExperimentConfig, build_instance
 from stopgap.instances import (make_do, make_iidg, make_instance, make_ntc,
                                read_libsvm, toeplitz_covariance)
 from stopgap.objectives import LeastSquaresObjective
@@ -49,13 +50,17 @@ class TestIidg:
 
 
 class TestNtc:
-    def test_identity_covariance_reduces_to_iidg(self):
-        e1 = np.zeros(10)
-        e1[0] = 1.0
-        p_ntc = make_ntc(20, 10, seed=9, first_row_a=e1, first_row_q=e1)
-        p_iid = make_iidg(20, 10, seed=9)
-        assert p_ntc.objective.data.design == pytest.approx(p_iid.objective.data.design)
-        assert p_ntc.constraint.matrix == pytest.approx(p_iid.constraint.matrix)
+    def test_design_and_constraint_share_one_covariance(self):
+        # Q = Sigma X_q and A = Sigma X_a, with X_q and X_a the seed's first
+        # and third Gaussian draws and Sigma_ij = 0.5^|i - j|
+        p = make_ntc(20, 10, seed=9)
+        rng = np.random.default_rng(9)
+        X_q = rng.standard_normal((10, 20))
+        rng.standard_normal(10)
+        X_a = rng.standard_normal((10, 20))
+        S = 0.5 ** np.abs(np.subtract.outer(np.arange(10), np.arange(10)))
+        assert np.array_equal(p.objective.data.design, S @ X_q)
+        assert np.array_equal(p.constraint.matrix, S @ X_a)
 
     def test_default_covariance_positive_definite(self):
         S = toeplitz_covariance(0.5 ** np.arange(10))
@@ -137,7 +142,8 @@ class TestDistributed:
         with pytest.warns(UserWarning, match="trailing"):
             p = make_do(data_path=str(path), M=3)
         assert p.objective.data.design.shape == (6, 6)  # 3 blocks of 2x2
-        assert p.extras["block_shape"] == (2, 2)
+        # A is (M - 1) n x M n, so with M = 3 the blocks are 2 x 2
+        assert p.constraint.matrix.shape == (4, 6)
 
     def test_libsvm_with_fewer_rows_than_blocks_is_refused(self, tmp_path):
         # it used to build empty blocks, solve, and fail only at the tables
@@ -162,8 +168,8 @@ class TestQpSplitting:
         assert pm[20] == 0.0 and pm[21] == pytest.approx(-2.0)
 
     def test_constraint_assembly(self, pqp, rng):
-        A, b = pqp.extras["base_constraint"]
         At = pqp.constraint.matrix
+        A, b = At[:10, :20], pqp.constraint.rhs[:10]
         assert At.shape == (10 + 20, 40)
         X = rng.standard_normal(40)
         r = At @ X
@@ -190,6 +196,20 @@ class TestBasisPursuit:
         assert bp.objective.conj_lipschitz == 0.0
         assert bp.constraint.matrix.shape == (10, 20)
         assert bp.reference is None
+
+
+@pytest.mark.parametrize("config", [
+    {"instance": "1d"}, {"instance": "iidg"}, {"instance": "ntc"}, {"instance": "do"},
+    {"instance": "iidg", "n": 400, "m": 200}], ids=["1d", "iidg", "ntc", "do", "iidg-400"])
+def test_every_built_in_reference_is_a_saddle_point(config):
+    # A x* = b and grad f(x*) + A^T y* = 0, up to round-off
+    p = build_instance(ExperimentConfig(**config))
+    xs, ys = p.reference.x_star, p.reference.y_star
+    A, b = p.constraint.matrix, p.constraint.rhs
+    Q, c = p.objective.data.design, p.objective.data.target
+    assert np.linalg.norm(A @ xs - b) <= 1e-10 * (1.0 + np.linalg.norm(b))
+    assert np.linalg.norm(Q.T @ (Q @ xs - c) + A.T @ ys) <= \
+        1e-10 * (1.0 + np.linalg.norm(Q.T @ c))
 
 
 def test_factory_dispatch():

@@ -44,11 +44,11 @@ class TestSdgDirect:
             sdg_direct(one_d, z, beta)
 
     def test_zero_at_saddle(self, one_d):
-        z = PrimalDualPoint(one_d.reference.x_star, one_d.extras["y_star"])
+        z = PrimalDualPoint(one_d.reference.x_star, one_d.reference.y_star)
         assert sdg_direct(one_d, z, 1.0) == pytest.approx(0.0, abs=1e-10)
 
     def test_decomposition_identity(self, iidg, rng):
-        zs = (iidg.reference.x_star, iidg.extras["y_star"])
+        zs = (iidg.reference.x_star, iidg.reference.y_star)
         for _ in range(5):
             z = random_z(iidg, rng, scale=1.0)
             b = float(np.exp(rng.uniform(-1, 1)))
@@ -57,7 +57,7 @@ class TestSdgDirect:
 
     def test_outer_saddle_lower_bound(self, iidg, rng):
         # outer-saddle gap >= -2 sqrt(beta G) ||x - x*||
-        zs = (iidg.reference.x_star, iidg.extras["y_star"])
+        zs = (iidg.reference.x_star, iidg.reference.y_star)
         for _ in range(10):
             z = random_z(iidg, rng, scale=1.0)
             b = float(np.exp(rng.uniform(-1, 1)))

@@ -65,7 +65,7 @@ class TestStepSizes:
 
 class TestSteps:
     def test_saddle_is_fixed_point(self, one_d):
-        zs = PrimalDualPoint(one_d.reference.x_star, one_d.extras["y_star"])
+        zs = PrimalDualPoint(one_d.reference.x_star, one_d.reference.y_star)
         st = default_step_sizes(one_d.constraint)
         for stepper in (step_v1, step_v2):
             zn = stepper(one_d, zs, st)
@@ -175,7 +175,7 @@ class TestSolve:
         # a point with essentially zero KKT error barely moves
         st1 = default_step_sizes(one_d.constraint)
         for problem, st in ((one_d, st1), (iidg, default_step_sizes(iidg.constraint))):
-            zs = PrimalDualPoint(problem.reference.x_star, problem.extras["y_star"])
+            zs = PrimalDualPoint(problem.reference.x_star, problem.reference.y_star)
             if kkt_error(problem, zs) > 1e-20:
                 continue
             for stepper in (step_v1, step_v2):
@@ -272,6 +272,19 @@ def test_kkt_is_evaluated_only_where_the_feasibility_error_allows(bp, monkeypatc
     feasible = sum(v <= eps ** 2 for v in fe2)
     assert 0 < feasible < len(fe2) // 2
     assert len(calls) == feasible
+
+
+def test_each_gate_iterate_forms_its_residual_once(iidg, monkeypatch):
+    # past the feasibility floor the four gates share the iterate's Ax - b
+    # instead of forming it up to four times
+    calls = []
+    residual = AffineConstraint.residual
+    monkeypatch.setattr(AffineConstraint, "residual",
+                        lambda self, x: calls.append(1) or residual(self, x))
+    traj = solve(iidg, SolveConfig(epsilon=1e-8, criterion="all",
+                                   evaluate=("ogfe", "kkt", "pdg", "sdg")))
+    assert traj.stop_reason == "converged"
+    assert len(calls) == traj.iterations_used + 1
 
 
 def test_broken_conjugate_projection_is_still_caught_by_the_harness(bp, monkeypatch, tmp_path):
