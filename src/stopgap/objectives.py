@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateProblemError, DimensionMismatchError
-from .linalg import RANK_RTOL, check_finite, eigh_psd, rowwise
+from .linalg import RANK_RTOL, aligned, check_finite, eigh_psd, rowwise
 
 INF = float("inf")
 
@@ -88,18 +88,20 @@ class LeastSquaresData:
 
     Caches Q^T Q, Q^T c and the eigendecomposition Q^T Q = V diag(lam) V^T
     used for prox solves, pseudo-inverses and range projections.  Rank is
-    decided by the relative cutoff RANK_RTOL on eigenvalues.
+    decided by the relative cutoff RANK_RTOL on eigenvalues.  Q and V, which
+    every grid streams once per beta, start on a cache line (``aligned``).
     """
 
     def __init__(self, design, target):
-        self.design = check_finite(np.atleast_2d(np.asarray(design, dtype=float)),
-                                   "design Q")
+        self.design = aligned(check_finite(np.atleast_2d(np.asarray(design, dtype=float)),
+                                           "design Q"))
         mq, n = self.design.shape
         self.target = check_finite(_check_dim(target, mq, "target"), "target c")
         self.n = n
         self.gram = self.design.T @ self.design
         self.qtc = self.design.T @ self.target
-        self.lam, self.V = eigh_psd(self.gram)
+        self.lam, V = eigh_psd(self.gram)
+        self.V = aligned(V)
         scale = self.lam.max() if self.lam.size else 0.0
         self.pos = self.lam > RANK_RTOL * max(scale, 1e-300)
         # coordinates of (Q^T Q)^dagger Q^T c in the eigenbasis

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import check_finite, operator_norm
+from .linalg import aligned, check_finite, operator_norm
 
 
 class AffineConstraint:
@@ -14,8 +14,8 @@ class AffineConstraint:
     unconstrained problem is written with the zero row A = 0, b = 0."""
 
     def __init__(self, matrix, rhs):
-        self.matrix = check_finite(np.atleast_2d(np.asarray(matrix, dtype=float)),
-                                   "constraint matrix A")
+        self.matrix = aligned(check_finite(np.atleast_2d(np.asarray(matrix, dtype=float)),
+                                           "constraint matrix A"))
         self.rhs = check_finite(np.asarray(rhs, dtype=float).reshape(-1), "constraint rhs b")
         m, n = self.matrix.shape
         if n < 1 or m < 1:
