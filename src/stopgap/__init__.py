@@ -2,8 +2,8 @@
 problems, four comparable stopping criteria, and numeric certification of
 the inequalities relating them."""
 
-from .criteria import (beta_grid, kkt_error, ogfe, projected_duality_gap, select_beta,
-                       smoothed_duality_gap)
+from .criteria import (PointValues, beta_grid, kkt_error, ogfe, projected_duality_gap,
+                       select_beta, smoothed_duality_gap)
 from .instances import (make_1d, make_bp, make_do, make_iidg, make_instance,
                         make_ntc, make_pqp, read_libsvm)
 from .linalg import operator_norm
@@ -16,7 +16,7 @@ from .regularity import (QuadraticFormModel, RegularityConstants, lipschitz_cons
 
 __all__ = [
     "AffineConstraint", "L1Norm",
-    "LeastSquaresObjective", "NonnegativeQuadratic", "PrimalDualPoint",
+    "LeastSquaresObjective", "NonnegativeQuadratic", "PointValues", "PrimalDualPoint",
     "ProblemInstance", "QuadraticFormModel", "ReferenceSolution",
     "RegularityConstants", "SolveConfig", "StepSizes",
     "Trajectory", "beta_grid", "default_step_sizes", "kkt_error", "lipschitz_constants",

@@ -1,19 +1,19 @@
 """Evaluation of every comparability/approximation inequality at a
-primal-dual point: per-iteration reports of lhs, rhs, their ratio and the
-smoothing parameter beta used, plus the trajectory-level ratio statistics.
+primal-dual point: per-iteration columns of lhs, rhs and the smoothing
+parameter beta used, plus the trajectory-level ratio statistics.
 
 Each ``bound_*`` writes one theorem's right-hand side (for the L6 floor, its
 left-hand side) as a numpy expression: scalars broadcast, so one formula
 serves a single beta and the whole beta grid.  The beta of each
-report follows the grid-selection rules: for ``g(z) <= h_beta(z)``
+bound follows the grid-selection rules: for ``g(z) <= h_beta(z)``
 the beta minimising the rhs; for ``g_beta(z) <= h_beta(z)`` the beta
 minimising rhs/lhs.
 
 The ratio rule (``ratio``) and the round-off slack of a verdict (``holds``)
-are array expressions too: a ``BoundReport`` reads them at its own scalars,
-and ``ratio_stats`` reads them over one theorem's lhs and rhs columns, one
-entry per certified iterate, so a trajectory's statistics need two floats
-per iterate and theorem rather than a report object.
+are array expressions too: the trace reads them over one row's theorems,
+and ``ratio_stats`` over one theorem's lhs and rhs columns, one entry per
+certified iterate, so a trajectory's statistics need two floats per
+iterate and theorem.
 """
 
 import math
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import criteria as crit
 from .criteria import select_beta
 from .errors import ConfigError, StopgapError
 
@@ -31,26 +30,6 @@ THEOREMS = ("T1_OG_KKT", "T2_OG_SDG", "T3_OG_PDG", "T4_SDG_KKT", "T5_KKT_SDG",
             "T6_SDG_PDG", "T7_PDG_SDG_manifold", "P4_PDG_SDG_lipschitz",
             "C1_FE_SDG", "L6_SDG_floor")
 T2_CONSTANTS = ("proof", "statement")  # see bound_T2
-
-
-@dataclass
-class BoundReport:
-    theorem_id: str
-    lhs: float
-    rhs: float
-    beta_used: float | None = None  # the beta of the report
-
-    def __post_init__(self):
-        if self.theorem_id not in THEOREMS:
-            raise ConfigError(f"unknown theorem id {self.theorem_id!r}")
-
-    @property
-    def holds(self):
-        return bool(holds(self.lhs, self.rhs))
-
-    @property
-    def ratio(self):
-        return float(ratio(self.lhs, self.rhs))
 
 
 @np.errstate(over="ignore")
@@ -73,7 +52,6 @@ def ratio(lhs, rhs):
 
 @dataclass
 class RatioStats:
-    theorem_id: str
     mean: float
     std_dev: float
     count: int
@@ -178,37 +156,37 @@ def ratio_key(lhs, rhs):
     return np.divide(rhs, lhs, out=np.full(np.shape(ok), INF), where=ok)
 
 
-def evaluate_bounds(problem, z, consts, eta_of, values=None, t2_constant="proof"):
-    """All applicable bound reports at one point.
+def evaluate_bounds(values, consts, eta_of, t2_constant="proof"):
+    """Every bound at the point of ``values`` (a ``criteria.PointValues``),
+    as three (len(THEOREMS),) float arrays: lhs, rhs and the beta used.
 
-    Every report but T1's is evaluated over the point's beta grid and reported
-    at the beta ``select_beta`` picks from its key: the rhs for a one-sided
-    bound, ``ratio_key(lhs, rhs)`` for T4, T6 and the L6 floor.  All keys go
-    to one ``select_beta`` call.
+    Each array is nan where its theorem does not apply: T1-T3 without a
+    reference solution, T7 and P4 without their assumptions on the
+    objective, and the L6 floor where f(x) = +inf.  T1 has no beta.  Every
+    other bound is evaluated over the point's beta grid and reported at the
+    beta ``select_beta`` picks from its key: the rhs for a one-sided bound,
+    ``ratio_key(lhs, rhs)`` for T4, T6 and the L6 floor.  All keys go to one
+    ``select_beta`` call.
 
     Parameters
     ----------
     consts : RegularityConstants for the instance.  The Lipschitz constants
-             of T5, T7 and P4 are read from ``problem.objective``.
+             of T5, T7 and P4 are read from the objective.
     eta_of : callable float beta -> eta(beta), such as a
              ``regularity.EtaCache``.
-    values : the point's ``criteria.PointValues``; evaluated here when omitted.
     """
-    problem.check_point(z)
-    if values is None:
-        values = crit.evaluate_point(problem, z)
-    x_norm, y_norm = z.norms()
+    x_norm, y_norm = values.z.norms()
     og, fe, K, D = values.og, values.fe, values.kkt, values.pdg
     beta, G = values.sdg.beta, values.sdg.gap
-    reports = {}
+    out = np.full((3, len(THEOREMS)), np.nan)   # lhs, rhs and beta per theorem
     rows = []   # (theorem id, lhs, rhs, selection key is the ratio)
 
     if og is not None:
-        reports["T1_OG_KKT"] = BoundReport("T1_OG_KKT", og, bound_T1(K, y_norm, consts.gamma))
+        out[:2, THEOREMS.index("T1_OG_KKT")] = og, bound_T1(K, y_norm, consts.gamma)
         eta = np.array([eta_of(b) for b in beta.tolist()])
         rows += [("T2_OG_SDG", og, bound_T2(G, y_norm, beta, eta, t2_constant), False),
                  ("T3_OG_PDG", og, bound_T3(D, x_norm, y_norm, beta, eta), False)]
-    obj = problem.objective
+    obj = values.problem.objective
     rows += [("T4_SDG_KKT", G, bound_T4(K, beta), True),
              ("T5_KKT_SDG", K, bound_T5(G, beta, obj.smooth_lipschitz), False),
              ("T6_SDG_PDG", G, bound_T6(D, x_norm, y_norm, beta), True)]
@@ -222,17 +200,17 @@ def evaluate_bounds(problem, z, consts, eta_of, values=None, t2_constant="proof"
     # the floor's lhs varies with beta through the prox point; the gaps are
     # all +inf exactly when f(x) is, and then the floor says nothing
     if np.isfinite(G).any():
-        rows.append(("L6_SDG_floor", bound_L6(z.x, values.sdg.prox, fe, beta), G, True))
+        rows.append(("L6_SDG_floor", bound_L6(values.z.x, values.sdg.prox, fe, beta), G, True))
 
     rows = [(tid, np.broadcast_to(lhs, beta.shape), np.broadcast_to(rhs, beta.shape), ratio)
             for tid, lhs, rhs, ratio in rows]
     keys = np.array([ratio_key(lhs, rhs) if ratio else rhs for _, lhs, rhs, ratio in rows])
     for (tid, lhs, rhs, _), j in zip(rows, select_beta(keys).tolist()):
-        reports[tid] = BoundReport(tid, float(lhs[j]), float(rhs[j]), float(beta[j]))
-    return reports
+        out[:, THEOREMS.index(tid)] = lhs[j], rhs[j], beta[j]
+    return tuple(out)
 
 
-def ratio_stats(theorem_id, lhs, rhs):
+def ratio_stats(lhs, rhs):
     """Mean/std of rhs/lhs over the finite ratios of one theorem's lhs and
     rhs columns (one entry per certified iterate), and its violation count.
 
@@ -254,7 +232,7 @@ def ratio_stats(theorem_id, lhs, rhs):
         mean, std = float(finite.mean()), float(finite.std())
     else:
         mean = std = INF
-    return RatioStats(theorem_id=theorem_id, mean=mean, std_dev=std,
+    return RatioStats(mean=mean, std_dev=std,
                       count=finite.size, infinite_count=infinite,
                       zero_lhs_count=int(np.count_nonzero(zero)),
                       violations=int(np.count_nonzero(~holds(lhs, rhs))))

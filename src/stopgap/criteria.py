@@ -1,5 +1,6 @@
-"""The four optimality measures evaluated at a primal-dual point, plus the
-smoothing-parameter grid and its selection rule.
+"""The four optimality measures evaluated at a primal-dual point, each read
+from the point's one ``PointValues``, plus the smoothing-parameter grid and
+its selection rule.
 
 Conventions: KKT and PDG are sums of squared residuals; OG/FE are plain
 values; the smoothed gap is evaluated per smoothing parameter beta > 0 and
@@ -10,6 +11,7 @@ beta, so only that diagonal is kept.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,62 +40,70 @@ def _checked(kind, value):
     return value
 
 
-# Each measure takes the products of z it shares with the others when the
-# caller has formed them already: r = Ax - b, aty = A^T y and fx = f(x).
+class PointValues:
+    """Every measure at one point ``z``, the one evaluation of an iterate
+    that the gates, the trace and the bounds share.
+
+    ``z`` is checked once, and ``r`` = Ax - b, ``rr`` = ||r||^2 and ``fe`` =
+    ||r|| are formed up front, since every gate reads FE.  A^T y (``aty``),
+    f(x) (``fx``), OG (``og``, None without a reference solution), ``kkt``,
+    ``pdg`` and the smoothed gap over the beta grid built from FE (``sdg``)
+    are formed at first use and kept, so a gate shut by its feasibility floor
+    forms none of them.  Each property looks its measure up in this module
+    when it runs, so a wrapper set on the module sees every call.
+    """
+
+    def __init__(self, problem: ProblemInstance, z: PrimalDualPoint):
+        self.problem, self.z = problem, problem.check_point(z)
+        self.r = problem.constraint.residual(z.x)
+        self.rr = float(self.r @ self.r)
+        self.fe = math.sqrt(self.rr)  # the bits of np.linalg.norm(r)
+
+    aty = cached_property(lambda self: self.problem.constraint.matrix.T @ self.z.y)
+    fx = cached_property(lambda self: self.problem.objective(self.z.x))
+    og = cached_property(lambda self: None if self.problem.reference is None
+                         else ogfe(self)[0])
+    kkt = cached_property(lambda self: kkt_error(self))
+    pdg = cached_property(lambda self: projected_duality_gap(self))
+    sdg = cached_property(lambda self: sdg_over_grid(self, beta_grid(self.fe)))
 
 
-def ogfe(problem: ProblemInstance, z: PrimalDualPoint, r=None, fx=None):
+def ogfe(values: PointValues):
     """Optimality gap max(f(x) - f*, 0) and feasibility error ||Ax - b||.
 
     Requires a reference solution; OG is an oracle-only quantity.
     """
-    problem.check_point(z)
+    problem = values.problem
     if problem.reference is None:
         raise ConfigError(f"problem {problem.label!r} has no reference solution; "
                           "the optimality gap is not computable")
-    if fx is None:
-        fx = problem.objective(z.x)
-    if r is None:
-        r = problem.constraint.residual(z.x)
-    og = max(fx - problem.reference.f_star, 0.0)
-    return _checked("OG", og), _checked("FE", float(np.linalg.norm(r)))
+    og = max(values.fx - problem.reference.f_star, 0.0)
+    return _checked("OG", og), _checked("FE", values.fe)
 
 
-def kkt_error(problem: ProblemInstance, z: PrimalDualPoint, r=None, aty=None):
+def kkt_error(values: PointValues):
     """||df(x) + A^T y||_0^2 + ||Ax - b||^2 (squared minimum-norm subgradient
     plus squared feasibility error); +inf propagates from the residual."""
-    problem.check_point(z)
-    if aty is None:
-        aty = problem.constraint.matrix.T @ z.y
-    if r is None:
-        r = problem.constraint.residual(z.x)
-    stat = problem.objective.stationarity_residual(z.x, aty)
-    return _checked("KKT", stat + float(r @ r))
+    stat = values.problem.objective.stationarity_residual(values.z.x, values.aty)
+    return _checked("KKT", stat + values.rr)
 
 
-def projected_duality_gap(problem: ProblemInstance, z: PrimalDualPoint, r=None, aty=None,
-                          fx=None):
+def projected_duality_gap(values: PointValues):
     """|f(x) + f*(a) + <b,y>|^2 + ||a + A^T y||^2 + ||Ax - b||^2 with
     a = Proj_{dom f*}(-A^T y)."""
-    problem.check_point(z)
-    obj = problem.objective
-    if aty is None:
-        aty = problem.constraint.matrix.T @ z.y
+    obj, aty = values.problem.objective, values.aty
     a = obj.project_conj_domain(-aty)
     fa = obj.conj(a)
     if not math.isfinite(fa):
         raise StopgapError("projection onto dom f* returned a point with f* = +inf "
                            "(projection contract violated)")
-    if fx is None:
-        fx = obj(z.x)
-    if r is None:
-        r = problem.constraint.residual(z.x)
+    fx = values.fx
     da = a + aty
     if not math.isfinite(fx):
         value = INF
     else:
-        gap = fx + fa + float(problem.constraint.rhs @ z.y)
-        value = gap * gap + float(da @ da) + float(r @ r)
+        gap = fx + fa + float(values.problem.constraint.rhs @ values.z.y)
+        value = gap * gap + float(da @ da) + values.rr
     return _checked("PDG", value)
 
 
@@ -107,8 +117,7 @@ def check_beta(beta):
     return b
 
 
-def smoothed_duality_gap(problem: ProblemInstance, z: PrimalDualPoint, beta, r=None,
-                         aty=None):
+def smoothed_duality_gap(values: PointValues, beta):
     """Self-centered smoothed gap in closed form, and its prox point.
 
     G_beta(z) = f(x) - f(p) + <A(x-p), y> - beta/2 ||p-x||^2
@@ -119,30 +128,24 @@ def smoothed_duality_gap(problem: ProblemInstance, z: PrimalDualPoint, beta, r=N
     ``beta`` is a float, giving (G, p) as a float and an (n,) vector, or a
     (k,) array, giving a (k,) array and one C-contiguous prox point per row
     of a (k, n) array.  Entry j of an array call has the bits of the call at
-    beta[j].  ``r`` (Ax - b) and ``aty`` (A^T y) are the caller's, when it
-    has already formed them.
+    beta[j].
     """
     b = check_beta(beta)
-    problem.check_point(z)
-    obj = problem.objective
-    A = problem.constraint.matrix
-    if aty is None:
-        aty = A.T @ z.y
-    P = obj.prox(1.0 / b, z.x - aty / b[..., None])
+    x, y = values.z.x, values.z.y
+    obj = values.problem.objective
+    P = obj.prox(1.0 / b, x - values.aty / b[..., None])
     if not np.isfinite(P).all():
         raise StopgapError("prox returned a non-finite point")
-    if r is None:
-        r = problem.constraint.residual(z.x)
-    fe2 = float(r @ r)
-    D = z.x - P
+    fe2 = values.rr
+    D = x - P
     # f(x) - f(p) through the cancellation-free path: near convergence the
     # difference sits many orders below f itself; it is +inf with f(x)
-    value = (obj.value_diff(z.x, P) + np.vecdot(rowwise(A, D), z.y)
+    value = (obj.value_diff(x, P) + np.vecdot(rowwise(values.problem.constraint.matrix, D), y)
              - 0.5 * b * np.vecdot(D, D) + fe2 / (2.0 * b))
     # the round-off tolerance -1e-9 * max(1, |f(x)|, ||r||^2) is at most
     # -1e-9, so f(x) is needed only when some value is below that
     if not (value >= -1e-9).all() and not (
-            value >= -1e-9 * max(1.0, abs(obj(z.x)), fe2)).all():
+            value >= -1e-9 * max(1.0, abs(values.fx), fe2)).all():
         if np.isnan(value).any():
             raise StopgapError("criterion SDG evaluated to nan")
         raise StopgapError(f"self-centered smoothed gap is negative ({np.min(value)}) "
@@ -161,10 +164,9 @@ class SdgGrid:
     prox: np.ndarray
 
 
-def sdg_over_grid(problem, z, beta: np.ndarray, r=None, aty=None):
-    """``smoothed_duality_gap`` at every entry of the beta array, with ``r``
-    and ``aty`` when the caller has them."""
-    return SdgGrid(beta, *smoothed_duality_gap(problem, z, beta, r=r, aty=aty))
+def sdg_over_grid(values: PointValues, beta: np.ndarray):
+    """``smoothed_duality_gap`` at every entry of the beta array."""
+    return SdgGrid(beta, *smoothed_duality_gap(values, beta))
 
 
 def best_sdg(grid: SdgGrid):
@@ -184,31 +186,3 @@ def select_beta(keys):
     is finite.  This is the one beta-selection rule; callers encode their
     criterion in the keys and mark an unusable beta with +inf."""
     return np.argmin(np.where(np.isfinite(keys), keys, INF), axis=-1)
-
-
-@dataclass(frozen=True)
-class PointValues:
-    """Every measure at one point: OG (None without a reference solution),
-    FE, KKT, PDG, and the smoothed gap at each entry of the beta grid built
-    from FE (``sdg.beta``)."""
-
-    og: float | None
-    fe: float
-    kkt: float
-    pdg: float
-    sdg: SdgGrid
-
-
-def evaluate_point(problem: ProblemInstance, z: PrimalDualPoint):
-    """Evaluate every measure at ``z`` once, for the trace and the bounds;
-    Ax - b, A^T y and f(x) are formed once and shared by the measures."""
-    problem.check_point(z)
-    r = problem.constraint.residual(z.x)
-    aty = problem.constraint.matrix.T @ z.y
-    fx = problem.objective(z.x)
-    fe = float(np.linalg.norm(r))
-    og = None if problem.reference is None else ogfe(problem, z, r=r, fx=fx)[0]
-    return PointValues(og=og, fe=fe, kkt=kkt_error(problem, z, r=r, aty=aty),
-                       pdg=projected_duality_gap(problem, z, r=r, aty=aty, fx=fx),
-                       sdg=sdg_over_grid(problem, z, beta_grid(fe), r=r, aty=aty))
-

@@ -62,6 +62,9 @@ class ExperimentConfig:
                     raise ConfigError(f"{name} sets the size of {'/'.join(SIZED)} "
                                       f"instances only, not {self.instance!r}")
                 check_count(name, getattr(self, name))
+        if self.data_path is not None and self.instance != "do":
+            raise ConfigError(f"data_path sets the data of do instances only, "
+                              f"not {self.instance!r}")
         # the solver's own checks, made before the instance is built
         SolveConfig(epsilon=self.epsilon, max_iters=self.max_iters, criterion=self.criterion,
                     record_every=self.record_every, evaluate=CRITERIA,
@@ -90,9 +93,12 @@ def build_instance(config: ExperimentConfig):
 
 
 def _fmt(v):
+    """One trace cell; None and nan, a value that does not apply, are empty."""
     if v is None:
         return ""
     if isinstance(v, float):
+        if math.isnan(v):
+            return ""
         if math.isinf(v):
             return "inf" if v > 0 else "-inf"
         return "%.17g" % v
@@ -127,9 +133,10 @@ def run_experiment(config: ExperimentConfig):
 
     os.makedirs(config.out_dir, exist_ok=True)
     trace_path = os.path.join(config.out_dir, "trace.csv")
-    # table2's input: per theorem, the lhs and rhs of each row it certifies
+    # table2's input: per theorem, the lhs and rhs of each row, nan where it
+    # does not apply
     shape = (len(THEOREMS), len(traj.iterates))
-    lhs, rhs, certified = np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool)
+    lhs, rhs = np.empty(shape), np.empty(shape)
     header = ["iteration", "og", "fe", "kkt", "pdg", "sdg", "sdg_beta", "sdg_gate"]
     for tid in THEOREMS:
         header += [f"{tid}_lhs", f"{tid}_rhs", f"{tid}_ratio", f"{tid}_beta"]
@@ -138,21 +145,14 @@ def run_experiment(config: ExperimentConfig):
         writer = csv.writer(fh)
         writer.writerow(header)
         for i, (k, z) in enumerate(traj.iterates):
-            pv = crit.evaluate_point(problem, z)
+            pv = crit.PointValues(problem, z)
             j, gate = crit.best_sdg(pv.sdg)
-            reports = evaluate_bounds(problem, z, consts, eta_of=eta_of, values=pv,
-                                      t2_constant=config.t2_constant)
             cells = [k, _fmt(pv.og), _fmt(pv.fe), _fmt(pv.kkt), _fmt(pv.pdg),
                      _fmt(float(pv.sdg.gap[j])), _fmt(float(pv.sdg.beta[j])), _fmt(gate)]
-            row = [reports.get(tid) for tid in THEOREMS]
-            for t, rep in enumerate(row):
-                if rep is not None:
-                    lhs[t, i], rhs[t, i], certified[t, i] = rep.lhs, rep.rhs, True
-            for rep, rho in zip(row, ratio(lhs[:, i], rhs[:, i]).tolist()):
-                if rep is None:
-                    cells += ["", "", "", ""]
-                else:
-                    cells += [_fmt(rep.lhs), _fmt(rep.rhs), _fmt(rho), _fmt(rep.beta_used)]
+            lhs[:, i], rhs[:, i], beta = evaluate_bounds(pv, consts, eta_of, config.t2_constant)
+            rho = np.where(np.isnan(lhs[:, i]), np.nan, ratio(lhs[:, i], rhs[:, i]))
+            for cell in zip(lhs[:, i].tolist(), rhs[:, i].tolist(), rho.tolist(), beta.tolist()):
+                cells += map(_fmt, cell)
             writer.writerow(cells)
 
     table1 = {"instance": problem.label, "epsilon": config.epsilon,
@@ -163,11 +163,11 @@ def run_experiment(config: ExperimentConfig):
         json.dump(_sanitize(table1), fh, indent=2, sort_keys=True)
 
     table2 = {"instance": problem.label, "ratios": {}}
+    certified = ~np.isnan(lhs)
     for t, tid in enumerate(THEOREMS):
         if certified[t].any():
-            stats = asdict(ratio_stats(tid, lhs[t, certified[t]], rhs[t, certified[t]]))
-            del stats["theorem_id"]
-            table2["ratios"][tid] = stats
+            table2["ratios"][tid] = asdict(ratio_stats(lhs[t, certified[t]],
+                                                       rhs[t, certified[t]]))
     with open(os.path.join(config.out_dir, "table2.json"), "w") as fh:
         json.dump(_sanitize(table2), fh, indent=2, sort_keys=True)
 
@@ -198,7 +198,8 @@ def emit_plot_data(trace_path, selector, out_path):
     """
     try:
         with open(trace_path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            rows = [(reader.line_num, row) for row in reader]
     except OSError as exc:
         raise ConfigError(f"{trace_path}: cannot read trace ({exc.strerror})") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
@@ -213,22 +214,27 @@ def emit_plot_data(trace_path, selector, out_path):
     else:
         raise ConfigError(f"unknown selector {selector!r}")
     for c in cols:
-        if c not in rows[0]:
+        if c not in rows[0][1]:
             raise ConfigError(f"selector column {c!r} not in trace")
 
-    def parse(v):
+    def parse(line, column, v):
         if v in ("", None):
             return None
-        return float(v)
+        try:
+            return float(v)
+        except ValueError:
+            raise ConfigError(f"{trace_path}: line {line}, column {column!r}: "
+                              f"{v!r} is not a number") from None
 
+    series = []   # parsed in full first, so a bad cell writes no file
+    for line, row in rows:
+        vals = [parse(line, c, row[c]) for c in cols]
+        if any(v is None for v in vals):
+            continue
+        clamped = int(any(v == 0.0 for v in vals))
+        series.append([row["iteration"]] + [_fmt(max(v, PLOT_CLAMP)) for v in vals] + [clamped])
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration"] + cols + ["clamped"])
-        for row in rows:
-            vals = [parse(row[c]) for c in cols]
-            if any(v is None for v in vals):
-                continue
-            clamped = int(any(v == 0.0 for v in vals))
-            vals = [max(v, PLOT_CLAMP) for v in vals]
-            writer.writerow([row["iteration"]] + [_fmt(v) for v in vals] + [clamped])
+        writer.writerows(series)
     return out_path

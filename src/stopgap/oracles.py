@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import check_beta, smoothed_duality_gap
+from .criteria import PointValues, check_beta, smoothed_duality_gap
 from .errors import ConfigError, ConvergenceError, StopgapError
 from .objectives import L1Norm, LeastSquaresObjective, NonnegativeQuadratic
 from .pdhg import SolveConfig, default_step_sizes, solve
@@ -161,8 +161,9 @@ def gap_witness(problem, z: PrimalDualPoint, beta, tol=1e-9):
       proj_inner         <-A^T y - a, a~ - a> <= 0
     """
     obj = problem.objective
-    G, p = smoothed_duality_gap(problem, z, beta)
-    aty = problem.constraint.matrix.T @ z.y
+    pv = PointValues(problem, z)
+    G, p = smoothed_duality_gap(pv, beta)
+    aty = pv.aty
     # Moreau gives prox_{beta f*}(beta x - A^T y) = beta (x - p) - A^T y; adding
     # A^T y back yields the quantity the norm chain and the gap floor use,
     # while keeping p_star on the independent conjugate-prox code path
@@ -306,7 +307,7 @@ def verification_suite(problem, seed=0, sdg_samples=100, witness_samples=200):
     for _ in range(sdg_samples):
         z = _feasible_random_point(problem, rng)
         b = float(np.exp(rng.uniform(lo, hi)))
-        closed = smoothed_duality_gap(problem, z, b)[0]
+        closed = smoothed_duality_gap(PointValues(problem, z), b)[0]
         direct = sdg_direct(problem, z, b, SUITE_INNER_TOL)
         max_err = max(max_err, abs(closed - direct))
     report["sdg_direct_max_abs_err"] = max_err

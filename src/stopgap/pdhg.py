@@ -9,7 +9,6 @@ zeros/projections survive, which matters for the nonsmooth problems).
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -128,23 +127,8 @@ def _ensure_finite(x, y):
         raise StopgapError("PDHG produced a non-finite iterate")
 
 
-class _Products:
-    """What the gates share at one iterate z: r = Ax - b, rr = ||r||^2 and
-    fe = ||r||, and A^T y and f(x) formed at first use, since a gate shut by
-    its floor reads neither."""
-
-    def __init__(self, problem, z):
-        self.problem, self.z = problem, z
-        self.r = problem.constraint.residual(z.x)
-        self.rr = float(self.r @ self.r)
-        self.fe = math.sqrt(self.rr)  # the bits of np.linalg.norm(r)
-
-    aty = cached_property(lambda self: self.problem.constraint.matrix.T @ self.z.y)
-    fx = cached_property(lambda self: self.problem.objective(self.z.x))
-
-
-def _gate_value(name, config, p: _Products):
-    """Value and threshold of one stopping gate at the iterate ``p.z``.
+def _gate_value(name, config, pv: criteria.PointValues):
+    """Value and threshold of one stopping gate at the iterate ``pv.z``.
 
     KKT and PDG are a nonnegative term plus ||r||^2 and OG/FE is
     max(OG, FE); rounding is monotone, so each computed value is at least its
@@ -153,19 +137,16 @@ def _gate_value(name, config, p: _Products):
     SDG certificate has no such float-safe floor.
     """
     if name == "ogfe":
-        if p.fe > config.epsilon:
+        if pv.fe > config.epsilon:
             return math.inf, config.epsilon
-        return max(criteria.ogfe(p.problem, p.z, r=p.r, fx=p.fx)), config.epsilon
+        return max(pv.og, pv.fe), config.epsilon
     if name in ("kkt", "pdg"):
         threshold = config.epsilon ** 2
-        if p.rr > threshold:
+        if pv.rr > threshold:
             return math.inf, threshold
-        if name == "kkt":
-            return criteria.kkt_error(p.problem, p.z, r=p.r, aty=p.aty), threshold
-        return criteria.projected_duality_gap(p.problem, p.z, r=p.r, aty=p.aty, fx=p.fx), threshold
+        return getattr(pv, name), threshold
     # sdg: best certificate over the per-iteration grid
-    grid = criteria.sdg_over_grid(p.problem, p.z, criteria.beta_grid(p.fe), r=p.r, aty=p.aty)
-    return criteria.best_sdg(grid)[1], config.epsilon
+    return criteria.best_sdg(pv.sdg)[1], config.epsilon
 
 
 def solve(problem, config: SolveConfig, steps: StepSizes | None = None):
@@ -178,9 +159,10 @@ def solve(problem, config: SolveConfig, steps: StepSizes | None = None):
     conjugate-domain projection that breaks its contract raises here only
     once the feasibility error is at most epsilon, while ``run_experiment``,
     which evaluates every measure at every recorded iterate, raises it at
-    the first row.  Each iterate's residual Ax - b, its squared norm and its
-    norm are formed once, and A^T y and f(x) at most once, and every gate
-    takes them instead of forming them again.
+    the first row.  Each iterate is evaluated once, as one
+    ``criteria.PointValues``: its residual Ax - b, squared norm and norm up
+    front, and A^T y, f(x) and each measure at most once, shared by the
+    gates.
     """
     if steps is None:
         steps = default_step_sizes(problem.constraint)
@@ -198,11 +180,11 @@ def solve(problem, config: SolveConfig, steps: StepSizes | None = None):
     traj = Trajectory(crossings={n: None for n in names})
 
     def evaluate(k, zk):
-        products = _Products(problem, zk)
+        pv = criteria.PointValues(problem, zk)
         for name in names:
             if traj.crossings[name] is not None:
                 continue  # first crossing already recorded; skip the recompute
-            val, thr = _gate_value(name, config, products)
+            val, thr = _gate_value(name, config, pv)
             if val <= thr:
                 traj.crossings[name] = k
         if gate_all:

@@ -1,15 +1,17 @@
+import csv
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
-from stopgap import regularity
-from stopgap.bounds import (BoundReport, bound_C1, bound_P4, bound_T1, bound_T2,
-                            bound_T3, bound_T4, bound_T5, bound_T6, bound_T7,
-                            evaluate_bounds, ratio_stats)
-from stopgap.criteria import GRID_VALUES, PointValues, SdgGrid, evaluate_point
+from stopgap import bounds, regularity
+from stopgap.bounds import (THEOREMS, bound_C1, bound_P4, bound_T1, bound_T2, bound_T3,
+                            bound_T4, bound_T5, bound_T6, bound_T7, evaluate_bounds, ratio,
+                            ratio_stats)
+from stopgap.criteria import GRID_VALUES, PointValues, SdgGrid
 from stopgap.errors import ConfigError
-from stopgap.harness import DEFAULT_VERSION, ExperimentConfig, build_instance
+from stopgap.harness import DEFAULT_VERSION, ExperimentConfig, build_instance, run_experiment
 from stopgap.instances import FAMILIES
 from stopgap.pdhg import SolveConfig, solve
 from stopgap.problem import PrimalDualPoint
@@ -18,14 +20,26 @@ from stopgap.regularity import EtaCache, lipschitz_constants
 INF = float("inf")
 
 
+# one theorem's entry of the columns ``evaluate_bounds`` returns; T1 has no beta
+Report = namedtuple("Report", "lhs rhs beta_used")
+
+
 def holds(tid, lhs, rhs):
-    return BoundReport(tid, lhs, float(rhs)).holds
+    assert tid in THEOREMS
+    return bool(bounds.holds(lhs, float(rhs)))
+
+
+def reports_of(values, consts, eta_of):
+    """``evaluate_bounds`` at ``values`` as a Report per theorem that applies."""
+    lhs, rhs, beta = evaluate_bounds(values, consts, eta_of)
+    return {tid: Report(a, b, None if math.isnan(c) else c)
+            for tid, a, b, c in zip(THEOREMS, lhs.tolist(), rhs.tolist(), beta.tolist())
+            if not math.isnan(a)}
 
 
 def stats_of(reports):
     """``ratio_stats`` of a list of one theorem's reports."""
-    return ratio_stats(reports[0].theorem_id, [r.lhs for r in reports],
-                       [r.rhs for r in reports])
+    return ratio_stats([r.lhs for r in reports], [r.rhs for r in reports])
 
 
 class TestFormulas:
@@ -114,26 +128,26 @@ class TestFormulas:
         for _ in range(20):
             K = float(rng.uniform(0.1, 5))
             c = 3.7
-            r1 = BoundReport("T4_SDG_KKT", 1.0, float(bound_T4(K, 1.0)))
-            r2 = BoundReport("T4_SDG_KKT", c * 1.0, float(bound_T4(c * K, 1.0)))
+            r1 = Report(1.0, float(bound_T4(K, 1.0)), 1.0)
+            r2 = Report(c * 1.0, float(bound_T4(c * K, 1.0)), 1.0)
             assert r2.lhs == pytest.approx(c * r1.lhs)
             assert r2.rhs == pytest.approx(c * r1.rhs)
 
     def test_holds_with_infinite_sides(self):
-        assert BoundReport("T4_SDG_KKT", INF, INF).holds
-        assert BoundReport("T4_SDG_KKT", 1.0, INF).holds
-        assert not BoundReport("T4_SDG_KKT", 1.0, 0.5).holds
+        assert holds("T4_SDG_KKT", INF, INF)
+        assert holds("T4_SDG_KKT", 1.0, INF)
+        assert not holds("T4_SDG_KKT", 1.0, 0.5)
 
 
 class TestRatioStats:
     def test_constant_ratios(self):
-        stats = ratio_stats("T4_SDG_KKT", [1.0] * 5, [3.0] * 5)
+        stats = ratio_stats([1.0] * 5, [3.0] * 5)
         assert stats.mean == pytest.approx(3.0)
         assert stats.std_dev == 0.0
         assert stats.count == 5 and stats.infinite_count == 0
 
     def test_infinite_entries_counted_separately(self):
-        stats = ratio_stats("T4_SDG_KKT", [1.0, 1.0, 0.0], [2.0, INF, 1.0])
+        stats = ratio_stats([1.0, 1.0, 0.0], [2.0, INF, 1.0])
         assert stats.mean == pytest.approx(2.0)
         assert stats.count == 1
         assert stats.infinite_count == 2  # one inf rhs + one zero lhs with rhs > 0
@@ -141,7 +155,7 @@ class TestRatioStats:
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
-            ratio_stats("T4_SDG_KKT", [], [])
+            ratio_stats([], [])
 
 
 class TestTrajectoryCertification:
@@ -153,10 +167,10 @@ class TestTrajectoryCertification:
         traj = solve(problem, cfg)
         t4, t5 = [], []
         for k, z in traj.iterates:
-            reports = evaluate_bounds(problem, z, consts, eta_of=eta_of)
+            reports = reports_of(PointValues(problem, z), consts, eta_of)
             for tid, rep in reports.items():
-                assert rep.holds, f"{problem.label} iter {k}: {tid} violated " \
-                                  f"({rep.lhs} > {rep.rhs})"
+                assert holds(tid, rep.lhs, rep.rhs), f"{problem.label} iter {k}: {tid} " \
+                                                     f"violated ({rep.lhs} > {rep.rhs})"
             if "T4_SDG_KKT" in reports:
                 t4.append(reports["T4_SDG_KKT"])
             if "T5_KKT_SDG" in reports:
@@ -174,8 +188,9 @@ class TestTrajectoryCertification:
         # G <= bl*K and K <= bL*G compose: with matched beta the product >= 1
         _, t4, t5 = self.run_and_check(one_d)
         for r4, r5 in zip(t4, t5):
-            if r4.lhs > 0 and math.isfinite(r4.ratio) and math.isfinite(r5.ratio):
-                assert r4.ratio * r5.ratio >= 1.0 - 1e-9
+            q4, q5 = float(ratio(r4.lhs, r4.rhs)), float(ratio(r5.lhs, r5.rhs))
+            if r4.lhs > 0 and math.isfinite(q4) and math.isfinite(q5):
+                assert q4 * q5 >= 1.0 - 1e-9
 
     def test_iidg_pointwise(self, iidg):
         self.run_and_check(iidg, max_iters=250)
@@ -190,13 +205,13 @@ def test_precomputed_point_values_give_the_same_reports(family, request, rng):
         # |x| keeps the pqp slack block inside its nonnegativity domain
         z = PrimalDualPoint(np.abs(rng.standard_normal(problem.constraint.n)),
                             rng.standard_normal(problem.constraint.m))
-        fresh = evaluate_bounds(problem, z, consts, eta_of=eta_of)
-        shared = evaluate_bounds(problem, z, consts, eta_of=eta_of,
-                                 values=evaluate_point(problem, z))
-        assert fresh.keys() == shared.keys()
-        for tid, rep in fresh.items():
-            assert (rep.lhs, rep.rhs, rep.beta_used) == \
-                   (shared[tid].lhs, shared[tid].rhs, shared[tid].beta_used), tid
+        # fresh: evaluate_bounds forms every measure; read: the caller formed
+        # them first, as the trace does
+        fresh = evaluate_bounds(PointValues(problem, z), consts, eta_of)
+        read = PointValues(problem, z)
+        read.sdg, read.og, read.kkt, read.pdg
+        shared = evaluate_bounds(read, consts, eta_of)
+        assert np.array(fresh).tobytes() == np.array(shared).tobytes()
 
 
 def test_eta_cache_keeps_only_the_grid_beta(iidg, monkeypatch):
@@ -215,9 +230,9 @@ def test_eta_cache_keeps_only_the_grid_beta(iidg, monkeypatch):
     traj = solve(iidg, SolveConfig(max_iters=30))
     looked_up = set()
     for _, z in traj.iterates:
-        values = evaluate_point(iidg, z)
+        values = PointValues(iidg, z)
         looked_up.update(values.sdg.beta.tolist())
-        evaluate_bounds(iidg, z, consts, eta_of=eta_of, values=values)
+        evaluate_bounds(values, consts, eta_of)
     assert len(traj.iterates) == 31
     assert set(eta_of._cache) <= set(GRID_VALUES)
     assert sorted(solved) == sorted(looked_up)
@@ -261,11 +276,11 @@ def reference_bounds(problem, z, consts, eta_of, values):
         built = [(b, float(lhs_of(G)), float(rhs_of(b, G))) for b, G in zip(betas, gaps)]
         beta = select(built, mode)
         b, lhs, rhs = next(c for c in built if c[0] == beta)
-        return BoundReport(tid, lhs, rhs, b)
+        return Report(lhs, rhs, b)
 
     reports = {}
     if og is not None:
-        reports["T1_OG_KKT"] = BoundReport("T1_OG_KKT", og, bound_T1(K, y_norm, consts.gamma))
+        reports["T1_OG_KKT"] = Report(og, bound_T1(K, y_norm, consts.gamma), None)
         reports["T2_OG_SDG"] = pick("T2_OG_SDG", "one-sided", lambda G: og, lambda b, G: bound_T2(
             G, y_norm, b, eta_of(b)))
         reports["T3_OG_PDG"] = pick("T3_OG_PDG", "one-sided", lambda G: og, lambda b, G: bound_T3(
@@ -293,7 +308,7 @@ def reference_bounds(problem, z, consts, eta_of, values):
         if math.isfinite(G):
             d = np.asarray(z.x, float) - np.asarray(p, float)
             lhs = 0.5 * b * float(d @ d) + fe * fe / (2.0 * b)
-            floor.append(BoundReport("L6_SDG_floor", lhs, G, b))
+            floor.append(Report(lhs, G, b))
     if floor:
         reports["L6_SDG_floor"] = min(
             floor, key=lambda rep: rep.rhs / rep.lhs if rep.lhs > 0 else INF)
@@ -307,7 +322,7 @@ def report_bits(rep):
 
 
 def assert_matches_reference(problem, z, consts, eta_of, values, where):
-    got = evaluate_bounds(problem, z, consts, eta_of=eta_of, values=values)
+    got = reports_of(values, consts, eta_of)
     want = reference_bounds(problem, z, consts, eta_of, values)
     assert got.keys() == want.keys(), where
     for tid, rep in want.items():
@@ -328,7 +343,7 @@ def test_selection_matches_the_per_beta_loop(rng):
                          for _ in range(3)]
         for k, z in traj.iterates + list(enumerate(random_points, start=-3)):
             assert_matches_reference(problem, z, consts, eta_of,
-                                     evaluate_point(problem, z), f"{name} point {k}")
+                                     PointValues(problem, z), f"{name} point {k}")
 
 
 class TestSelectionEdgeCases:
@@ -340,8 +355,10 @@ class TestSelectionEdgeCases:
         z = PrimalDualPoint(np.array([0.5]), np.array([1.0]))
         if prox is None:
             prox = np.full((self.BETA.size, 1), 0.25)
-        values = PointValues(og=og, fe=fe, kkt=kkt, pdg=pdg,
-                             sdg=SdgGrid(beta=self.BETA, gap=np.asarray(gap, float), prox=prox))
+        # the hand-built measures take the place of those PointValues forms
+        values = PointValues(one_d, z)
+        values.og, values.fe, values.kkt, values.pdg = og, fe, kkt, pdg
+        values.sdg = SdgGrid(beta=self.BETA, gap=np.asarray(gap, float), prox=prox)
         consts = lipschitz_constants(one_d)
         return assert_matches_reference(one_d, z, consts, EtaCache(one_d), values, "edge case")
 
@@ -364,3 +381,46 @@ class TestSelectionEdgeCases:
         reports = self.run(one_d, np.full(5, INF), pdg=INF, og=INF)
         assert "L6_SDG_floor" not in reports
         assert reports["C1_FE_SDG"].rhs == INF and reports["C1_FE_SDG"].beta_used == 0.25
+
+
+def test_columns_are_empty_exactly_where_a_theorem_does_not_apply(rng, tmp_path):
+    # lhs, rhs and beta are nan together where a theorem does not apply: T1-T3
+    # without a reference (bp, pqp), T7 and P4 without their assumptions on
+    # the objective, and the L6 floor where f(x) = +inf; T1 never has a beta
+    for name in sorted(FAMILIES):
+        problem = build_instance(ExperimentConfig(instance=name))
+        obj = problem.objective
+        consts = lipschitz_constants(problem)
+        # |x| keeps the pqp slack block inside its nonnegativity domain
+        z = PrimalDualPoint(np.abs(rng.standard_normal(problem.constraint.n)),
+                            rng.standard_normal(problem.constraint.m))
+        lhs, rhs, beta = evaluate_bounds(PointValues(problem, z), consts, EtaCache(problem))
+        empty = {tid for tid, v in zip(THEOREMS, lhs.tolist()) if math.isnan(v)}
+        want = set()
+        if problem.reference is None:
+            want |= {"T1_OG_KKT", "T2_OG_SDG", "T3_OG_PDG"}
+        if not (obj.separable_conj and obj.conj_grad_lipschitz is not None):
+            want.add("T7_PDG_SDG_manifold")
+        if obj.conj_lipschitz is None:
+            want.add("P4_PDG_SDG_lipschitz")
+        assert empty == want, name
+        assert (np.isnan(rhs) == np.isnan(lhs)).all(), name
+        no_beta = np.isnan(lhs) | (np.array(THEOREMS) == "T1_OG_KKT")
+        assert (np.isnan(beta) == no_beta).all(), name
+    # a negative slack entry puts the pqp point outside dom f
+    pqp = build_instance(ExperimentConfig(instance="pqp"))
+    x = np.abs(rng.standard_normal(pqp.constraint.n))
+    x[-1] = -1.0
+    values = PointValues(pqp, PrimalDualPoint(x, rng.standard_normal(pqp.constraint.m)))
+    assert values.fx == INF
+    lhs, rhs, beta = evaluate_bounds(values, lipschitz_constants(pqp), EtaCache(pqp))
+    at = THEOREMS.index("L6_SDG_floor")
+    assert math.isnan(lhs[at]) and math.isnan(rhs[at]) and math.isnan(beta[at])
+    assert not np.isnan(lhs[THEOREMS.index("C1_FE_SDG")])
+    # the trace writes T1's beta cell empty on every row, and its sides
+    run_experiment(ExperimentConfig(instance="1d", max_iters=30, out_dir=str(tmp_path)))
+    with open(tmp_path / "trace.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(row["T1_OG_KKT_beta"] == "" for row in rows)
+    assert all(row["T1_OG_KKT_lhs"] and row["T1_OG_KKT_rhs"] and row["T2_OG_SDG_beta"]
+               for row in rows)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stopgap.bounds import ratio_key
-from stopgap.criteria import (GRID_VALUES, SdgGrid, best_sdg, beta_grid, evaluate_point,
+from stopgap.criteria import (GRID_VALUES, PointValues, SdgGrid, best_sdg, beta_grid,
                               kkt_error, ogfe, projected_duality_gap, sdg_over_grid,
                               select_beta, smoothed_duality_gap)
 from stopgap.errors import ConfigError, StopgapError
@@ -24,34 +24,34 @@ def saddle_point(problem):
 class TestOgfe:
     def test_optimum_of_one_dimensional(self, one_d):
         z = PrimalDualPoint(np.array([7.0 / 9.0]), np.array([0.3]))
-        og, fe = ogfe(one_d, z)
+        og, fe = ogfe(PointValues(one_d, z))
         assert og == pytest.approx(0.0, abs=1e-15)
         assert fe == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_point_feasibility(self, one_d):
-        og, fe = ogfe(one_d, PrimalDualPoint(np.zeros(1), np.zeros(1)))
+        og, fe = ogfe(PointValues(one_d, PrimalDualPoint(np.zeros(1), np.zeros(1))))
         assert fe == pytest.approx(7.0)
 
     def test_missing_reference_rejected(self, bp):
         with pytest.raises(ConfigError):
-            ogfe(bp, PrimalDualPoint(np.zeros(20), np.zeros(10)))
+            ogfe(PointValues(bp, PrimalDualPoint(np.zeros(20), np.zeros(10))))
 
     def test_og_nonnegative_on_do(self, rng):
         problem = make_do(n=6, m=12, M=3, seed=3)
         for _ in range(20):
             z = PrimalDualPoint(rng.standard_normal(18), rng.standard_normal(12))
-            og, _ = ogfe(problem, z)
+            og, _ = ogfe(PointValues(problem, z))
             assert og >= 0.0
 
 
 class TestKktError:
     def test_basis_pursuit_at_origin(self, bp):
         z = PrimalDualPoint(np.zeros(20), np.zeros(10))
-        k = kkt_error(bp, z)
+        k = kkt_error(PointValues(bp, z))
         assert k == pytest.approx(float(bp.constraint.rhs @ bp.constraint.rhs))
 
     def test_zero_at_saddle(self, one_d):
-        assert kkt_error(one_d, saddle_point(one_d)) <= 1e-12
+        assert kkt_error(PointValues(one_d, saddle_point(one_d))) <= 1e-12
 
     def test_finite_difference_cross_check(self, iidg, rng):
         # stationarity term against central differences of the Lagrangian in x
@@ -68,19 +68,19 @@ class TestKktError:
             e[i] = h
             grad[i] = (lagrangian(z.x + e) - lagrangian(z.x - e)) / (2 * h)
         fe2 = float(np.linalg.norm(A @ z.x - b) ** 2)
-        assert kkt_error(iidg, z) == pytest.approx(grad @ grad + fe2, rel=1e-5)
+        assert kkt_error(PointValues(iidg, z)) == pytest.approx(grad @ grad + fe2, rel=1e-5)
 
 
 class TestProjectedDualityGap:
     def test_zero_at_saddle(self, one_d):
-        assert projected_duality_gap(one_d, saddle_point(one_d)) <= 1e-10
+        assert projected_duality_gap(PointValues(one_d, saddle_point(one_d))) <= 1e-10
 
     def test_bp_interior_dual_keeps_middle_term_zero(self, bp, rng):
         # scale y so -A^T y is already inside the unit ball
         y = rng.standard_normal(10)
         y *= 0.5 / np.abs(bp.constraint.matrix.T @ y).max()
         z = PrimalDualPoint(np.zeros(20), y)
-        d = projected_duality_gap(bp, z)
+        d = projected_duality_gap(PointValues(bp, z))
         aty = bp.constraint.matrix.T @ y
         assert bp.objective.project_conj_domain(-aty) == pytest.approx(-aty)
         fe2 = float(np.linalg.norm(bp.constraint.residual(z.x)) ** 2)
@@ -89,7 +89,7 @@ class TestProjectedDualityGap:
 
     def test_one_dimensional_origin_arithmetic(self, one_d):
         # a = 0, f(0) = 2, f*(0) = -min f = 0 (c in range), <b, y> = 0
-        d = projected_duality_gap(one_d, PrimalDualPoint(np.zeros(1), np.zeros(1)))
+        d = projected_duality_gap(PointValues(one_d, PrimalDualPoint(np.zeros(1), np.zeros(1))))
         f0 = 2.0
         fstar0 = one_d.objective.conj(np.zeros(1))
         assert d == pytest.approx((f0 + fstar0) ** 2 + 0.0 + 49.0)
@@ -97,7 +97,7 @@ class TestProjectedDualityGap:
 
 class TestSmoothedDualityGap:
     def test_zero_at_saddle(self, one_d):
-        v = smoothed_duality_gap(one_d, saddle_point(one_d), 1.0)
+        v = smoothed_duality_gap(PointValues(one_d, saddle_point(one_d)), 1.0)
         assert v[0] <= 1e-10
 
     def test_unconstrained_absolute_value_formula(self):
@@ -107,7 +107,7 @@ class TestSmoothedDualityGap:
             constraint=AffineConstraint([[0.0]], [0.0]), label="abs")
         for x, expected in [(0.5, 0.375), (2.0, 0.5), (0.01, 0.01 - 0.5e-4)]:
             z = PrimalDualPoint(np.array([x]), np.zeros(1))
-            got = smoothed_duality_gap(problem, z, 1.0)[0]
+            got = smoothed_duality_gap(PointValues(problem, z), 1.0)[0]
             assert got == pytest.approx(expected, abs=1e-12)
 
     def test_floor_and_feasibility_bounds(self, iidg, rng):
@@ -116,7 +116,7 @@ class TestSmoothedDualityGap:
         for _ in range(1000):
             z = PrimalDualPoint(rng.standard_normal(20) * 2, rng.standard_normal(10) * 2)
             b = float(np.exp(rng.uniform(np.log(1e-4), np.log(1e3))))
-            cv = smoothed_duality_gap(iidg, z, b)
+            cv = smoothed_duality_gap(PointValues(iidg, z), b)
             p = cv[1]
             fe = float(np.linalg.norm(iidg.constraint.residual(z.x)))
             floor = 0.5 * b * float((z.x - p) @ (z.x - p)) + fe * fe / (2 * b)
@@ -129,23 +129,23 @@ class TestSmoothedDualityGap:
         for _ in range(50):
             z = PrimalDualPoint(rng.standard_normal(20), rng.standard_normal(10))
             b = float(np.exp(rng.uniform(-2, 2)))
-            cv = smoothed_duality_gap(iidg, z, b)
+            cv = smoothed_duality_gap(PointValues(iidg, z), b)
             p = cv[1]
             q = b * (z.x - p) - iidg.constraint.matrix.T @ z.y
             assert obj(p) + obj.conj(q) == pytest.approx(float(q @ p), abs=1e-7)
 
     def test_all_criteria_zero_at_saddle_positive_nearby(self, one_d, rng):
         zs = saddle_point(one_d)
-        assert kkt_error(one_d, zs) <= 1e-12
-        assert projected_duality_gap(one_d, zs) <= 1e-10
-        assert smoothed_duality_gap(one_d, zs, 1)[0] <= 1e-10
+        assert kkt_error(PointValues(one_d, zs)) <= 1e-12
+        assert projected_duality_gap(PointValues(one_d, zs)) <= 1e-10
+        assert smoothed_duality_gap(PointValues(one_d, zs), 1)[0] <= 1e-10
         for _ in range(20):
             dx, dy = rng.standard_normal(2)
             scale = 1e-3 / max(abs(dx), abs(dy))
             z = PrimalDualPoint(zs.x + scale * dx, zs.y + scale * dy)
-            assert kkt_error(one_d, z) > 0
-            assert projected_duality_gap(one_d, z) > 0
-            assert smoothed_duality_gap(one_d, z, 1)[0] > 0
+            assert kkt_error(PointValues(one_d, z)) > 0
+            assert projected_duality_gap(PointValues(one_d, z)) > 0
+            assert smoothed_duality_gap(PointValues(one_d, z), 1)[0] > 0
 
 
 @pytest.mark.parametrize("value", [-1.0, math.nan])
@@ -154,9 +154,9 @@ def test_a_negative_or_nan_measure_raises(monkeypatch, value):
     problem = make_1d()
     monkeypatch.setattr(problem.objective, "stationarity_residual", lambda x, g: value)
     z = saddle_point(problem)
-    for evaluate in (kkt_error, evaluate_point):
+    for evaluate in (kkt_error, lambda pv: pv.kkt):
         with pytest.raises(StopgapError, match="^criterion KKT evaluated to "):
-            evaluate(problem, z)
+            evaluate(PointValues(problem, z))
 
 
 class ConstantGapObjective(ObjectiveOracle):
@@ -187,16 +187,16 @@ def test_negativity_tolerance_scales_with_the_objective(diff, raises):
     for beta in (1.0, beta_grid()):
         if raises:
             with pytest.raises(StopgapError, match="negative"):
-                smoothed_duality_gap(problem, z, beta)
+                smoothed_duality_gap(PointValues(problem, z), beta)
         else:
-            assert np.all(smoothed_duality_gap(problem, z, beta)[0] == 0.0)
+            assert np.all(smoothed_duality_gap(PointValues(problem, z), beta)[0] == 0.0)
 
 
 @pytest.mark.parametrize("beta", [
     0.0, -2.0, math.nan, INF, np.array([0.5, 0.0]), np.array([0.5, math.nan]), np.ones((2, 1))])
 def test_smoothed_gap_rejects_bad_smoothing(one_d, beta):
     with pytest.raises(ConfigError, match="^beta must be"):
-        smoothed_duality_gap(one_d, saddle_point(one_d), beta)
+        smoothed_duality_gap(PointValues(one_d, saddle_point(one_d)), beta)
 
 
 class TestBetaGrid:
@@ -271,34 +271,40 @@ def test_sdg_grid_matches_pointwise():
         for k, z in traj.iterates:
             fe = float(np.linalg.norm(problem.constraint.residual(z.x)))
             grid = beta_grid(fe)
-            got = sdg_over_grid(problem, z, grid)
+            got = sdg_over_grid(PointValues(problem, z), grid)
             assert got.beta.tolist() == grid.tolist()
             assert got.prox.flags.c_contiguous
             for j, b in enumerate(grid.tolist()):
-                want = smoothed_duality_gap(problem, z, b)
+                want = smoothed_duality_gap(PointValues(problem, z), b)
                 where = f"{name} iteration {k} beta {b}"
                 assert np.float64(want[0]).tobytes() == got.gap[j].tobytes(), where
                 assert want[1].tobytes() == got.prox[j].tobytes(), where
 
 
-def test_evaluate_point_shares_products_with_the_same_bits():
-    # evaluate_point forms Ax - b, A^T y and f(x) once and hands them on; each
-    # measure must read as it does when it forms them itself
+def test_point_values_share_products_with_the_same_bits():
+    # a PointValues forms Ax - b, A^T y and f(x) once, and the measure that
+    # reads them first forms them; every measure must read as it does on a
+    # fresh PointValues, and FE must have the bits of np.linalg.norm(Ax - b)
     for name in FAMILIES:
         problem = build_instance(ExperimentConfig(instance=name))
         traj = solve(problem, SolveConfig(criterion="kkt", max_iters=40, record_every=10,
                                           version=DEFAULT_VERSION.get(name, 1)))
         for k, z in traj.iterates:
-            pv = evaluate_point(problem, z)
+            pv = PointValues(problem, z)
             where = f"{name} iteration {k}"
+            # the trace's order: the grid first, then OG, KKT and PDG
+            grid = pv.sdg
+            fe = np.linalg.norm(problem.constraint.residual(z.x))
+            assert np.float64(pv.fe).tobytes() == fe.tobytes(), where
             if problem.reference is not None:
-                og, fe = ogfe(problem, z)
+                og, _ = ogfe(PointValues(problem, z))
                 assert np.float64(pv.og).tobytes() == np.float64(og).tobytes(), where
-                assert np.float64(pv.fe).tobytes() == np.float64(fe).tobytes(), where
+            else:
+                assert pv.og is None, where
             assert np.float64(pv.kkt).tobytes() == \
-                   np.float64(kkt_error(problem, z)).tobytes(), where
+                   np.float64(kkt_error(PointValues(problem, z))).tobytes(), where
             assert np.float64(pv.pdg).tobytes() == \
-                   np.float64(projected_duality_gap(problem, z)).tobytes(), where
-            grid = sdg_over_grid(problem, z, pv.sdg.beta)
-            assert grid.gap.tobytes() == pv.sdg.gap.tobytes(), where
-            assert grid.prox.tobytes() == pv.sdg.prox.tobytes(), where
+                   np.float64(projected_duality_gap(PointValues(problem, z))).tobytes(), where
+            fresh = sdg_over_grid(PointValues(problem, z), grid.beta)
+            assert grid.gap.tobytes() == fresh.gap.tobytes(), where
+            assert grid.prox.tobytes() == fresh.prox.tobytes(), where

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stopgap.criteria import kkt_error, ogfe, projected_duality_gap
+from stopgap.criteria import PointValues, kkt_error, ogfe, projected_duality_gap
 from stopgap.objectives import L1Norm, LeastSquaresObjective, NonnegativeQuadratic
 from stopgap.problem import AffineConstraint, PrimalDualPoint, ProblemInstance, ReferenceSolution
 
@@ -53,8 +53,8 @@ def test_fe_floor_of_every_non_sdg_measure(kind, seed, n, extra_rows, rank_cut,
     z = PrimalDualPoint(x, point_scale * rng.standard_normal(m))
     r = problem.constraint.residual(z.x)
     fe2 = float(r @ r)
-    assert kkt_error(problem, z) >= fe2
-    assert projected_duality_gap(problem, z) >= fe2
-    og, fe = ogfe(problem, z)
+    assert kkt_error(PointValues(problem, z)) >= fe2
+    assert projected_duality_gap(PointValues(problem, z)) >= fe2
+    og, fe = ogfe(PointValues(problem, z))
     assert max(og, fe) >= fe
     assert fe == float(np.linalg.norm(r))

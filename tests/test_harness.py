@@ -296,6 +296,25 @@ class TestCli:
         assert err.count("\n") == 1
         assert not (tmp_path / "series.csv").exists()
 
+    def test_plot_of_a_non_numeric_cell_is_a_one_line_error(self, tmp_path, capsys):
+        # it used to end in a ValueError traceback from float()
+        cli_main(["run", "--instance", "1d", "--max-iters", "5", "--out", str(tmp_path)])
+        capsys.readouterr()
+        trace = tmp_path / "trace.csv"
+        lines = trace.read_text().splitlines()
+        header = lines[0].split(",")
+        cells = lines[3].split(",")
+        cells[header.index("kkt")] = "abc"
+        lines[3] = ",".join(cells)
+        trace.write_text("\n".join(lines) + "\n")
+        rc = cli_main(["plot", str(trace), "criterion:kkt", str(tmp_path / "series.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"stopgap: error: {trace}: line 4, column 'kkt': 'abc' is not a number\n"
+        assert not (tmp_path / "series.csv").exists()
+        with pytest.raises(ConfigError, match="line 4, column 'kkt'"):
+            emit_plot_data(str(trace), "criterion:kkt", str(tmp_path / "series.csv"))
+
     @pytest.mark.parametrize("samples", [0, -1])
     def test_verification_without_samples_is_refused(self, tmp_path, capsys, samples):
         # a suite that draws no sample checks nothing, and must not report a pass
@@ -335,6 +354,23 @@ class TestCli:
                            "--out", str(tmp_path)])
             assert rc == 2
             assert capsys.readouterr().err.startswith(f"stopgap: error: {name} sets the size")
+
+    @pytest.mark.parametrize("instance", ["iidg", "1d"])
+    def test_data_path_of_another_family_is_refused(self, tmp_path, monkeypatch, capsys,
+                                                    instance):
+        # only do reads a data file; the others used to ignore the path silently
+        monkeypatch.setattr(harness, "build_instance", unreachable)
+        data = str(tmp_path / "nonexistent")
+        with pytest.raises(ConfigError, match=f"^data_path sets the data of do instances "
+                                              f"only, not '{instance}'"):
+            run_experiment(ExperimentConfig(instance=instance, data_path=data,
+                                            out_dir=str(tmp_path)))
+        for command in ("run", "verify"):
+            rc = cli_main([command, "--instance", instance, "--data-path", data,
+                           "--max-iters" if command == "run" else "--samples", "5",
+                           "--out", str(tmp_path)])
+            assert rc == 2
+            assert capsys.readouterr().err.startswith("stopgap: error: data_path sets the data")
 
     def test_size_defaults_to_the_family_default(self):
         assert build_instance(ExperimentConfig(instance="iidg")).label == \

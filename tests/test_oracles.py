@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stopgap.criteria import smoothed_duality_gap
+from stopgap.criteria import PointValues, smoothed_duality_gap
 from stopgap.errors import ConfigError, StopgapError
 from stopgap.instances import make_do
 from stopgap.linalg import RANK_RTOL
@@ -31,7 +31,7 @@ class TestSdgDirect:
                 x[20:] = np.abs(x[20:])
                 z = PrimalDualPoint(x, z.y)
             b = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
-            closed = smoothed_duality_gap(problem, z, b)[0]
+            closed = smoothed_duality_gap(PointValues(problem, z), b)[0]
             direct = sdg_direct(problem, z, b, inner_tol=1e-10)
             assert direct == pytest.approx(closed, abs=1e-6)
 
@@ -128,7 +128,7 @@ class TestCounterexamples:
         rep = counterexample_kkt_vs_sdg([0.5, 0.1, 0.01])
         for row in rep["rows"]:
             z = PrimalDualPoint(np.array([row["x"]]), np.zeros(1))
-            crit = smoothed_duality_gap(problem, z, 1.0)
+            crit = smoothed_duality_gap(PointValues(problem, z), 1.0)
             assert crit[0] == pytest.approx(row["sdg"], abs=1e-12)
             direct = sdg_direct(problem, z, 1.0)
             assert direct == pytest.approx(row["sdg"], abs=1e-10)

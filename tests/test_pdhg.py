@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stopgap import criteria
-from stopgap.criteria import beta_grid, kkt_error
+from stopgap.criteria import PointValues, beta_grid, kkt_error
 from stopgap.errors import ConfigError, DegenerateProblemError, DimensionMismatchError, StopgapError
 from stopgap.harness import DEFAULT_VERSION, ExperimentConfig, build_instance, run_experiment
 from stopgap.instances import FAMILIES
@@ -176,7 +176,7 @@ class TestSolve:
         st1 = default_step_sizes(one_d.constraint)
         for problem, st in ((one_d, st1), (iidg, default_step_sizes(iidg.constraint))):
             zs = PrimalDualPoint(problem.reference.x_star, problem.reference.y_star)
-            if kkt_error(problem, zs) > 1e-20:
+            if kkt_error(PointValues(problem, zs)) > 1e-20:
                 continue
             for stepper in (step_v1, step_v2):
                 zn = stepper(problem, zs, st)
@@ -209,13 +209,14 @@ def reference_solve(problem, config):
     for k in range(config.max_iters + 1):
         if k:
             z = stepper(problem, z, steps)
-        values = {"kkt": (criteria.kkt_error(problem, z), eps ** 2),
-                  "pdg": (criteria.projected_duality_gap(problem, z), eps ** 2)}
+        pv = PointValues(problem, z)
+        values = {"kkt": (criteria.kkt_error(pv), eps ** 2),
+                  "pdg": (criteria.projected_duality_gap(pv), eps ** 2)}
         fe = float(np.linalg.norm(problem.constraint.residual(z.x)))
-        grid = criteria.sdg_over_grid(problem, z, beta_grid(fe))
+        grid = criteria.sdg_over_grid(pv, beta_grid(fe))
         values["sdg"] = (criteria.best_sdg(grid)[1], eps)
         if problem.reference is not None:
-            og, fe_value = criteria.ogfe(problem, z)
+            og, fe_value = criteria.ogfe(pv)
             values["ogfe"] = (max(og, fe_value), eps)
         for name in crossings:
             value, threshold = values[name]
@@ -254,7 +255,7 @@ def test_sdg_stop_is_an_epsilon_solution(name, epsilon):
     assert float(np.linalg.norm(problem.constraint.residual(z.x))) <= epsilon
     # OG needs a reference solution, which bp and pqp do not have
     if problem.reference is not None:
-        assert criteria.ogfe(problem, z)[0] <= epsilon
+        assert criteria.ogfe(PointValues(problem, z))[0] <= epsilon
 
 
 def test_kkt_is_evaluated_only_where_the_feasibility_error_allows(bp, monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stopgap.bounds import BoundReport, holds, ratio, ratio_stats
+from stopgap.bounds import holds, ratio, ratio_stats
 from stopgap.errors import StopgapError
 
 INF = float("inf")
@@ -91,10 +91,9 @@ def test_column_statistics_match_the_report_loop(pairs):
         want = reference_stats(lhs, rhs)
     except StopgapError:
         with pytest.raises(StopgapError, match="no usable ratios"):
-            ratio_stats("T4_SDG_KKT", lhs, rhs)
+            ratio_stats(lhs, rhs)
         return
-    got = ratio_stats("T4_SDG_KKT", np.array(lhs), np.array(rhs))
-    assert got.theorem_id == "T4_SDG_KKT"
+    got = ratio_stats(np.array(lhs), np.array(rhs))
     assert (bits(got.mean), bits(got.std_dev)) == (bits(want[0]), bits(want[1]))
     assert (got.count, got.infinite_count, got.zero_lhs_count, got.violations) == want[2:]
 
@@ -108,17 +107,16 @@ def test_array_rules_match_the_scalar_rules(pairs):
     assert [bits(v) for v in ratio(lhs, rhs).tolist()] == \
            [bits(reference_ratio(a, b)) for a, b in pairs]
     for a, b in pairs:
-        rep = BoundReport("C1_FE_SDG", a, b)
-        assert rep.holds is reference_holds(a, b)
-        assert bits(rep.ratio) == bits(reference_ratio(a, b))
+        assert bool(holds(a, b)) is reference_holds(a, b)
+        assert bits(float(ratio(a, b))) == bits(reference_ratio(a, b))
 
 
 def test_all_infinite_column_has_infinite_moments():
-    stats = ratio_stats("T5_KKT_SDG", [1.0, 2.0, 0.0], [INF, INF, INF])
+    stats = ratio_stats([1.0, 2.0, 0.0], [INF, INF, INF])
     assert (stats.mean, stats.std_dev, stats.count) == (INF, INF, 0)
     assert (stats.infinite_count, stats.zero_lhs_count, stats.violations) == (3, 1, 0)
 
 
 def test_no_usable_ratio_is_an_error():
     with pytest.raises(StopgapError, match="no usable ratios"):
-        ratio_stats("T4_SDG_KKT", [0.0, 0.0], [0.0, 0.0])
+        ratio_stats([0.0, 0.0], [0.0, 0.0])

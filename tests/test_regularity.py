@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stopgap import regularity
-from stopgap.criteria import smoothed_duality_gap
+from stopgap.criteria import PointValues, smoothed_duality_gap
 from stopgap.errors import ConfigError
 from stopgap.instances import make_instance
 from stopgap.linalg import pinv_solve
@@ -50,7 +50,7 @@ class TestQebEta:
             assert eta > 0
             for _ in range(100):
                 z = PrimalDualPoint(rng.standard_normal(20) * 2, rng.standard_normal(10) * 2)
-                direct = smoothed_duality_gap(iidg, z, beta)[0]
+                direct = smoothed_duality_gap(PointValues(iidg, z), beta)[0]
                 got = model.value(np.concatenate([z.x, z.y]))
                 assert got == pytest.approx(direct, rel=1e-7, abs=1e-9)
 
@@ -160,7 +160,7 @@ class TestCertificates:
         for _ in range(1000):
             z = z_p + rng.standard_normal(30) * 10.0 ** rng.uniform(-3, 0)
             zz = PrimalDualPoint(z[:20], z[20:])
-            gap = smoothed_duality_gap(iidg, zz, beta)[0]
+            gap = smoothed_duality_gap(PointValues(iidg, zz), beta)[0]
             dist = distance_to_saddle_set(z, z_p, kern)
             assert gap >= 0.5 * eta * dist * dist - 1e-8
 
