@@ -11,13 +11,12 @@ from .objectives import L1Norm, LeastSquaresObjective, NonnegativeQuadratic
 from .pdhg import (SolveConfig, StepSizes, Trajectory, default_step_sizes, solve,
                    step_v1, step_v2)
 from .problem import AffineConstraint, PrimalDualPoint, ProblemInstance, ReferenceSolution
-from .regularity import (QuadraticFormModel, RegularityConstants, lipschitz_constants,
-                         msr_gamma, qeb_eta)
+from .regularity import RegularityConstants, lipschitz_constants, msr_gamma, qeb_eta
 
 __all__ = [
     "AffineConstraint", "L1Norm",
     "LeastSquaresObjective", "NonnegativeQuadratic", "PointValues", "PrimalDualPoint",
-    "ProblemInstance", "QuadraticFormModel", "ReferenceSolution",
+    "ProblemInstance", "ReferenceSolution",
     "RegularityConstants", "SolveConfig", "StepSizes",
     "Trajectory", "beta_grid", "default_step_sizes", "kkt_error", "lipschitz_constants",
     "make_1d", "make_bp", "make_do", "make_iidg", "make_instance", "make_ntc",

@@ -108,7 +108,9 @@ def cmd_tables(args):
         # each instance writes to out/<name>, so a repeat would overwrite itself
         print(f"repeated instances: {repeated}", file=sys.stderr)
         return 2
-    configs = [_solve_config(args, name, os.path.join(args.out, name)) for name in names]
+    # every config is checked before the first solve writes out/<name>
+    configs = [_solve_config(args, name, os.path.join(args.out, name)).validate()
+               for name in names]
     # a fork-started pool forks all its workers at the first submit, so it
     # gets no more of them than there are instances
     workers = min(args.jobs, len(configs))

@@ -194,7 +194,8 @@ def emit_plot_data(trace_path, selector, out_path):
 
     selector 'criterion:<name>' emits iteration vs value; 'bound:<tid>'
     emits iteration, lhs, rhs.  Zeros are clamped to ``PLOT_CLAMP`` with a
-    flag column marking clamped rows.
+    flag column marking clamped rows.  A selector with no numeric row (a
+    measure or theorem that does not apply) raises ConfigError.
     """
     try:
         with open(trace_path, newline="") as fh:
@@ -233,6 +234,10 @@ def emit_plot_data(trace_path, selector, out_path):
             continue
         clamped = int(any(v == 0.0 for v in vals))
         series.append([row["iteration"]] + [_fmt(max(v, PLOT_CLAMP)) for v in vals] + [clamped])
+    if not series:
+        # a measure or theorem that does not apply here is empty on every row
+        raise ConfigError(f"{trace_path}: no row has a number in "
+                          + " and ".join(map(repr, cols)))
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration"] + cols + ["clamped"])

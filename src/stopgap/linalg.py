@@ -1,5 +1,5 @@
 """Dense linear-algebra helpers: operator norms, row-wise products, guarded
-pseudo-inverses, kernel bases."""
+pseudo-inverses."""
 
 import math
 
@@ -139,11 +139,3 @@ def stationarity_matrix(Q, A):
     M[n:, :n] = A
     M[n:, n:] = 0.0
     return M
-
-
-def null_space_basis(M):
-    """Orthonormal basis of ker(M), possibly empty (n, 0)."""
-    U, sv, Vt = np.linalg.svd(M)
-    tol = RANK_RTOL * (sv[0] if sv.size else 1.0)
-    r = int(np.sum(sv > tol))
-    return Vt[r:].T

@@ -61,27 +61,6 @@ class ObjectiveOracle:
     conj_grad_lipschitz = None    # L_g of the smooth conjugate part
     separable_conj = False        # whether the T7 assumption set holds
 
-    def __call__(self, x):
-        raise NotImplementedError
-
-    def prox(self, s, v):
-        raise NotImplementedError
-
-    def value_diff(self, x, p):
-        raise NotImplementedError
-
-    def conj(self, mu, tol=1e-8):
-        raise NotImplementedError
-
-    def project_conj_domain(self, mu):
-        raise NotImplementedError
-
-    def prox_conj(self, s, w):
-        raise NotImplementedError
-
-    def stationarity_residual(self, x, g):
-        raise NotImplementedError
-
 
 class LeastSquaresData:
     """Data of f(x) = 0.5*||Q x - c||^2 with cached spectral factors.

@@ -15,7 +15,6 @@ import numpy as np
 from .criteria import PointValues, check_beta, smoothed_duality_gap
 from .errors import ConfigError, ConvergenceError, StopgapError
 from .objectives import L1Norm, LeastSquaresObjective, NonnegativeQuadratic
-from .pdhg import SolveConfig, default_step_sizes, solve
 from .problem import PrimalDualPoint
 
 INF = float("inf")
@@ -239,41 +238,6 @@ def counterexample_kkt_vs_sdg(x_list):
                           and (r["sdg_small_x"] is None
                                or abs(r["sdg"] - r["sdg_small_x"]) < 1e-15)
                           for r in rows)}
-
-
-# ---------------------------------------------------------------------------
-# PDHG stability probe on basis pursuit
-
-
-def pdhg_instability_probe(bp_instance, budget=100_000, epsilon=1e-8):
-    """Runs both PDHG orderings on a basis-pursuit instance with the KKT and
-    SDG gates and reports the stability separation: the version-1 KKT gate
-    must not fire within the budget while version-2 KKT and both SDG gates
-    must; version-2 primal iterates carry exact zeros, version-1 only
-    near-zeros."""
-    if budget < 10_000:
-        raise StopgapError("probe budget must be at least 10^4 iterations")
-    steps = default_step_sizes(bp_instance.constraint)
-    out = {}
-    for version in (1, 2):
-        cfg = SolveConfig(epsilon=epsilon, max_iters=budget, criterion="all",
-                          evaluate=("kkt", "sdg"), version=version, record_every=budget)
-        traj = solve(bp_instance, cfg, steps)
-        x = traj.final_point.x
-        out[f"v{version}"] = {
-            "kkt_stop": traj.crossings["kkt"],
-            "sdg_stop": traj.crossings["sdg"],
-            "exact_zeros": int(np.count_nonzero(x == 0.0)),
-            "tiny_nonzeros": int(np.count_nonzero((np.abs(x) < 1e-6) & (x != 0.0))),
-        }
-    v1, v2 = out["v1"], out["v2"]
-    out["separated"] = (v1["kkt_stop"] is None
-                        and v2["kkt_stop"] is not None
-                        and v1["sdg_stop"] is not None
-                        and v2["sdg_stop"] is not None
-                        and v2["exact_zeros"] > 0
-                        and v1["tiny_nonzeros"] > 0)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -95,10 +95,6 @@ class Trajectory:
     iterations_used: int = 0
     crossings: dict = field(default_factory=dict)
 
-    @property
-    def final_point(self):
-        return self.iterates[-1][1]
-
 
 def step_v1(problem, z, steps: StepSizes):
     """Prox step, dual ascent, primal extrapolation (dual kept)."""

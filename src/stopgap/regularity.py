@@ -8,8 +8,9 @@ an ``EtaCache``, which solves for it on first use.  The Lipschitz constants of
 the objective and its conjugate parts are attributes of the objective
 (``objectives.ObjectiveOracle``), and the bounds read them there.
 
-For least-squares instances the smoothed gap is an explicit quadratic
-z^T H z + <z, v> + cst; eta comes from the smallest positive eigenvalue of H.
+For least-squares instances the smoothed gap is a quadratic in z = (x, y)
+whose quadratic part z^T H z depends only on Q, A and beta; eta is half the
+smallest positive eigenvalue of H.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import numpy as np
 
 from .criteria import GRID_VALUES, check_beta
 from .errors import DegenerateProblemError, StopgapError
-from .linalg import RANK_RTOL, null_space_basis, pinv_solve, stationarity_matrix
+from .linalg import RANK_RTOL, stationarity_matrix
 from .objectives import LeastSquaresObjective
 
 DECLARED_DEFAULT = 1e-8  # gamma = eta fallback where computing them is intractable
@@ -34,19 +35,6 @@ class RegularityConstants:
             raise StopgapError("regularity constant gamma must be positive")
 
 
-@dataclass
-class QuadraticFormModel:
-    """G(z) = z^T H z + <z, v> + constant for an LC-LS instance."""
-
-    H: np.ndarray
-    v: np.ndarray
-    constant: float
-
-    def value(self, z):
-        z = np.asarray(z, dtype=float)
-        return float(z @ self.H @ z + z @ self.v + self.constant)
-
-
 def msr_gamma(Q, A):
     """Smallest |eigenvalue| of the stationarity matrix above the rank
     cutoff: the metric sub-regularity constant of the Lagrangian gradient."""
@@ -59,9 +47,9 @@ def msr_gamma(Q, A):
     return float(kept.min())
 
 
-def qeb_eta(Q, c, A, b, beta):
+def qeb_eta(Q, A, beta):
     """Quadratic-error-bound constant of the smoothed gap at the float
-    ``beta`` plus its model.
+    ``beta`` and the quadratic part of the gap.
 
     Assembles B = Q^T Q + beta Id and
 
@@ -69,20 +57,16 @@ def qeb_eta(Q, c, A, b, beta):
                - (beta / 2) Id
         M_xy = A^T - beta B^{-1} A^T
         M_yy = A B^{-1} A^T / 2
-        v_x  = beta B^{-1} Q^T c - Q^T c - (1/beta) A^T b
-        v_y  = -A B^{-1} Q^T c
 
-    and returns (eta, model) with eta = (smallest positive eigenvalue of
-    H)/2.  H must be PSD up to round-off since the gap is nonnegative.
+    and returns (eta, H) with H = [[M_xx, M_xy / 2], [M_xy^T / 2, M_yy]] and
+    eta = (smallest positive eigenvalue of H)/2.  H must be PSD up to
+    round-off since the gap is nonnegative.
     """
     check_beta(beta)
     Q = np.atleast_2d(np.asarray(Q, float))
     A = np.atleast_2d(np.asarray(A, float))
-    c = np.asarray(c, float)
-    b = np.asarray(b, float)
     n = Q.shape[1]
     gram = Q.T @ Q
-    qtc = Q.T @ c
     B = gram + beta * np.eye(n)
     Binv = np.linalg.inv(B)
     Mxx = (0.5 * gram + (1.0 / (2.0 * beta)) * (A.T @ A) + (beta * beta / 2.0) * Binv
@@ -99,15 +83,7 @@ def qeb_eta(Q, c, A, b, beta):
     pos = w[w > RANK_RTOL * scale]
     if pos.size == 0:
         raise DegenerateProblemError("quadratic form has no positive eigenvalues")
-    eta = float(pos.min()) / 2.0
-
-    vx = beta * (Binv @ qtc) - qtc - (1.0 / beta) * (A.T @ b)
-    vy = -A @ (Binv @ qtc)
-    resid = Q @ (Binv @ qtc) - c
-    cst = (0.5 * float(c @ c) + (1.0 / (2.0 * beta)) * float(b @ b)
-           - 0.5 * float(resid @ resid) - (beta / 2.0) * float((Binv @ qtc) @ (Binv @ qtc)))
-    model = QuadraticFormModel(H=H, v=np.concatenate([vx, vy]), constant=cst)
-    return eta, model
+    return float(pos.min()) / 2.0, H
 
 
 def lipschitz_constants(instance, steps=None):
@@ -125,25 +101,6 @@ def lipschitz_constants(instance, steps=None):
         return RegularityConstants(gamma, {"gamma": "computed", "eta": "per-beta"})
     return RegularityConstants(DECLARED_DEFAULT, {"gamma": "declared-default",
                                                   "eta": "declared-default"})
-
-
-def saddle_set(Q, c, A, b):
-    """Particular saddle point and an orthonormal basis of the saddle-set
-    directions (kernel of the stationarity matrix)."""
-    M = stationarity_matrix(Q, A)
-    rhs = np.concatenate([Q.T @ c, b])
-    z_p = pinv_solve(M, rhs)
-    if np.linalg.norm(M @ z_p - rhs) > 1e-7 * (1.0 + np.linalg.norm(rhs)):
-        raise DegenerateProblemError("stationarity system is inconsistent")
-    return z_p, null_space_basis(M)
-
-
-def distance_to_saddle_set(z, z_p, kernel_basis):
-    """Euclidean distance via orthogonal projection onto z_p + ker(M)."""
-    d = np.asarray(z, float) - z_p
-    if kernel_basis.shape[1]:
-        d = d - kernel_basis @ (kernel_basis.T @ d)
-    return float(np.linalg.norm(d))
 
 
 class EtaCache:
@@ -164,9 +121,8 @@ class EtaCache:
             return DECLARED_DEFAULT
         eta = self._cache.get(beta)
         if eta is None:
-            obj = self.instance.objective
-            eta = qeb_eta(obj.data.design, obj.data.target, self.instance.constraint.matrix,
-                          self.instance.constraint.rhs, beta)[0]
+            eta = qeb_eta(self.instance.objective.data.design,
+                          self.instance.constraint.matrix, beta)[0]
             if beta in GRID_VALUES:
                 self._cache[beta] = eta
         return eta

@@ -12,13 +12,13 @@ from stopgap.bounds import THEOREMS, evaluate_bounds, holds, ratio_stats
 from stopgap.criteria import PointValues, smoothed_duality_gap
 from stopgap.harness import ExperimentConfig, run_experiment
 from stopgap.instances import make_1d, make_bp, make_do, make_iidg, make_ntc, make_pqp
-from stopgap.oracles import (counterexample_kkt_vs_og,
-                             counterexample_kkt_vs_sdg, gap_witness, pdhg_instability_probe,
+from stopgap.oracles import (counterexample_kkt_vs_og, counterexample_kkt_vs_sdg, gap_witness,
                              sdg_direct)
 from stopgap.pdhg import SolveConfig, default_step_sizes, solve
 from stopgap.problem import PrimalDualPoint
-from stopgap.regularity import (EtaCache, distance_to_saddle_set, lipschitz_constants,
-                                msr_gamma, qeb_eta, saddle_set, stationarity_matrix)
+from stopgap.regularity import EtaCache, lipschitz_constants, msr_gamma, stationarity_matrix
+
+from regularity_oracles import distance_to_saddle_set, qeb_model, saddle_set
 
 # one seeded desk-scale instance per family: (factory, record_every, version)
 FAMILY_RUNS = {
@@ -154,7 +154,7 @@ def test_criterion_5_regularity_certificates():
         n, m = A.shape[1], A.shape[0]
         gamma = msr_gamma(Q, A)
         beta = 1.0
-        eta, model = qeb_eta(Q, c, A, b, beta)
+        eta, model = qeb_model(Q, c, A, b, beta)
         z_p, kern = saddle_set(Q, c, A, b)
         M = stationarity_matrix(Q, A)
         rhs = np.concatenate([Q.T @ c, b])
@@ -195,11 +195,34 @@ def test_criterion_6_counterexamples():
 
 
 def test_criterion_7_pdhg_stability_separation():
+    # both PDHG orderings on basis pursuit with the KKT and SDG gates: the
+    # version-1 KKT gate must not fire within the budget while version-2 KKT
+    # and both SDG gates must; version-2 primal iterates carry exact zeros,
+    # version-1 only near-zeros
     problem = make_bp(20, 10, seed=5)
-    rep = pdhg_instability_probe(problem, budget=100_000, epsilon=1e-8)
+    budget, epsilon = 100_000, 1e-8
+    steps = default_step_sizes(problem.constraint)
+    rep = {}
+    for version in (1, 2):
+        cfg = SolveConfig(epsilon=epsilon, max_iters=budget, criterion="all",
+                          evaluate=("kkt", "sdg"), version=version, record_every=budget)
+        traj = solve(problem, cfg, steps)
+        x = traj.iterates[-1][1].x
+        rep[f"v{version}"] = {
+            "kkt_stop": traj.crossings["kkt"],
+            "sdg_stop": traj.crossings["sdg"],
+            "exact_zeros": int(np.count_nonzero(x == 0.0)),
+            "tiny_nonzeros": int(np.count_nonzero((np.abs(x) < 1e-6) & (x != 0.0))),
+        }
     v1, v2 = rep["v1"], rep["v2"]
+    separated = (v1["kkt_stop"] is None
+                 and v2["kkt_stop"] is not None
+                 and v1["sdg_stop"] is not None
+                 and v2["sdg_stop"] is not None
+                 and v2["exact_zeros"] > 0
+                 and v1["tiny_nonzeros"] > 0)
     in_bracket = v1["sdg_stop"] is not None and 3000 <= v1["sdg_stop"] <= 30_000
-    ok = rep["separated"] and in_bracket
+    ok = separated and in_bracket
     _line(7, ok, f"v1 kkt={v1['kkt_stop']} sdg={v1['sdg_stop']} "
                  f"tiny_nonzeros={v1['tiny_nonzeros']}; "
                  f"v2 kkt={v2['kkt_stop']} sdg={v2['sdg_stop']} "

@@ -221,7 +221,7 @@ def test_eta_cache_keeps_only_the_grid_beta(iidg, monkeypatch):
     real = regularity.qeb_eta
 
     def counted(*args, **kwargs):
-        solved.append(args[4])
+        solved.append(args[2])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(regularity, "qeb_eta", counted)

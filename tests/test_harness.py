@@ -197,6 +197,15 @@ class TestCli:
         assert capsys.readouterr().err == "repeated instances: ['1d']\n"
         assert not (tmp_path / "out").exists()
 
+    def test_every_config_is_checked_before_the_first_solve(self, tmp_path, capsys):
+        # iidg used to be solved into out/iidg before the bad 1d config was seen
+        rc = cli_main(["tables", "--instances", "iidg,1d", "--n", "30", "--max-iters", "300",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == ("stopgap: error: n sets the size of "
+                                           "iidg/ntc/pqp/bp instances only, not '1d'\n")
+        assert not (tmp_path / "out" / "iidg").exists()
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_is_refused(self, tmp_path, monkeypatch, capsys, jobs):
         # such a value used to run serially and exit 0
@@ -314,6 +323,24 @@ class TestCli:
         assert not (tmp_path / "series.csv").exists()
         with pytest.raises(ConfigError, match="line 4, column 'kkt'"):
             emit_plot_data(str(trace), "criterion:kkt", str(tmp_path / "series.csv"))
+
+    @pytest.mark.parametrize("selector, columns", [
+        ("criterion:og", "'og'"),
+        ("bound:T1_OG_KKT", "'T1_OG_KKT_lhs' and 'T1_OG_KKT_rhs'")])
+    def test_plot_of_a_selector_without_a_number_is_a_one_line_error(
+            self, tmp_path, capsys, selector, columns):
+        # OG and T1-T3 need a reference solution, which bp does not have; the
+        # series used to be a header-only file and the exit status 0
+        cli_main(["run", "--instance", "bp", "--max-iters", "5", "--out", str(tmp_path)])
+        capsys.readouterr()
+        trace = tmp_path / "trace.csv"
+        rc = cli_main(["plot", str(trace), selector, str(tmp_path / "series.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"stopgap: error: {trace}: no row has a number in {columns}\n"
+        assert not (tmp_path / "series.csv").exists()
+        with pytest.raises(ConfigError, match="no row has a number"):
+            emit_plot_data(str(trace), selector, str(tmp_path / "series.csv"))
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_verification_without_samples_is_refused(self, tmp_path, capsys, samples):

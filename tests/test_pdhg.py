@@ -237,8 +237,9 @@ def test_crossings_match_a_loop_that_evaluates_everything(name):
     traj = solve(problem, cfg)
     assert traj.crossings == crossings
     assert traj.iterations_used == last
-    assert traj.final_point.x.tobytes() == z_ref.x.tobytes()
-    assert traj.final_point.y.tobytes() == z_ref.y.tobytes()
+    z = traj.iterates[-1][1]
+    assert z.x.tobytes() == z_ref.x.tobytes()
+    assert z.y.tobytes() == z_ref.y.tobytes()
 
 
 @pytest.mark.parametrize("name, epsilon", [("1d", 1e-8), ("iidg", 1e-8), ("ntc", 1e-5),
@@ -251,7 +252,7 @@ def test_sdg_stop_is_an_epsilon_solution(name, epsilon):
     traj = solve(problem, SolveConfig(epsilon=epsilon, criterion="sdg",
                                       version=DEFAULT_VERSION.get(name, 1)))
     assert traj.stop_reason == "converged"
-    z = traj.final_point
+    z = traj.iterates[-1][1]
     assert float(np.linalg.norm(problem.constraint.residual(z.x))) <= epsilon
     # OG needs a reference solution, which bp and pqp do not have
     if problem.reference is not None:

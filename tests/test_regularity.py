@@ -9,8 +9,10 @@ from stopgap.errors import ConfigError
 from stopgap.instances import make_instance
 from stopgap.linalg import pinv_solve
 from stopgap.problem import PrimalDualPoint
-from stopgap.regularity import (EtaCache, distance_to_saddle_set, lipschitz_constants,
-                                msr_gamma, qeb_eta, saddle_set, stationarity_matrix)
+from stopgap.regularity import (EtaCache, lipschitz_constants, msr_gamma, qeb_eta,
+                                stationarity_matrix)
+
+from regularity_oracles import distance_to_saddle_set, qeb_model, saddle_set
 
 
 class TestMsrGamma:
@@ -46,7 +48,7 @@ class TestQebEta:
         Q, c = iidg.objective.data.design, iidg.objective.data.target
         A, b = iidg.constraint.matrix, iidg.constraint.rhs
         for beta in (0.8, 1.7):
-            eta, model = qeb_eta(Q, c, A, b, beta)
+            eta, model = qeb_model(Q, c, A, b, beta)
             assert eta > 0
             for _ in range(100):
                 z = PrimalDualPoint(rng.standard_normal(20) * 2, rng.standard_normal(10) * 2)
@@ -56,23 +58,20 @@ class TestQebEta:
 
     @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_beta(self, one_d, beta):
-        Q, c = one_d.objective.data.design, one_d.objective.data.target
         with pytest.raises(ConfigError, match="^beta must be"):
-            qeb_eta(Q, c, one_d.constraint.matrix, one_d.constraint.rhs, beta)
+            qeb_eta(one_d.objective.data.design, one_d.constraint.matrix, beta)
 
     def test_model_minimum_is_zero(self, iidg):
         Q, c = iidg.objective.data.design, iidg.objective.data.target
         A, b = iidg.constraint.matrix, iidg.constraint.rhs
-        _, model = qeb_eta(Q, c, A, b, 1.0)
+        _, model = qeb_model(Q, c, A, b, 1.0)
         # any minimiser of the quadratic: the pseudo-inverse stationary point
         val = model.value(pinv_solve(2.0 * model.H, -model.v))
         assert -1e-9 <= val <= 1e-9
 
     def test_one_dimensional_h_is_2x2(self, one_d):
-        Q, c = one_d.objective.data.design, one_d.objective.data.target
-        A, b = one_d.constraint.matrix, one_d.constraint.rhs
-        eta, model = qeb_eta(Q, c, A, b, 1.0)
-        assert model.H.shape == (2, 2)
+        eta, H = qeb_eta(one_d.objective.data.design, one_d.constraint.matrix, 1.0)
+        assert H.shape == (2, 2)
         assert eta > 0
 
 
@@ -155,7 +154,7 @@ class TestCertificates:
         Q, c = iidg.objective.data.design, iidg.objective.data.target
         A, b = iidg.constraint.matrix, iidg.constraint.rhs
         beta = 1.0
-        eta, _ = qeb_eta(Q, c, A, b, beta)
+        eta, _ = qeb_eta(Q, A, beta)
         z_p, kern = saddle_set(Q, c, A, b)
         for _ in range(1000):
             z = z_p + rng.standard_normal(30) * 10.0 ** rng.uniform(-3, 0)
@@ -171,8 +170,7 @@ class TestEtaCache:
         v1 = cache(0.3)
         v2 = cache(0.3)
         assert v1 == v2
-        Q, c = iidg.objective.data.design, iidg.objective.data.target
-        direct = qeb_eta(Q, c, iidg.constraint.matrix, iidg.constraint.rhs, 0.3)[0]
+        direct = qeb_eta(iidg.objective.data.design, iidg.constraint.matrix, 0.3)[0]
         assert v1 == pytest.approx(direct)
 
     def test_non_ls_returns_default(self, bp):
