@@ -198,7 +198,8 @@ def evaluate_bounds(values, consts, eta_of, t2_constant="proof"):
             G, x_norm, y_norm, beta, obj.conj_lipschitz), False))
     rows.append(("C1_FE_SDG", fe, bound_C1(G, beta), False))
     # the floor's lhs varies with beta through the prox point; the gaps are
-    # all +inf exactly when f(x) is, and then the floor says nothing
+    # all +inf exactly when f(x) or ||Ax - b||^2 is, and then the floor says
+    # nothing
     if np.isfinite(G).any():
         rows.append(("L6_SDG_floor", bound_L6(values.z.x, values.sdg.prox, fe, beta), G, True))
 

@@ -27,8 +27,8 @@ GRID_VALUES = tuple(np.logspace(-8.0, 2.0, 40).tolist())
 
 def beta_grid(feasibility_error=0.0):
     """The sorted beta grid: the 40 fixed log-spaced values plus the
-    feasibility error when it is positive."""
-    extra = (float(feasibility_error),) if feasibility_error > 0.0 else ()
+    feasibility error when it is positive and finite."""
+    extra = (float(feasibility_error),) if 0.0 < feasibility_error < INF else ()
     return np.array(sorted(GRID_VALUES + extra))
 
 
@@ -123,7 +123,8 @@ def smoothed_duality_gap(values: PointValues, beta):
     G_beta(z) = f(x) - f(p) + <A(x-p), y> - beta/2 ||p-x||^2
                 + ||Ax-b||^2 / (2 beta)
     with p = prox_{f/beta}(x - A^T y / beta).  Nonnegative up to round-off;
-    tiny negatives are clamped to zero.
+    tiny negatives are clamped to zero.  Where ||Ax-b||^2 overflows, so does
+    its floor ||Ax-b||^2 / (2 beta): the gap is +inf at every beta.
 
     ``beta`` is a float, giving (G, p) as a float and an (n,) vector, or a
     (k,) array, giving a (k,) array and one C-contiguous prox point per row
@@ -137,6 +138,9 @@ def smoothed_duality_gap(values: PointValues, beta):
     if not np.isfinite(P).all():
         raise StopgapError("prox returned a non-finite point")
     fe2 = values.rr
+    if fe2 == INF:
+        G = np.full(b.shape, INF)
+        return (G if G.ndim else float(G)), P
     D = x - P
     # f(x) - f(p) through the cancellation-free path: near convergence the
     # difference sits many orders below f itself; it is +inf with f(x)

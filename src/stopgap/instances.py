@@ -21,22 +21,26 @@ from .problem import AffineConstraint, ProblemInstance, ReferenceSolution
 DATA_DIR_ENV = "STOPGAP_DATA_DIR"
 
 
-def _ls_reference(Q, c, A, b):
-    """Reference saddle point of a linearly-constrained LS problem from its
-    stationarity system [[Q^T Q, A^T], [A, 0]] [x; y] = [Q^T c; b], or None
-    when the solve does not satisfy that system."""
-    n = Q.shape[1]
-    M = stationarity_matrix(Q, A)
-    rhs = np.concatenate([Q.T @ c, b])
+def _ls_instance(Q, c, A, b, label):
+    """Linearly-constrained LS instance with the reference saddle point of
+    its stationarity system [[Q^T Q, A^T], [A, 0]] [x; y] = [Q^T c; b], read
+    from the objective's cached Q^T Q and Q^T c; no reference when the solve
+    does not satisfy that system."""
+    problem = ProblemInstance(objective=LeastSquaresObjective(Q, c),
+                              constraint=AffineConstraint(A, b), label=label)
+    n, data = problem.constraint.n, problem.objective.data
+    M = stationarity_matrix(data.gram, A)
+    rhs = np.concatenate([data.qtc, b])
     sol = pinv_solve(M, rhs)
     x_star = sol[:n]
     feas = np.linalg.norm(A @ x_star - b)
     stat = np.linalg.norm(M @ sol - rhs)
     if feas > 1e-8 * (1.0 + np.linalg.norm(b)) or stat > 1e-6 * (1.0 + np.linalg.norm(rhs)):
-        return None
+        return problem
     f_star = 0.5 * float(np.linalg.norm(Q @ x_star - c) ** 2)
-    return ReferenceSolution(x_star=x_star, f_star=f_star, y_star=sol[n:],
-                             provenance="high-accuracy-solve")
+    problem.reference = ReferenceSolution(x_star=x_star, f_star=f_star, y_star=sol[n:],
+                                          provenance="high-accuracy-solve")
+    return problem
 
 
 def make_1d():
@@ -65,10 +69,7 @@ def make_iidg(n=20, m=10, seed=0):
     c = rng.standard_normal(m)
     A = rng.standard_normal((m, n))
     b = rng.standard_normal(m)
-    return ProblemInstance(
-        objective=LeastSquaresObjective(Q, c),
-        constraint=AffineConstraint(A, b),
-        reference=_ls_reference(Q, c, A, b), label=f"iidg(n={n},m={m},seed={seed})")
+    return _ls_instance(Q, c, A, b, f"iidg(n={n},m={m},seed={seed})")
 
 
 def toeplitz_covariance(first_row):
@@ -90,10 +91,7 @@ def make_ntc(n=20, m=10, seed=0):
     c = rng.standard_normal(m)
     A = S @ rng.standard_normal((m, n))
     b = rng.standard_normal(m)
-    return ProblemInstance(
-        objective=LeastSquaresObjective(Q, c),
-        constraint=AffineConstraint(A, b),
-        reference=_ls_reference(Q, c, A, b), label=f"ntc(n={n},m={m},seed={seed},rho=0.5)")
+    return _ls_instance(Q, c, A, b, f"ntc(n={n},m={m},seed={seed},rho=0.5)")
 
 
 def read_libsvm(path):

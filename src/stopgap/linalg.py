@@ -128,13 +128,13 @@ def pinv_solve(M, rhs):
     return z
 
 
-def stationarity_matrix(Q, A):
-    """Symmetric [[Q^T Q, A^T], [A, 0]] whose kernel parametrises the saddle
-    set of min 0.5 ||Q x - c||^2 subject to A x = b.  The blocks are written
-    into one array, which holds the bytes ``np.block`` would assemble."""
+def stationarity_matrix(gram, A):
+    """Symmetric [[gram, A^T], [A, 0]] with gram = Q^T Q: its kernel
+    parametrises the saddle set of min 0.5 ||Q x - c||^2 subject to A x = b.
+    The blocks are written into one array, holding the bytes of ``np.block``."""
     m, n = A.shape
     M = np.empty((n + m, n + m))
-    M[:n, :n] = Q.T @ Q
+    M[:n, :n] = gram
     M[:n, n:] = A.T
     M[n:, :n] = A
     M[n:, n:] = 0.0

@@ -10,10 +10,11 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateProblemError, DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError
 from .linalg import RANK_RTOL, aligned, check_finite, eigh_psd, rowwise
 
 INF = float("inf")
+CONJ_TOL = 1e-8  # relative slack of every conjugate-domain test
 
 
 def _check_dim(v, n, what, rows=False):
@@ -63,10 +64,12 @@ class ObjectiveOracle:
 
 
 class LeastSquaresData:
-    """Data of f(x) = 0.5*||Q x - c||^2 with cached spectral factors.
+    """f(x) = 0.5*||Q x - c||^2: every least-squares formula that
+    ``LeastSquaresObjective`` and the x-block of ``NonnegativeQuadratic`` call.
 
-    Caches Q^T Q, Q^T c and the eigendecomposition Q^T Q = V diag(lam) V^T
-    used for prox solves, pseudo-inverses and range projections.  Rank is
+    Caches Q^T Q (``gram``, formed nowhere else), Q^T c and the
+    eigendecomposition Q^T Q = V diag(lam) V^T, and with it ``lam_max`` and
+    ``inv_lam_min_pos``, 1/(smallest positive eigenvalue) or None.  Rank is
     decided by the relative cutoff RANK_RTOL on eigenvalues.  Q and V, which
     every grid streams once per beta, start on a cache line (``aligned``).
     """
@@ -81,19 +84,29 @@ class LeastSquaresData:
         self.qtc = self.design.T @ self.target
         self.lam, V = eigh_psd(self.gram)
         self.V = aligned(V)
-        scale = self.lam.max() if self.lam.size else 0.0
-        self.pos = self.lam > RANK_RTOL * max(scale, 1e-300)
+        self.lam_max = float(self.lam.max()) if self.lam.size else 0.0
+        self.pos = self.lam > RANK_RTOL * max(self.lam_max, 1e-300)
+        self.inv_lam_min_pos = 1.0 / float(self.lam[self.pos].min()) if self.pos.any() else None
         # coordinates of (Q^T Q)^dagger Q^T c in the eigenbasis
         self._dhat = np.where(self.pos, (self.V.T @ self.qtc) / np.where(self.pos, self.lam, 1.0), 0.0)
         resid = self.design @ (self.V @ self._dhat) - self.target
         self._conj_const = 0.5 * float(resid @ resid)
+
+    def value(self, x):
+        r = self.design @ x - self.target
+        return 0.5 * float(r @ r)
+
+    def stationarity_residual(self, x, g):
+        """||Q^T Q x - Q^T c + g||^2, the gradient being a singleton."""
+        r = self.gram @ x - self.qtc + g
+        return float(r @ r)
 
     def prox(self, s, v):
         """(Q^T Q + Id/s)^{-1} (Q^T c + v/s), solved in the eigenbasis, for a
         vector v or for every row of v with its own step."""
         s = _step(s, v)
         if (s <= 0).any() if v.ndim == 2 else s <= 0:
-            raise ValueError("prox step must be positive")
+            raise ConfigError(f"prox step s must be positive, got {np.min(s)}")
         w = rowwise(self.V.T, self.qtc + v / s)
         return rowwise(self.V, w / (self.lam + 1.0 / s))
 
@@ -106,34 +119,25 @@ class LeastSquaresData:
         rp = rowwise(Q, p) - self.target
         return 0.5 * np.vecdot(rowwise(Q, x - p), rx + rp)
 
-    def range_distance(self, mu):
-        """Distance of mu to Ran(Q^T) = Ran(Q^T Q)."""
+    def conj(self, mu):
+        """f*(mu): +inf when the distance of mu to Ran(Q^T) = Ran(Q^T Q) is
+        above CONJ_TOL * ||mu||, else the quadratic of its range part."""
         mh = self.V.T @ mu
-        return float(np.linalg.norm(mh[~self.pos]))
+        if np.linalg.norm(mh[~self.pos]) > CONJ_TOL * np.linalg.norm(mu):
+            return INF
+        mh = np.where(self.pos, mh, 0.0)
+        quad = 0.5 * float(np.sum(np.where(self.pos, mh * mh / np.where(self.pos, self.lam, 1.0), 0.0)))
+        return quad + float(mh @ self._dhat) - self._conj_const
 
     def range_projection(self, mu):
         mh = np.where(self.pos, self.V.T @ mu, 0.0)
         return self.V @ mh
-
-    def conj_value(self, mu):
-        """f*(mu) for mu already known to lie in Ran(Q^T)."""
-        mh = np.where(self.pos, self.V.T @ mu, 0.0)
-        quad = 0.5 * float(np.sum(np.where(self.pos, mh * mh / np.where(self.pos, self.lam, 1.0), 0.0)))
-        return quad + float(mh @ self._dhat) - self._conj_const
 
     def prox_conj(self, s, w):
         """Prox of s*f* in the eigenbasis (zero outside Ran(Q^T))."""
         wh = self.V.T @ w
         mh = np.where(self.pos, self.lam * (wh - s * self._dhat) / (self.lam + s), 0.0)
         return self.V @ mh
-
-    def max_eig(self):
-        return float(self.lam.max())
-
-    def min_pos_eig(self):
-        if not np.any(self.pos):
-            raise DegenerateProblemError("Q^T Q has no positive eigenvalues")
-        return float(self.lam[self.pos].min())
 
 
 class LeastSquaresObjective(ObjectiveOracle):
@@ -144,17 +148,12 @@ class LeastSquaresObjective(ObjectiveOracle):
     def __init__(self, design, target):
         self.data = LeastSquaresData(design, target)
         self.dim = self.data.n
-        self.smooth_lipschitz = self.data.max_eig()
+        self.smooth_lipschitz = self.data.lam_max
         self.conj_part_lipschitz = 0.0
-        try:
-            self.conj_grad_lipschitz = 1.0 / self.data.min_pos_eig()
-        except DegenerateProblemError:
-            self.conj_grad_lipschitz = None
+        self.conj_grad_lipschitz = self.data.inv_lam_min_pos
 
     def __call__(self, x):
-        x = _check_dim(x, self.dim, "x")
-        r = self.data.design @ x - self.data.target
-        return 0.5 * float(r @ r)
+        return self.data.value(_check_dim(x, self.dim, "x"))
 
     def gradient(self, x):
         return self.data.gram @ x - self.data.qtc
@@ -162,11 +161,8 @@ class LeastSquaresObjective(ObjectiveOracle):
     def prox(self, s, v):
         return self.data.prox(s, _check_dim(v, self.dim, "v", rows=True))
 
-    def conj(self, mu, tol=1e-8):
-        mu = _check_dim(mu, self.dim, "mu")
-        if self.data.range_distance(mu) > tol * np.linalg.norm(mu):
-            return INF
-        return self.data.conj_value(mu)
+    def conj(self, mu):
+        return self.data.conj(_check_dim(mu, self.dim, "mu"))
 
     def project_conj_domain(self, mu):
         return self.data.range_projection(_check_dim(mu, self.dim, "mu"))
@@ -175,9 +171,8 @@ class LeastSquaresObjective(ObjectiveOracle):
         return self.data.prox_conj(s, _check_dim(w, self.dim, "w"))
 
     def stationarity_residual(self, x, g):
-        # gradient is a singleton: no inner minimisation needed
-        r = self.gradient(x) + g
-        return float(r @ r)
+        return self.data.stationarity_residual(_check_dim(x, self.dim, "x"),
+                                               _check_dim(g, self.dim, "g"))
 
     def value_diff(self, x, p):
         return self.data.value_diff(_check_dim(x, self.dim, "x"),
@@ -199,9 +194,9 @@ class L1Norm(ObjectiveOracle):
         v = _check_dim(v, self.dim, "v", rows=True)
         return np.sign(v) * np.maximum(np.abs(v) - _step(s, v), 0.0)
 
-    def conj(self, mu, tol=1e-8):
+    def conj(self, mu):
         mu = _check_dim(mu, self.dim, "mu")
-        return 0.0 if np.abs(mu).max(initial=0.0) <= 1.0 + tol else INF
+        return 0.0 if np.abs(mu).max(initial=0.0) <= 1.0 + CONJ_TOL else INF
 
     def project_conj_domain(self, mu):
         return np.clip(_check_dim(mu, self.dim, "mu"), -1.0, 1.0)
@@ -244,7 +239,8 @@ class NonnegativeQuadratic(ObjectiveOracle):
     """Separable F(x, xt) = 0.5*||Q x - c||^2 + indicator(xt >= 0).
 
     The primal variable is the 2n-vector X = (x, xt).  All oracle operations
-    split into the least-squares block and the nonnegativity block.
+    split into the least-squares block (``LeastSquaresData``) and the
+    nonnegativity block.
     """
 
     separable_conj = True  # f1* = indicator(mu_t <= 0), f2* = LS conjugate
@@ -254,10 +250,7 @@ class NonnegativeQuadratic(ObjectiveOracle):
         self.data = LeastSquaresData(design, target)
         self.block_dim = self.data.n
         self.dim = 2 * self.block_dim
-        try:
-            self.conj_grad_lipschitz = 1.0 / self.data.min_pos_eig()
-        except DegenerateProblemError:
-            self.conj_grad_lipschitz = None
+        self.conj_grad_lipschitz = self.data.inv_lam_min_pos
 
     def _split(self, X, what="X"):
         X = _check_dim(X, self.dim, what)
@@ -267,8 +260,7 @@ class NonnegativeQuadratic(ObjectiveOracle):
         x, xt = self._split(X)
         if np.any(xt < 0.0):
             return INF
-        r = self.data.design @ x - self.data.target
-        return 0.5 * float(r @ r)
+        return self.data.value(x)
 
     def prox(self, s, V):
         V = _check_dim(V, self.dim, "v", rows=True)
@@ -276,14 +268,11 @@ class NonnegativeQuadratic(ObjectiveOracle):
         return np.concatenate([self.data.prox(s, V[..., :nb]),
                                np.maximum(V[..., nb:], 0.0)], axis=-1)
 
-    def conj(self, mu, tol=1e-8):
+    def conj(self, mu):
         m1, m2 = self._split(mu, "mu")
-        scale = np.linalg.norm(mu)
-        if np.any(m2 > tol * max(scale, 1.0)):
+        if np.any(m2 > CONJ_TOL * max(np.linalg.norm(mu), 1.0)):
             return INF
-        if self.data.range_distance(m1) > tol * max(np.linalg.norm(m1), 1e-300):
-            return INF
-        return self.data.conj_value(m1)
+        return self.data.conj(m1)
 
     def project_conj_domain(self, mu):
         m1, m2 = self._split(mu, "mu")
@@ -298,9 +287,8 @@ class NonnegativeQuadratic(ObjectiveOracle):
         jl, jb = self._split(J, "J")
         if np.any(xt < 0.0):
             return INF
-        smooth = self.data.gram @ x - self.data.qtc + jl
         extra = np.where(xt == 0.0, np.minimum(0.0, jb) ** 2, jb ** 2)
-        return float(smooth @ smooth) + float(extra.sum())
+        return self.data.stationarity_residual(x, jl) + float(extra.sum())
 
     def value_diff(self, X, P):
         x, xt = self._split(X)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import criteria
-from .errors import ConfigError, DegenerateProblemError, StopgapError
+from .errors import ConfigError, StopgapError
 from .problem import PrimalDualPoint
 
 CRITERIA = ("ogfe", "kkt", "pdg", "sdg")
@@ -41,8 +41,6 @@ class StepSizes:
 def default_step_sizes(constraint):
     """tau = 0.95/||A||, sigma = 1/||A|| so that tau*sigma*||A||^2 = 0.95."""
     nrm = constraint.norm()
-    if nrm <= 0:
-        raise DegenerateProblemError("operator norm must be positive")
     return StepSizes(tau=0.95 / nrm, sigma=1.0 / nrm)
 
 

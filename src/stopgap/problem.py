@@ -10,8 +10,9 @@ from .linalg import aligned, check_finite, operator_norm
 
 
 class AffineConstraint:
-    """Equality constraint A x = b with at least one row and one column; an
-    unconstrained problem is written with the zero row A = 0, b = 0."""
+    """Equality constraint A x = b with at least one row and one column.  The
+    zero row A = 0, b = 0 writes an unconstrained problem for criterion
+    evaluation and the oracles only: ``solve`` refuses it, as ||A|| = 0 raises."""
 
     def __init__(self, matrix, rhs):
         self.matrix = aligned(check_finite(np.atleast_2d(np.asarray(matrix, dtype=float)),

@@ -9,8 +9,9 @@ the objective and its conjugate parts are attributes of the objective
 (``objectives.ObjectiveOracle``), and the bounds read them there.
 
 For least-squares instances the smoothed gap is a quadratic in z = (x, y)
-whose quadratic part z^T H z depends only on Q, A and beta; eta is half the
-smallest positive eigenvalue of H.
+whose quadratic part z^T H z depends only on Q^T Q, A and beta; eta is half
+the smallest positive eigenvalue of H.  Both constants take Q^T Q as formed
+once by the objective (``LeastSquaresData.gram``).
 """
 
 from dataclasses import dataclass
@@ -35,10 +36,11 @@ class RegularityConstants:
             raise StopgapError("regularity constant gamma must be positive")
 
 
-def msr_gamma(Q, A):
-    """Smallest |eigenvalue| of the stationarity matrix above the rank
-    cutoff: the metric sub-regularity constant of the Lagrangian gradient."""
-    M = stationarity_matrix(Q, A)
+def msr_gamma(gram, A):
+    """Smallest |eigenvalue| above the rank cutoff of the stationarity matrix
+    of ``gram`` = Q^T Q and A: the metric sub-regularity constant of the
+    Lagrangian gradient."""
+    M = stationarity_matrix(gram, A)
     w = np.linalg.eigvalsh(M)
     scale = np.abs(w).max()
     kept = np.abs(w)[np.abs(w) > RANK_RTOL * scale]
@@ -47,9 +49,9 @@ def msr_gamma(Q, A):
     return float(kept.min())
 
 
-def qeb_eta(Q, A, beta):
+def qeb_eta(gram, A, beta):
     """Quadratic-error-bound constant of the smoothed gap at the float
-    ``beta`` and the quadratic part of the gap.
+    ``beta`` and the quadratic part of the gap, from ``gram`` = Q^T Q and A.
 
     Assembles B = Q^T Q + beta Id and
 
@@ -63,10 +65,9 @@ def qeb_eta(Q, A, beta):
     round-off since the gap is nonnegative.
     """
     check_beta(beta)
-    Q = np.atleast_2d(np.asarray(Q, float))
+    gram = np.atleast_2d(np.asarray(gram, float))
     A = np.atleast_2d(np.asarray(A, float))
-    n = Q.shape[1]
-    gram = Q.T @ Q
+    n = gram.shape[0]
     B = gram + beta * np.eye(n)
     Binv = np.linalg.inv(B)
     Mxx = (0.5 * gram + (1.0 / (2.0 * beta)) * (A.T @ A) + (beta * beta / 2.0) * Binv
@@ -97,7 +98,7 @@ def lipschitz_constants(instance, steps=None):
     ``steps`` is unused; the keyword stays for existing callers.
     """
     if isinstance(instance.objective, LeastSquaresObjective):
-        gamma = msr_gamma(instance.objective.data.design, instance.constraint.matrix)
+        gamma = msr_gamma(instance.objective.data.gram, instance.constraint.matrix)
         return RegularityConstants(gamma, {"gamma": "computed", "eta": "per-beta"})
     return RegularityConstants(DECLARED_DEFAULT, {"gamma": "declared-default",
                                                   "eta": "declared-default"})
@@ -121,7 +122,7 @@ class EtaCache:
             return DECLARED_DEFAULT
         eta = self._cache.get(beta)
         if eta is None:
-            eta = qeb_eta(self.instance.objective.data.design,
+            eta = qeb_eta(self.instance.objective.data.gram,
                           self.instance.constraint.matrix, beta)[0]
             if beta in GRID_VALUES:
                 self._cache[beta] = eta

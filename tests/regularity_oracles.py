@@ -33,9 +33,9 @@ def qeb_model(Q, c, A, b, beta):
         v_x = beta B^{-1} Q^T c - Q^T c - (1/beta) A^T b
         v_y = -A B^{-1} Q^T c
     """
-    eta, H = qeb_eta(Q, A, beta)
     Q = np.atleast_2d(np.asarray(Q, float))
     A = np.atleast_2d(np.asarray(A, float))
+    eta, H = qeb_eta(Q.T @ Q, A, beta)
     c = np.asarray(c, float)
     b = np.asarray(b, float)
     qtc = Q.T @ c
@@ -59,7 +59,7 @@ def null_space_basis(M):
 def saddle_set(Q, c, A, b):
     """Particular saddle point and an orthonormal basis of the saddle-set
     directions (kernel of the stationarity matrix)."""
-    M = stationarity_matrix(Q, A)
+    M = stationarity_matrix(Q.T @ Q, A)
     rhs = np.concatenate([Q.T @ c, b])
     z_p = pinv_solve(M, rhs)
     if np.linalg.norm(M @ z_p - rhs) > 1e-7 * (1.0 + np.linalg.norm(rhs)):

@@ -152,11 +152,11 @@ def test_criterion_5_regularity_certificates():
         Q, c = problem.objective.data.design, problem.objective.data.target
         A, b = problem.constraint.matrix, problem.constraint.rhs
         n, m = A.shape[1], A.shape[0]
-        gamma = msr_gamma(Q, A)
+        gamma = msr_gamma(Q.T @ Q, A)
         beta = 1.0
         eta, model = qeb_model(Q, c, A, b, beta)
         z_p, kern = saddle_set(Q, c, A, b)
-        M = stationarity_matrix(Q, A)
+        M = stationarity_matrix(Q.T @ Q, A)
         rhs = np.concatenate([Q.T @ c, b])
         msr_bad = qeb_bad = 0
         for _ in range(1000):

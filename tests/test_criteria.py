@@ -211,6 +211,9 @@ class TestBetaGrid:
     def test_zero_feasibility_dropped(self):
         assert len(beta_grid(0.0)) == 40
 
+    def test_infinite_feasibility_dropped(self):
+        assert beta_grid(INF).tolist() == list(GRID_VALUES)
+
     def test_fixed_values_are_log_spaced(self):
         logs = np.log10(np.asarray(GRID_VALUES))
         assert np.allclose(np.diff(logs), logs[1] - logs[0])
@@ -239,6 +242,21 @@ class TestSelectBeta:
     def test_one_index_per_row(self):
         keys = np.array([[3.0, 1.0, 1.0], [INF, np.nan, INF], [INF, 2.0, -INF]])
         assert select_beta(keys).tolist() == [1, 0, 1]
+
+
+@pytest.mark.parametrize("family", ["bp", "iidg", "pqp"])
+def test_overflowing_residual_makes_every_gap_infinite(request, family):
+    # ||Ax - b||^2 overflows to +inf, and with it the floor ||r||^2 / (2 beta)
+    problem = request.getfixturevalue(family)
+    z = PrimalDualPoint(np.full(problem.constraint.n, 1e200), np.zeros(problem.constraint.m))
+    with np.errstate(over="ignore"):
+        values = PointValues(problem, z)
+        grid = values.sdg
+    assert values.rr == INF
+    assert grid.beta.tolist() == list(GRID_VALUES)
+    assert (grid.gap == INF).all()
+    assert best_sdg(grid) == (0, INF)
+    assert smoothed_duality_gap(values, 1.0)[0] == INF
 
 
 class TestBestSdg:

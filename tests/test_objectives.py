@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stopgap.errors import DegenerateProblemError, DimensionMismatchError
+from stopgap.errors import ConfigError, DegenerateProblemError, DimensionMismatchError
 from stopgap.linalg import operator_norm
 from stopgap.objectives import L1Norm, LeastSquaresObjective, NonnegativeQuadratic
 
@@ -35,6 +35,12 @@ class TestLeastSquaresEval:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             ls_1d()(np.zeros(2))
+
+    def test_stationarity_residual_refuses_a_broadcast_subgradient(self):
+        # a (1,) g used to broadcast against the (3,) gradient
+        f = LeastSquaresObjective(np.ones((2, 3)), np.ones(2))
+        with pytest.raises(DimensionMismatchError, match="^g: expected shape"):
+            f.stationarity_residual(np.zeros(3), np.zeros(1))
 
 
 class TestLeastSquaresProx:
@@ -291,6 +297,28 @@ class TestNonnegativeQuadratic:
             lhs = F.prox(s, v) + s * F.prox_conj(1.0 / s, v / s)
             assert lhs == pytest.approx(v, abs=1e-9)
 
+    def test_least_squares_block_has_the_bits_of_the_ls_objective(self, rng):
+        # both read the one LeastSquaresData formulas on the same (Q, c)
+        F = self.make(rng)
+        ls = LeastSquaresObjective(F.data.design, F.data.target)
+        x, g = rng.standard_normal(5), rng.standard_normal(5)
+        X = np.concatenate([x, np.abs(rng.standard_normal(5))])
+        assert np.float64(F(X)).tobytes() == np.float64(ls(x)).tobytes()
+        J = np.concatenate([g, np.zeros(5)])
+        assert (np.float64(F.stationarity_residual(X, J)).tobytes()
+                == np.float64(ls.stationarity_residual(x, g)).tobytes())
+        mu = np.concatenate([F.data.design.T @ rng.standard_normal(4),
+                             -np.abs(rng.standard_normal(5))])
+        assert np.float64(F.conj(mu)).tobytes() == np.float64(ls.conj(mu[:5])).tobytes()
+        kernel = np.linalg.svd(F.data.design)[2][-1]  # Q is 4 x 5: ker(Q) is a line
+        assert F.conj(np.concatenate([kernel, np.zeros(5)])) == ls.conj(kernel) == INF
+        V = rng.standard_normal((3, 10))
+        for s, v in [(0.7, V[0]), (np.array([0.2, 1.0, 5.0]), V)]:
+            P = F.prox(s, v)
+            assert P[..., :5].tobytes() == ls.prox(s, v[..., :5]).tobytes()
+            assert (np.asarray(F.value_diff(X, P)).tobytes()
+                    == np.asarray(ls.value_diff(x, P[..., :5])).tobytes())
+
 
 @pytest.mark.parametrize("objective", [ls_1d(), L1Norm(1),
                                        NonnegativeQuadratic(np.eye(1), np.ones(1))])
@@ -298,6 +326,15 @@ class TestNonnegativeQuadratic:
 def test_prox_rows_need_one_step_each(objective, s):
     with pytest.raises(DimensionMismatchError, match="prox steps"):
         objective.prox(s, np.ones((2, objective.dim)))
+
+
+@pytest.mark.parametrize("objective", [ls_1d(), NonnegativeQuadratic(np.eye(1), np.ones(1))])
+@pytest.mark.parametrize("s, rows", [(0.0, None), (-1.0, None), (np.array([1.0, -2.0]), 2)])
+def test_nonpositive_prox_step_is_a_config_error(objective, s, rows):
+    v = np.ones(objective.dim) if rows is None else np.ones((rows, objective.dim))
+    with pytest.raises(ConfigError, match="prox step s must be positive") as err:
+        objective.prox(s, v)
+    assert isinstance(err.value, ValueError)
 
 
 class TestLSMoreau:

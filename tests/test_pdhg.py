@@ -47,6 +47,14 @@ class TestStepSizes:
         with pytest.raises(DegenerateProblemError):
             default_step_sizes(AffineConstraint(np.zeros((2, 2)), np.zeros(2)))
 
+    @pytest.mark.parametrize("steps", [None, StepSizes(0.5, 0.5)])
+    def test_zero_row_constraint_is_refused(self, steps):
+        # the zero row 0 x = 0 serves criterion evaluation only: ||A|| = 0
+        # leaves no step size to check against
+        problem = free_problem(3, A=np.zeros((1, 3)), b=np.zeros(1))
+        with pytest.raises(DegenerateProblemError, match="zero matrix"):
+            solve(problem, SolveConfig(max_iters=10, criterion="kkt"), steps)
+
     def test_unstable_steps_rejected(self, one_d):
         cfg = SolveConfig(max_iters=10, criterion="kkt")
         with pytest.raises(ConfigError):

@@ -18,7 +18,7 @@ from regularity_oracles import distance_to_saddle_set, qeb_model, saddle_set
 class TestMsrGamma:
     def test_one_dimensional_closed_form(self, one_d):
         # eigenvalues of [[1/81, 9], [9, 0]] are (t +/- sqrt(t^2 + 324))/2
-        g = msr_gamma(one_d.objective.data.design, one_d.constraint.matrix)
+        g = msr_gamma(one_d.objective.data.gram, one_d.constraint.matrix)
         t = 1.0 / 81.0
         lam_minus = (t - math.sqrt(t * t + 4 * 81.0)) / 2.0
         assert g == pytest.approx(abs(lam_minus))
@@ -34,8 +34,8 @@ class TestMsrGamma:
         Q = rng.standard_normal((4, 6))
         A = rng.standard_normal((3, 6))
         for cc in (0.5, 2.0, 7.0):
-            direct = msr_gamma(Q, cc * A)
-            M = stationarity_matrix(Q, cc * A)
+            direct = msr_gamma(Q.T @ Q, cc * A)
+            M = stationarity_matrix(Q.T @ Q, cc * A)
             w = np.linalg.eigvalsh(M)
             kept = np.abs(w)[np.abs(w) > 1e-10 * np.abs(w).max()]
             assert direct == pytest.approx(kept.min())
@@ -59,7 +59,7 @@ class TestQebEta:
     @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_beta(self, one_d, beta):
         with pytest.raises(ConfigError, match="^beta must be"):
-            qeb_eta(one_d.objective.data.design, one_d.constraint.matrix, beta)
+            qeb_eta(one_d.objective.data.gram, one_d.constraint.matrix, beta)
 
     def test_model_minimum_is_zero(self, iidg):
         Q, c = iidg.objective.data.design, iidg.objective.data.target
@@ -70,7 +70,7 @@ class TestQebEta:
         assert -1e-9 <= val <= 1e-9
 
     def test_one_dimensional_h_is_2x2(self, one_d):
-        eta, H = qeb_eta(one_d.objective.data.design, one_d.constraint.matrix, 1.0)
+        eta, H = qeb_eta(one_d.objective.data.gram, one_d.constraint.matrix, 1.0)
         assert H.shape == (2, 2)
         assert eta > 0
 
@@ -130,7 +130,7 @@ def test_stationarity_matrix_has_the_bytes_of_np_block(family):
     Q, A = problem.objective.data.design, problem.constraint.matrix
     m = A.shape[0]
     want = np.block([[Q.T @ Q, A.T], [A, np.zeros((m, m))]])
-    got = stationarity_matrix(Q, A)
+    got = stationarity_matrix(problem.objective.data.gram, A)
     assert got.shape == want.shape
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
@@ -140,9 +140,9 @@ class TestCertificates:
     def test_msr_certificate_near_saddle(self, iidg, rng):
         Q, c = iidg.objective.data.design, iidg.objective.data.target
         A, b = iidg.constraint.matrix, iidg.constraint.rhs
-        gamma = msr_gamma(Q, A)
+        gamma = msr_gamma(Q.T @ Q, A)
         z_p, kern = saddle_set(Q, c, A, b)
-        M = stationarity_matrix(Q, A)
+        M = stationarity_matrix(Q.T @ Q, A)
         rhs = np.concatenate([Q.T @ c, b])
         for _ in range(1000):
             z = z_p + rng.standard_normal(30) * 10.0 ** rng.uniform(-3, 0)
@@ -154,7 +154,7 @@ class TestCertificates:
         Q, c = iidg.objective.data.design, iidg.objective.data.target
         A, b = iidg.constraint.matrix, iidg.constraint.rhs
         beta = 1.0
-        eta, _ = qeb_eta(Q, A, beta)
+        eta, _ = qeb_eta(Q.T @ Q, A, beta)
         z_p, kern = saddle_set(Q, c, A, b)
         for _ in range(1000):
             z = z_p + rng.standard_normal(30) * 10.0 ** rng.uniform(-3, 0)
@@ -170,7 +170,7 @@ class TestEtaCache:
         v1 = cache(0.3)
         v2 = cache(0.3)
         assert v1 == v2
-        direct = qeb_eta(iidg.objective.data.design, iidg.constraint.matrix, 0.3)[0]
+        direct = qeb_eta(iidg.objective.data.gram, iidg.constraint.matrix, 0.3)[0]
         assert v1 == pytest.approx(direct)
 
     def test_non_ls_returns_default(self, bp):
