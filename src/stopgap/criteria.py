@@ -56,7 +56,8 @@ class PointValues:
     def __init__(self, problem: ProblemInstance, z: PrimalDualPoint):
         self.problem, self.z = problem, problem.check_point(z)
         self.r = problem.constraint.residual(z.x)
-        self.rr = float(self.r @ self.r)
+        with np.errstate(over="ignore"):  # an overflowing residual reads +inf
+            self.rr = float(self.r @ self.r)
         self.fe = math.sqrt(self.rr)  # the bits of np.linalg.norm(r)
 
     aty = cached_property(lambda self: self.problem.constraint.matrix.T @ self.z.y)

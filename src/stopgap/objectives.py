@@ -92,10 +92,12 @@ class LeastSquaresData:
         resid = self.design @ (self.V @ self._dhat) - self.target
         self._conj_const = 0.5 * float(resid @ resid)
 
+    @np.errstate(over="ignore")  # +inf where the residual overflows
     def value(self, x):
         r = self.design @ x - self.target
         return 0.5 * float(r @ r)
 
+    @np.errstate(over="ignore")
     def stationarity_residual(self, x, g):
         """||Q^T Q x - Q^T c + g||^2, the gradient being a singleton."""
         r = self.gram @ x - self.qtc + g
@@ -154,9 +156,6 @@ class LeastSquaresObjective(ObjectiveOracle):
 
     def __call__(self, x):
         return self.data.value(_check_dim(x, self.dim, "x"))
-
-    def gradient(self, x):
-        return self.data.gram @ x - self.data.qtc
 
     def prox(self, s, v):
         return self.data.prox(s, _check_dim(v, self.dim, "v", rows=True))

@@ -8,7 +8,6 @@ Certificates come from strong convexity of the inner objective.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +21,8 @@ INF = float("inf")
 # the range its smoothing parameters are drawn from, log-uniformly
 SUITE_INNER_TOL = 1e-8
 SUITE_BETA_RANGE = (1e-2, 1e2)
+# gap_witness: tolerance of its identities, relative to their scale
+WITNESS_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -138,19 +139,15 @@ def sdg_decomposition_gap(problem, z, z_star, beta, inner_tol=1e-10):
 # smoothed-gap witness vectors
 
 
-@dataclass
-class GapWitness:
-    p: np.ndarray        # prox_{f/beta}(x - A^T y / beta)
-    p_star: np.ndarray   # prox_{beta f*}(beta x - A^T y) + A^T y  (= beta (x-p))
-    a_tilde: np.ndarray  # -A^T y + beta (x - p), a subgradient at p
-    a: np.ndarray        # projection of -A^T y onto dom f*
-    checks: dict         # name -> signed slack (>= 0 means pass)
+def gap_witness(problem, z: PrimalDualPoint, beta):
+    """The identities and inequalities of the witness vectors at (z, beta),
+    as a dict of name -> signed slack (>= 0 passes; the tolerance WITNESS_TOL
+    is folded in).  The vectors are p = prox_{f/beta}(x - A^T y / beta),
+    p* = prox_{beta f*}(beta x - A^T y) + A^T y (= beta (x - p)),
+    a~ = -A^T y + beta (x - p), a subgradient at p, and a, the projection of
+    -A^T y onto dom f*.
 
-
-def gap_witness(problem, z: PrimalDualPoint, beta, tol=1e-9):
-    """Witness vectors and their identities/inequalities at (z, beta).
-
-    Checks (slack convention: value >= 0 passes; tolerances are folded in):
+    Checks:
       moreau             ||p + p*/beta - x|| ~ 0
       proj_norm_monotone ||a + A^T y|| <= ||a~ + A^T y||
       atilde_norm        ||a~ + A^T y|| = ||p*||
@@ -181,16 +178,15 @@ def gap_witness(problem, z: PrimalDualPoint, beta, tol=1e-9):
     # achievable equality precision is relative to the former
     fy_scale = max(1.0, abs(fp), abs(fconj),
                    float(np.linalg.norm(p)) * float(np.linalg.norm(a_tilde)))
-    checks = {
-        "moreau": tol * scale - float(np.linalg.norm(p + p_star / beta - z.x)),
-        "proj_norm_monotone": nat - na + tol * scale,
-        "atilde_norm": tol * scale - abs(nat - nps),
-        "a_minus_atilde": nps - float(np.linalg.norm(a - a_tilde)) + tol * scale,
-        "pstar_floor": 2.0 * beta * G - nps ** 2 + tol * max(1.0, nps ** 2),
-        "fenchel_young": tol * fy_scale - abs(fp + fconj - inner),
-        "proj_inner": -float((-aty - a) @ (a_tilde - a)) + tol * scale,
+    return {
+        "moreau": WITNESS_TOL * scale - float(np.linalg.norm(p + p_star / beta - z.x)),
+        "proj_norm_monotone": nat - na + WITNESS_TOL * scale,
+        "atilde_norm": WITNESS_TOL * scale - abs(nat - nps),
+        "a_minus_atilde": nps - float(np.linalg.norm(a - a_tilde)) + WITNESS_TOL * scale,
+        "pstar_floor": 2.0 * beta * G - nps ** 2 + WITNESS_TOL * max(1.0, nps ** 2),
+        "fenchel_young": WITNESS_TOL * fy_scale - abs(fp + fconj - inner),
+        "proj_inner": -float((-aty - a) @ (a_tilde - a)) + WITNESS_TOL * scale,
     }
-    return GapWitness(p=p, p_star=p_star, a_tilde=a_tilde, a=a, checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +277,7 @@ def verification_suite(problem, seed=0, sdg_samples=100, witness_samples=200):
     for _ in range(witness_samples):
         z = _random_point(problem, rng)
         b = float(np.exp(rng.uniform(lo, hi)))
-        w = gap_witness(problem, z, b)
-        for name, slack in w.checks.items():
+        for name, slack in gap_witness(problem, z, b).items():
             worst[name] = min(worst.get(name, INF), slack)
     report["witness_min_slack"] = worst
     report["witness_pass"] = all(v >= 0.0 for v in worst.values())

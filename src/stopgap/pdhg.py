@@ -121,34 +121,30 @@ def _ensure_finite(x, y):
         raise StopgapError("PDHG produced a non-finite iterate")
 
 
-def _gate_value(name, config, pv: criteria.PointValues):
-    """Value and threshold of one stopping gate at the iterate ``pv.z``.
+def _gate_fires(name, epsilon, pv: criteria.PointValues):
+    """Whether one stopping gate fires at the iterate ``pv.z``.
 
     KKT and PDG are a nonnegative term plus ||r||^2 and OG/FE is
     max(OG, FE); rounding is monotone, so each computed value is at least its
     computed feasibility term.  While that term alone is above the threshold
-    the gate is shut, and it reads +inf without evaluating the measure.  The
-    SDG certificate has no such float-safe floor.
+    the gate is shut, and the measure is not evaluated.  The SDG certificate
+    has no such float-safe floor.
     """
     if name == "ogfe":
-        if pv.fe > config.epsilon:
-            return math.inf, config.epsilon
-        return max(pv.og, pv.fe), config.epsilon
+        return not pv.fe > epsilon and max(pv.og, pv.fe) <= epsilon
     if name in ("kkt", "pdg"):
-        threshold = config.epsilon ** 2
-        if pv.rr > threshold:
-            return math.inf, threshold
-        return getattr(pv, name), threshold
+        return not pv.rr > epsilon ** 2 and getattr(pv, name) <= epsilon ** 2
     # sdg: best certificate over the per-iteration grid
-    return criteria.best_sdg(pv.sdg)[1], config.epsilon
+    return criteria.best_sdg(pv.sdg)[1] <= epsilon
 
 
 def solve(problem, config: SolveConfig, steps: StepSizes | None = None):
-    """Iterate PDHG from z = 0 until the configured gate fires or the budget
-    runs out.  The gating criterion and those in ``config.evaluate`` are
-    evaluated at each iterate until their first crossing is recorded.  KKT,
-    PDG and OG/FE are not evaluated while the feasibility error alone keeps
-    their gate shut (see ``_gate_value``), which leaves every crossing
+    """Iterate PDHG from z = 0 until every gating criterion (the configured
+    one, or each of ``config.evaluate`` for ``"all"``) has fired, or the
+    budget runs out.  The gating criteria and those in ``config.evaluate``
+    are evaluated at each iterate until their first crossing is recorded.
+    KKT, PDG and OG/FE are not evaluated while the feasibility error alone
+    keeps their gate shut (see ``_gate_fires``), which leaves every crossing
     unchanged.  Their oracle checks are skipped there too: a
     conjugate-domain projection that breaks its contract raises here only
     once the feasibility error is at most epsilon, while ``run_experiment``,
@@ -162,43 +158,26 @@ def solve(problem, config: SolveConfig, steps: StepSizes | None = None):
         steps = default_step_sizes(problem.constraint)
     steps.check(problem.constraint.norm())
 
-    gate_all = config.criterion == "all"
-    gating = tuple(config.evaluate) if gate_all else (config.criterion,)
+    gating = tuple(config.evaluate) if config.criterion == "all" else (config.criterion,)
     names = list(dict.fromkeys(gating + tuple(config.evaluate)))
     if "ogfe" in names and problem.reference is None:
         raise ConfigError(f"{problem.label}: ogfe requested but no reference solution")
 
     z = PrimalDualPoint(np.zeros(problem.constraint.n), np.zeros(problem.constraint.m))
     stepper = step_v1 if config.version == 1 else step_v2
-
     traj = Trajectory(crossings={n: None for n in names})
-
-    def evaluate(k, zk):
-        pv = criteria.PointValues(problem, zk)
+    for k in range(config.max_iters + 1):
+        if k > 0:
+            z = stepper(problem, z, steps)
+        pv = criteria.PointValues(problem, z)
         for name in names:
-            if traj.crossings[name] is not None:
-                continue  # first crossing already recorded; skip the recompute
-            val, thr = _gate_value(name, config, pv)
-            if val <= thr:
+            if traj.crossings[name] is None and _gate_fires(name, config.epsilon, pv):
                 traj.crossings[name] = k
-        if gate_all:
-            return all(traj.crossings[n] is not None for n in gating)
-        return traj.crossings[config.criterion] == k
-
-    fired = evaluate(0, z)
-    traj.iterates.append((0, z))
-    if fired:
-        traj.stop_reason = "converged"
-        return traj
-
-    for k in range(1, config.max_iters + 1):
-        z = stepper(problem, z, steps)
-        fired = evaluate(k, z)
-        if fired or k == config.max_iters or k % config.record_every == 0:
+        converged = all(traj.crossings[n] is not None for n in gating)
+        if converged or k == config.max_iters or k % config.record_every == 0:
             traj.iterates.append((k, z))
         traj.iterations_used = k
-        if fired:
+        if converged:
             traj.stop_reason = "converged"
-            return traj
-    traj.stop_reason = "budget_exhausted"
+            break
     return traj

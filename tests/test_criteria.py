@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from stopgap.criteria import (GRID_VALUES, PointValues, SdgGrid, best_sdg, beta_
                               select_beta, smoothed_duality_gap)
 from stopgap.errors import ConfigError, StopgapError
 from stopgap.harness import DEFAULT_VERSION, ExperimentConfig, build_instance
-from stopgap.instances import FAMILIES, make_1d, make_do
+from stopgap.instances import FAMILIES, make_1d, make_do, make_iidg
 from stopgap.objectives import L1Norm, ObjectiveOracle
 from stopgap.pdhg import SolveConfig, solve
 from stopgap.problem import AffineConstraint, PrimalDualPoint, ProblemInstance
@@ -249,14 +250,24 @@ def test_overflowing_residual_makes_every_gap_infinite(request, family):
     # ||Ax - b||^2 overflows to +inf, and with it the floor ||r||^2 / (2 beta)
     problem = request.getfixturevalue(family)
     z = PrimalDualPoint(np.full(problem.constraint.n, 1e200), np.zeros(problem.constraint.m))
-    with np.errstate(over="ignore"):
-        values = PointValues(problem, z)
-        grid = values.sdg
+    values = PointValues(problem, z)
+    grid = values.sdg
     assert values.rr == INF
     assert grid.beta.tolist() == list(GRID_VALUES)
     assert (grid.gap == INF).all()
     assert best_sdg(grid) == (0, INF)
     assert smoothed_duality_gap(values, 1.0)[0] == INF
+
+
+def test_overflowing_residual_reads_inf_without_a_warning():
+    # +inf is the intended value of every measure here, not a numpy fault
+    problem = make_iidg(seed=5)
+    z = PrimalDualPoint(np.full(problem.constraint.n, 1e200), np.zeros(problem.constraint.m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = PointValues(problem, z)
+        read = [values.fe, values.kkt, values.pdg, values.og, *values.sdg.gap.tolist()]
+    assert read == [INF] * (4 + len(GRID_VALUES))
 
 
 class TestBestSdg:

@@ -69,7 +69,7 @@ class TestLeastSquaresProx:
         f = LeastSquaresObjective(Q, rng.standard_normal(4))
         for s in (0.1, 1.0, 10.0):
             v = rng.standard_normal(6)
-            ref = prox_oracle_pg(f.gradient, lambda u: u, s, v,
+            ref = prox_oracle_pg(lambda u: f.data.gram @ u - f.data.qtc, lambda u: u, s, v,
                                  lipschitz=f.smooth_lipschitz)
             assert f.prox(s, v) == pytest.approx(ref, abs=1e-8)
 
@@ -105,7 +105,7 @@ class TestLeastSquaresConjugate:
         f = LeastSquaresObjective(Q, rng.standard_normal(4))
         for _ in range(20):
             x = rng.standard_normal(6)
-            g = f.gradient(x)  # g in subdifferential at x
+            g = f.data.gram @ x - f.data.qtc  # g in subdifferential at x
             assert f(x) + f.conj(g) == pytest.approx(float(g @ x), abs=1e-8)
 
 

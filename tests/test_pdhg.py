@@ -206,6 +206,21 @@ class TestSolve:
         assert traj.stop_reason == "converged"
 
 
+@pytest.mark.parametrize("criterion, evaluate", [("sdg", ()), ("all", ("kkt", "sdg", "pdg"))])
+def test_a_gate_that_fires_at_iterate_zero_stops_the_run_there(criterion, evaluate):
+    # with b = 0, z = 0 is a saddle point of min ||x||_1 subject to Ax = b
+    A = np.random.default_rng(3).standard_normal((10, 20))
+    problem = ProblemInstance(objective=L1Norm(20), constraint=AffineConstraint(A, np.zeros(10)),
+                              label="bp-zero-rhs")
+    traj = solve(problem, SolveConfig(criterion=criterion, evaluate=evaluate))
+    assert traj.stop_reason == "converged"
+    assert traj.iterations_used == 0
+    assert [k for k, _ in traj.iterates] == [0]
+    z0 = traj.iterates[0][1]
+    assert not z0.x.any() and not z0.y.any()
+    assert traj.crossings == {name: 0 for name in evaluate or (criterion,)}
+
+
 def reference_solve(problem, config):
     """Crossings and final iterate of a loop that evaluates every criterion in
     ``config.evaluate`` at every iterate, with no feasibility pre-check."""
