@@ -156,7 +156,7 @@ def ratio_key(lhs, rhs):
     return np.divide(rhs, lhs, out=np.full(np.shape(ok), INF), where=ok)
 
 
-def evaluate_bounds(values, consts, eta_of, t2_constant="proof"):
+def evaluate_bounds(values, consts, t2_constant="proof"):
     """Every bound at the point of ``values`` (a ``criteria.PointValues``),
     as three (len(THEOREMS),) float arrays: lhs, rhs and the beta used.
 
@@ -170,10 +170,9 @@ def evaluate_bounds(values, consts, eta_of, t2_constant="proof"):
 
     Parameters
     ----------
-    consts : RegularityConstants for the instance.  The Lipschitz constants
-             of T5, T7 and P4 are read from the objective.
-    eta_of : callable float beta -> eta(beta), such as a
-             ``regularity.EtaCache``.
+    consts : RegularityConstants for the instance: gamma, and eta(beta)
+             through ``consts.eta``.  The Lipschitz constants of T5, T7 and
+             P4 are read from the objective.
     """
     x_norm, y_norm = values.z.norms()
     og, fe, K, D = values.og, values.fe, values.kkt, values.pdg
@@ -183,7 +182,7 @@ def evaluate_bounds(values, consts, eta_of, t2_constant="proof"):
 
     if og is not None:
         out[:2, THEOREMS.index("T1_OG_KKT")] = og, bound_T1(K, y_norm, consts.gamma)
-        eta = np.array([eta_of(b) for b in beta.tolist()])
+        eta = np.array([consts.eta(b) for b in beta.tolist()])
         rows += [("T2_OG_SDG", og, bound_T2(G, y_norm, beta, eta, t2_constant), False),
                  ("T3_OG_PDG", og, bound_T3(D, x_norm, y_norm, beta, eta), False)]
     obj = values.problem.objective

@@ -18,9 +18,9 @@ import numpy as np
 from . import criteria as crit
 from .bounds import T2_CONSTANTS, THEOREMS, evaluate_bounds, ratio, ratio_stats
 from .errors import ConfigError
-from .instances import make_instance
+from .instances import FAMILIES, make_instance
 from .pdhg import CRITERIA, SolveConfig, check_count, default_step_sizes, solve
-from .regularity import EtaCache, lipschitz_constants
+from .regularity import lipschitz_constants
 
 # PDHG ordering per family: the splitting QP needs the prox-last version to
 # keep the slack block inside the nonnegativity domain
@@ -28,6 +28,8 @@ DEFAULT_VERSION = {"pqp": 2}
 DEFAULT_SEED = {"bp": 5, "pqp": 8, "iidg": 7, "ntc": 7, "do": 0}
 # the families whose size n x m is set by ExperimentConfig.n and .m
 SIZED = ("iidg", "ntc", "pqp", "bp")
+# the families whose factory builds no reference solution, so no OG/FE
+NO_REFERENCE = ("pqp", "bp")
 # floor of a plotted series, so that zeros stay on a log axis
 PLOT_CLAMP = 1e-16
 
@@ -48,12 +50,20 @@ class ExperimentConfig:
     t2_constant: str = "proof"
     out_dir: str = "out"
 
+    def solve_config(self, evaluate):
+        """The run's SolveConfig over ``evaluate``, with the family's default version."""
+        version = DEFAULT_VERSION.get(self.instance, 1) if self.version is None else self.version
+        return SolveConfig(epsilon=self.epsilon, max_iters=self.max_iters,
+                           criterion=self.criterion, evaluate=tuple(evaluate),
+                           record_every=self.record_every, version=version)
+
     def validate(self):
+        if self.instance not in FAMILIES:
+            raise ConfigError(f"unknown instance family {self.instance!r}; "
+                              f"choose from {sorted(FAMILIES)}")
         if self.criteria is not None:
             if not self.criteria:
                 raise ConfigError("criteria list must not be empty; omit it for defaults")
-            if not set(self.criteria) <= set(CRITERIA):
-                raise ConfigError(f"unknown criteria {self.criteria}")
             if self.criterion != "all" and self.criterion not in self.criteria:
                 raise ConfigError("stop criterion must be among the evaluated criteria")
         for name in ("n", "m"):
@@ -66,30 +76,46 @@ class ExperimentConfig:
             raise ConfigError(f"data_path sets the data of do instances only, "
                               f"not {self.instance!r}")
         # the solver's own checks, made before the instance is built
-        SolveConfig(epsilon=self.epsilon, max_iters=self.max_iters, criterion=self.criterion,
-                    record_every=self.record_every, evaluate=CRITERIA,
-                    version=1 if self.version is None else self.version)
+        self.solve_config(CRITERIA if self.criteria is None else self.criteria)
         if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(
                 self.seed, numbers.Integral) or self.seed < 0):
             raise ConfigError(f"seed must be None or a non-negative integer, got {self.seed!r}")
         if self.t2_constant not in T2_CONSTANTS:
             raise ConfigError(f"unknown t2_constant {self.t2_constant!r}; "
                               f"choose from {list(T2_CONSTANTS)}")
+        if self.instance in NO_REFERENCE and "ogfe" in (self.criterion, *(self.criteria or ())):
+            # the solver's own refusal, before any solve; a small build names the instance
+            raise ConfigError(f"{build_instance(self).label}: ogfe requested "
+                              "but no reference solution")
         return self
 
 
 def build_instance(config: ExperimentConfig):
     name = config.instance
-    seed = config.seed
-    if seed is None:
-        seed = DEFAULT_SEED.get(name, 0)
-    kwargs = {}
+    seed = DEFAULT_SEED.get(name, 0) if config.seed is None else config.seed
     if name in SIZED:
         size = {"n": config.n, "m": config.m}
-        kwargs = {"seed": seed, **{k: v for k, v in size.items() if v is not None}}
-    elif name == "do":
-        kwargs = {"data_path": config.data_path, "seed": seed}
-    return make_instance(name, **kwargs)
+        return make_instance(name, seed=seed, **{k: v for k, v in size.items() if v is not None})
+    if name == "do":
+        return make_instance(name, data_path=config.data_path, seed=seed)
+    return make_instance(name)
+
+
+def make_output_dir(path):
+    """``path``, made a directory if missing; an OSError is a one-line ConfigError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot create output directory ({exc.strerror})") from exc
+    return path
+
+
+def write_json(path, obj):
+    """Write ``obj`` to ``path`` as JSON, keys sorted and indented by two; return the text."""
+    text = json.dumps(_sanitize(obj), indent=2, sort_keys=True)
+    with open(path, "w") as fh:
+        fh.write(text)
+    return text
 
 
 def _fmt(v):
@@ -113,25 +139,15 @@ def run_experiment(config: ExperimentConfig):
     config.validate()
     problem = build_instance(config)
     steps = default_step_sizes(problem.constraint)
-    version = config.version
-    if version is None:
-        version = DEFAULT_VERSION.get(config.instance, 1)
-
     if config.criteria is not None:
         names = list(config.criteria)
     else:
         names = ["kkt", "sdg", "pdg"] + (["ogfe"] if problem.reference is not None else [])
-
-    solve_cfg = SolveConfig(
-        epsilon=config.epsilon, max_iters=config.max_iters,
-        criterion=config.criterion, evaluate=tuple(names),
-        record_every=config.record_every, version=version)
+    solve_cfg = config.solve_config(names)
+    make_output_dir(config.out_dir)
     traj = solve(problem, solve_cfg, steps)
-
     consts = lipschitz_constants(problem)
-    eta_of = EtaCache(problem)
 
-    os.makedirs(config.out_dir, exist_ok=True)
     trace_path = os.path.join(config.out_dir, "trace.csv")
     # table2's input: per theorem, the lhs and rhs of each row, nan where it
     # does not apply
@@ -149,18 +165,17 @@ def run_experiment(config: ExperimentConfig):
             j, gate = crit.best_sdg(pv.sdg)
             cells = [k, _fmt(pv.og), _fmt(pv.fe), _fmt(pv.kkt), _fmt(pv.pdg),
                      _fmt(float(pv.sdg.gap[j])), _fmt(float(pv.sdg.beta[j])), _fmt(gate)]
-            lhs[:, i], rhs[:, i], beta = evaluate_bounds(pv, consts, eta_of, config.t2_constant)
+            lhs[:, i], rhs[:, i], beta = evaluate_bounds(pv, consts, config.t2_constant)
             rho = np.where(np.isnan(lhs[:, i]), np.nan, ratio(lhs[:, i], rhs[:, i]))
             for cell in zip(lhs[:, i].tolist(), rhs[:, i].tolist(), rho.tolist(), beta.tolist()):
                 cells += map(_fmt, cell)
             writer.writerow(cells)
 
     table1 = {"instance": problem.label, "epsilon": config.epsilon,
-              "budget": config.max_iters, "version": version,
+              "budget": config.max_iters, "version": solve_cfg.version,
               "iterations": {n: traj.crossings.get(n) for n in names},
               "stop_reason": traj.stop_reason}
-    with open(os.path.join(config.out_dir, "table1.json"), "w") as fh:
-        json.dump(_sanitize(table1), fh, indent=2, sort_keys=True)
+    write_json(os.path.join(config.out_dir, "table1.json"), table1)
 
     table2 = {"instance": problem.label, "ratios": {}}
     certified = ~np.isnan(lhs)
@@ -168,22 +183,19 @@ def run_experiment(config: ExperimentConfig):
         if certified[t].any():
             table2["ratios"][tid] = asdict(ratio_stats(lhs[t, certified[t]],
                                                        rhs[t, certified[t]]))
-    with open(os.path.join(config.out_dir, "table2.json"), "w") as fh:
-        json.dump(_sanitize(table2), fh, indent=2, sort_keys=True)
+    write_json(os.path.join(config.out_dir, "table2.json"), table2)
 
     return {"trace": trace_path, "table1": table1, "table2": table2, "trajectory": traj}
 
 
 def _sanitize(obj):
-    """JSON-ready copy: numpy scalars to python, +/-inf to strings."""
+    """JSON-ready copy: numpy arrays and scalars to python, +/-inf to strings."""
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
     if isinstance(obj, float) and math.isinf(obj):
         return "inf" if obj > 0 else "-inf"
     return obj

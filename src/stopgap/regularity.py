@@ -3,10 +3,10 @@ constant gamma (smallest nonzero |eigenvalue| of the stationarity matrix) and
 the quadratic-error-bound constant eta of the smoothed gap.
 
 Set-up (``lipschitz_constants``) computes gamma once per instance.  eta
-depends on beta, so the bounds read eta(beta) at each row's own beta through
-an ``EtaCache``, which solves for it on first use.  The Lipschitz constants of
-the objective and its conjugate parts are attributes of the objective
-(``objectives.ObjectiveOracle``), and the bounds read them there.
+depends on beta, so the constants carry an ``EtaCache`` (``.eta``), which
+solves for eta(beta) at each row's own beta on first use.  The Lipschitz
+constants of the objective and its conjugate parts are attributes of the
+objective (``objectives.ObjectiveOracle``), and the bounds read them there.
 
 For least-squares instances the smoothed gap is a quadratic in z = (x, y)
 whose quadratic part z^T H z depends only on Q^T Q, A and beta; eta is half
@@ -30,6 +30,7 @@ DECLARED_DEFAULT = 1e-8  # gamma = eta fallback where computing them is intracta
 class RegularityConstants:
     gamma: float
     provenance: dict
+    eta: "EtaCache"   # eta(beta) at the float beta
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -88,20 +89,20 @@ def qeb_eta(gram, A, beta):
 
 
 def lipschitz_constants(instance, steps=None):
-    """Set-up constants of ``instance``: gamma with its provenance.
+    """Set-up constants of ``instance``: gamma, eta and their provenance.
 
     Least squares: gamma from the spectrum of the stationarity matrix, and
-    eta per beta.  Other objectives: gamma and eta fall back to the declared
-    default 1e-8.  eta has one source, the ``EtaCache`` the bounds read
-    eta(beta) from; the provenance says whether that is "per-beta" or
-    "declared-default".
-    ``steps`` is unused; the keyword stays for existing callers.
+    eta per beta from the instance's ``EtaCache`` (``.eta``).  Other
+    objectives: gamma and eta fall back to the declared default 1e-8; the
+    provenance says which.  ``steps`` is unused; the keyword stays for
+    existing callers.
     """
-    if isinstance(instance.objective, LeastSquaresObjective):
+    eta = EtaCache(instance)
+    if eta.computable:
         gamma = msr_gamma(instance.objective.data.gram, instance.constraint.matrix)
-        return RegularityConstants(gamma, {"gamma": "computed", "eta": "per-beta"})
+        return RegularityConstants(gamma, {"gamma": "computed", "eta": "per-beta"}, eta)
     return RegularityConstants(DECLARED_DEFAULT, {"gamma": "declared-default",
-                                                  "eta": "declared-default"})
+                                                  "eta": "declared-default"}, eta)
 
 
 class EtaCache:

@@ -16,7 +16,7 @@ from stopgap.oracles import (counterexample_kkt_vs_og, counterexample_kkt_vs_sdg
                              sdg_direct)
 from stopgap.pdhg import SolveConfig, default_step_sizes, solve
 from stopgap.problem import PrimalDualPoint
-from stopgap.regularity import EtaCache, lipschitz_constants, msr_gamma, stationarity_matrix
+from stopgap.regularity import lipschitz_constants, msr_gamma, stationarity_matrix
 
 from regularity_oracles import distance_to_saddle_set, qeb_model, saddle_set
 
@@ -74,11 +74,10 @@ def certified_trajectories():
                           record_every=every, version=version)
         traj = solve(problem, cfg)
         consts = lipschitz_constants(problem)
-        eta_of = EtaCache(problem)
         reports = {}
         violations = []
         for k, z in traj.iterates:
-            lhs, rhs, _ = evaluate_bounds(PointValues(problem, z), consts, eta_of)
+            lhs, rhs, _ = evaluate_bounds(PointValues(problem, z), consts)
             for tid, a, b in zip(THEOREMS, lhs.tolist(), rhs.tolist()):
                 if math.isnan(a):
                     continue  # the theorem does not apply here

@@ -15,7 +15,7 @@ from stopgap.harness import DEFAULT_VERSION, ExperimentConfig, build_instance, r
 from stopgap.instances import FAMILIES
 from stopgap.pdhg import SolveConfig, solve
 from stopgap.problem import PrimalDualPoint
-from stopgap.regularity import EtaCache, lipschitz_constants
+from stopgap.regularity import lipschitz_constants
 
 INF = float("inf")
 
@@ -29,9 +29,9 @@ def holds(tid, lhs, rhs):
     return bool(bounds.holds(lhs, float(rhs)))
 
 
-def reports_of(values, consts, eta_of):
+def reports_of(values, consts):
     """``evaluate_bounds`` at ``values`` as a Report per theorem that applies."""
-    lhs, rhs, beta = evaluate_bounds(values, consts, eta_of)
+    lhs, rhs, beta = evaluate_bounds(values, consts)
     return {tid: Report(a, b, None if math.isnan(c) else c)
             for tid, a, b, c in zip(THEOREMS, lhs.tolist(), rhs.tolist(), beta.tolist())
             if not math.isnan(a)}
@@ -161,13 +161,12 @@ class TestRatioStats:
 class TestTrajectoryCertification:
     def run_and_check(self, problem, max_iters=400, every=1):
         consts = lipschitz_constants(problem)
-        eta_of = EtaCache(problem)
         cfg = SolveConfig(epsilon=1e-8, max_iters=max_iters, criterion="sdg",
                           record_every=every)
         traj = solve(problem, cfg)
         t4, t5 = [], []
         for k, z in traj.iterates:
-            reports = reports_of(PointValues(problem, z), consts, eta_of)
+            reports = reports_of(PointValues(problem, z), consts)
             for tid, rep in reports.items():
                 assert holds(tid, rep.lhs, rep.rhs), f"{problem.label} iter {k}: {tid} " \
                                                      f"violated ({rep.lhs} > {rep.rhs})"
@@ -200,17 +199,16 @@ class TestTrajectoryCertification:
 def test_precomputed_point_values_give_the_same_reports(family, request, rng):
     problem = request.getfixturevalue(family)
     consts = lipschitz_constants(problem)
-    eta_of = EtaCache(problem)
     for _ in range(3):
         # |x| keeps the pqp slack block inside its nonnegativity domain
         z = PrimalDualPoint(np.abs(rng.standard_normal(problem.constraint.n)),
                             rng.standard_normal(problem.constraint.m))
         # fresh: evaluate_bounds forms every measure; read: the caller formed
         # them first, as the trace does
-        fresh = evaluate_bounds(PointValues(problem, z), consts, eta_of)
+        fresh = evaluate_bounds(PointValues(problem, z), consts)
         read = PointValues(problem, z)
         read.sdg, read.og, read.kkt, read.pdg
-        shared = evaluate_bounds(read, consts, eta_of)
+        shared = evaluate_bounds(read, consts)
         assert np.array(fresh).tobytes() == np.array(shared).tobytes()
 
 
@@ -226,15 +224,14 @@ def test_eta_cache_keeps_only_the_grid_beta(iidg, monkeypatch):
 
     monkeypatch.setattr(regularity, "qeb_eta", counted)
     consts = lipschitz_constants(iidg)
-    eta_of = EtaCache(iidg)
     traj = solve(iidg, SolveConfig(max_iters=30))
     looked_up = set()
     for _, z in traj.iterates:
         values = PointValues(iidg, z)
         looked_up.update(values.sdg.beta.tolist())
-        evaluate_bounds(values, consts, eta_of)
+        evaluate_bounds(values, consts)
     assert len(traj.iterates) == 31
-    assert set(eta_of._cache) <= set(GRID_VALUES)
+    assert set(consts.eta._cache) <= set(GRID_VALUES)
     assert sorted(solved) == sorted(looked_up)
 
 
@@ -248,7 +245,7 @@ def test_p4_requires_lipschitz_conjugate():
         bound_P4(1.0, 0.0, 0.0, 1.0, None)
 
 
-def reference_bounds(problem, z, consts, eta_of, values):
+def reference_bounds(problem, z, consts, values):
     """Reports of the per-beta loop that the array expressions replaced: every
     bound is built at each grid beta, a walk over (beta, lhs, rhs) candidates
     picks one (ties to the smaller beta, the smallest grid beta when nothing
@@ -282,9 +279,9 @@ def reference_bounds(problem, z, consts, eta_of, values):
     if og is not None:
         reports["T1_OG_KKT"] = Report(og, bound_T1(K, y_norm, consts.gamma), None)
         reports["T2_OG_SDG"] = pick("T2_OG_SDG", "one-sided", lambda G: og, lambda b, G: bound_T2(
-            G, y_norm, b, eta_of(b)))
+            G, y_norm, b, consts.eta(b)))
         reports["T3_OG_PDG"] = pick("T3_OG_PDG", "one-sided", lambda G: og, lambda b, G: bound_T3(
-            D, x_norm, y_norm, b, eta_of(b)))
+            D, x_norm, y_norm, b, consts.eta(b)))
     reports["T4_SDG_KKT"] = pick("T4_SDG_KKT", "ratio", lambda G: G,
                                  lambda b, G: bound_T4(K, b))
     obj = problem.objective
@@ -321,9 +318,9 @@ def report_bits(rep):
                  (rep.lhs, rep.rhs) + ((beta,) if beta is not None else ()))
 
 
-def assert_matches_reference(problem, z, consts, eta_of, values, where):
-    got = reports_of(values, consts, eta_of)
-    want = reference_bounds(problem, z, consts, eta_of, values)
+def assert_matches_reference(problem, z, consts, values, where):
+    got = reports_of(values, consts)
+    want = reference_bounds(problem, z, consts, values)
     assert got.keys() == want.keys(), where
     for tid, rep in want.items():
         assert report_bits(got[tid]) == report_bits(rep), f"{where}: {tid}"
@@ -334,7 +331,6 @@ def test_selection_matches_the_per_beta_loop(rng):
     for name in sorted(FAMILIES):
         problem = build_instance(ExperimentConfig(instance=name))
         consts = lipschitz_constants(problem)
-        eta_of = EtaCache(problem)
         traj = solve(problem, SolveConfig(criterion="kkt", max_iters=40, record_every=5,
                                           version=DEFAULT_VERSION.get(name, 1)))
         # |x| keeps the pqp slack block inside its nonnegativity domain
@@ -342,8 +338,8 @@ def test_selection_matches_the_per_beta_loop(rng):
                                          rng.standard_normal(problem.constraint.m))
                          for _ in range(3)]
         for k, z in traj.iterates + list(enumerate(random_points, start=-3)):
-            assert_matches_reference(problem, z, consts, eta_of,
-                                     PointValues(problem, z), f"{name} point {k}")
+            assert_matches_reference(problem, z, consts, PointValues(problem, z),
+                                     f"{name} point {k}")
 
 
 class TestSelectionEdgeCases:
@@ -360,7 +356,7 @@ class TestSelectionEdgeCases:
         values.og, values.fe, values.kkt, values.pdg = og, fe, kkt, pdg
         values.sdg = SdgGrid(beta=self.BETA, gap=np.asarray(gap, float), prox=prox)
         consts = lipschitz_constants(one_d)
-        return assert_matches_reference(one_d, z, consts, EtaCache(one_d), values, "edge case")
+        return assert_matches_reference(one_d, z, consts, values, "edge case")
 
     def test_all_infinite_rhs_falls_back_to_the_smallest_beta(self, one_d):
         reports = self.run(one_d, np.ones(5), kkt=INF, pdg=INF)
@@ -394,7 +390,7 @@ def test_columns_are_empty_exactly_where_a_theorem_does_not_apply(rng, tmp_path)
         # |x| keeps the pqp slack block inside its nonnegativity domain
         z = PrimalDualPoint(np.abs(rng.standard_normal(problem.constraint.n)),
                             rng.standard_normal(problem.constraint.m))
-        lhs, rhs, beta = evaluate_bounds(PointValues(problem, z), consts, EtaCache(problem))
+        lhs, rhs, beta = evaluate_bounds(PointValues(problem, z), consts)
         empty = {tid for tid, v in zip(THEOREMS, lhs.tolist()) if math.isnan(v)}
         want = set()
         if problem.reference is None:
@@ -413,7 +409,7 @@ def test_columns_are_empty_exactly_where_a_theorem_does_not_apply(rng, tmp_path)
     x[-1] = -1.0
     values = PointValues(pqp, PrimalDualPoint(x, rng.standard_normal(pqp.constraint.m)))
     assert values.fx == INF
-    lhs, rhs, beta = evaluate_bounds(values, lipschitz_constants(pqp), EtaCache(pqp))
+    lhs, rhs, beta = evaluate_bounds(values, lipschitz_constants(pqp))
     at = THEOREMS.index("L6_SDG_floor")
     assert math.isnan(lhs[at]) and math.isnan(rhs[at]) and math.isnan(beta[at])
     assert not np.isnan(lhs[THEOREMS.index("C1_FE_SDG")])

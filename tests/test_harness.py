@@ -81,6 +81,30 @@ class TestRunExperiment:
             run_experiment(cfg)
 
     @pytest.mark.parametrize("instance", FAMILIES)
+    def test_no_reference_lists_the_families_built_without_one(self, instance):
+        problem = build_instance(ExperimentConfig(instance=instance))
+        assert (problem.reference is None) == (instance in harness.NO_REFERENCE)
+
+    @pytest.mark.parametrize("instance", harness.NO_REFERENCE)
+    @pytest.mark.parametrize("settings", [{"criterion": "ogfe"},
+                                          {"criterion": "ogfe", "criteria": ("ogfe", "kkt")},
+                                          {"criterion": "kkt", "criteria": ("kkt", "ogfe")}])
+    def test_ogfe_without_a_reference_fails_before_the_solve(self, tmp_path, monkeypatch,
+                                                             instance, settings):
+        monkeypatch.setattr(harness, "solve", unreachable)
+        with pytest.raises(ConfigError, match=rf"^{instance}\(.*\): ogfe requested"):
+            ExperimentConfig(instance=instance, **settings).validate()
+        with pytest.raises(ConfigError, match="ogfe requested"):
+            run_experiment(ExperimentConfig(instance=instance, out_dir=str(tmp_path / "out"),
+                                            **settings))
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_family_is_refused(self, monkeypatch):
+        monkeypatch.setattr(harness, "build_instance", unreachable)
+        with pytest.raises(ConfigError, match="^unknown instance family 'nope'; choose from"):
+            ExperimentConfig(instance="nope").validate()
+
+    @pytest.mark.parametrize("instance", FAMILIES)
     def test_traced_run_keeps_the_benchmark_call_graph(self, tmp_path, monkeypatch, instance):
         # the benchmark's probes count calls at fixed call sites; a refactor
         # that moves one of those calls fails here before it fails a benchmark run
@@ -205,6 +229,41 @@ class TestCli:
         assert capsys.readouterr().err == ("stopgap: error: n sets the size of "
                                            "iidg/ntc/pqp/bp instances only, not '1d'\n")
         assert not (tmp_path / "out" / "iidg").exists()
+
+    def test_unknown_instance_is_refused_before_any_solve(self, tmp_path, monkeypatch, capsys):
+        # the name used to be checked by the command itself, apart from the configs
+        monkeypatch.setattr(harness, "solve", unreachable)
+        rc = cli_main(["tables", "--instances", "iidg,nope", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "stopgap: error: unknown instance family 'nope'; choose from ")
+        assert not (tmp_path / "out").exists()
+
+    def test_ogfe_without_a_reference_is_refused_before_any_solve(self, tmp_path, capsys):
+        # iidg used to be solved into out/iidg before bp refused the ogfe gate
+        rc = cli_main(["tables", "--instances", "iidg,bp", "--criterion", "ogfe",
+                       "--max-iters", "50", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == ("stopgap: error: bp(n=20,m=10,seed=5): ogfe "
+                                           "requested but no reference solution\n")
+        assert not (tmp_path / "out" / "iidg").exists()
+
+    @pytest.mark.parametrize("command", ["run", "verify", "tables"])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_output_path_through_a_file_is_a_one_line_error(self, tmp_path, monkeypatch,
+                                                            capsys, command, below):
+        # run and tables used to solve first and then end in a FileExistsError
+        # or NotADirectoryError traceback, and verify ended in one too
+        monkeypatch.setattr(harness, "solve", unreachable)
+        monkeypatch.setattr("stopgap.cli.verification_suite", unreachable)
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / "out" if below else tmp_path / "taken"
+        args = ["--instances", "1d,iidg"] if command == "tables" else ["--instance", "1d"]
+        rc = cli_main([command, *args, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"stopgap: error: {out}: cannot create output directory (")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_is_refused(self, tmp_path, monkeypatch, capsys, jobs):

@@ -84,8 +84,8 @@ class TestLipschitzConstants:
 
     @pytest.mark.parametrize("family", ["1d", "iidg", "ntc", "do"])
     def test_ls_set_up_leaves_eta_to_the_per_beta_lookup(self, monkeypatch, family):
-        # the bounds read eta(beta) at each row's own beta from an EtaCache,
-        # so set-up solves for no eta of its own
+        # the bounds read eta(beta) at each row's own beta from the
+        # constants' EtaCache, so set-up solves for no eta of its own
         calls = []
         real = regularity.qeb_eta
 
@@ -97,6 +97,7 @@ class TestLipschitzConstants:
         consts = lipschitz_constants(make_instance(family))
         assert len(calls) == 0
         assert consts.provenance["eta"] == "per-beta"
+        assert consts.eta.computable
         assert consts.gamma > 0
 
     def test_scaled_orthogonal_rows(self):
@@ -113,7 +114,7 @@ class TestLipschitzConstants:
         assert bp.objective.conj_lipschitz == 0.0
         assert consts.gamma == 1e-8
         assert consts.provenance["gamma"] == "declared-default"
-        assert [EtaCache(bp)(b) for b in (1e-8, 1.0)] == [1e-8, 1e-8]
+        assert [consts.eta(b) for b in (1e-8, 1.0)] == [1e-8, 1e-8]
 
     def test_qp_defaults(self, pqp):
         consts = lipschitz_constants(pqp)
@@ -121,7 +122,7 @@ class TestLipschitzConstants:
         assert pqp.objective.conj_part_lipschitz == 0.0
         assert pqp.objective.conj_grad_lipschitz is not None
         assert consts.gamma == 1e-8
-        assert [EtaCache(pqp)(b) for b in (1e-8, 1.0)] == [1e-8, 1e-8]
+        assert [consts.eta(b) for b in (1e-8, 1.0)] == [1e-8, 1e-8]
 
 
 @pytest.mark.parametrize("family", ["1d", "iidg", "ntc", "do"])
