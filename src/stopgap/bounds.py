@@ -94,7 +94,7 @@ def bound_T3(D, x_norm, y_norm, beta, eta):
 
 
 def bound_T4(K, beta):
-    """G <= max(1/beta, 1/(2 beta)) K = K/beta."""
+    """G <= max(1/beta, 1/(2 beta)) K = K/beta, the paper's constant; K/(2 beta) is sharp."""
     return (1.0 / beta) * K
 
 

@@ -17,7 +17,7 @@ from .bounds import THEOREMS
 from .errors import StopgapError
 from .harness import (ExperimentConfig, build_instance, emit_plot_data, make_output_dir,
                       run_experiment, write_json)
-from .instances import FAMILIES
+from .instances import FAMILIES, readers
 from .oracles import (counterexample_kkt_vs_og, counterexample_kkt_vs_sdg,
                       verification_suite)
 from .pdhg import CRITERIA, check_count
@@ -25,11 +25,11 @@ from .pdhg import CRITERIA, check_count
 
 def _add_build_flags(p):
     """Flags that set how each instance is built, and the output directory."""
+    *most, last = readers("n")
+    sized = f"{', '.join(most)} or {last}"
     p.add_argument("--seed", type=int, help="instance seed (default: per-family choice)")
-    p.add_argument("--n", type=int,
-                   help="columns of an iidg, ntc, pqp or bp instance (default: 20)")
-    p.add_argument("--m", type=int,
-                   help="rows of an iidg, ntc, pqp or bp instance (default: 10)")
+    p.add_argument("--n", type=int, help=f"columns of an {sized} instance (default: 20)")
+    p.add_argument("--m", type=int, help=f"rows of an {sized} instance (default: 10)")
     p.add_argument("--data-path",
                    help="LIBSVM file for the distributed instance "
                         "(default: $STOPGAP_DATA_DIR/bodyfat, else synthetic)")

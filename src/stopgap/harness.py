@@ -18,63 +18,54 @@ import numpy as np
 from . import criteria as crit
 from .bounds import T2_CONSTANTS, THEOREMS, evaluate_bounds, ratio, ratio_stats
 from .errors import ConfigError
-from .instances import FAMILIES, make_instance
+from .instances import family, readers
 from .pdhg import CRITERIA, SolveConfig, check_count, default_step_sizes, solve
 from .regularity import lipschitz_constants
 
-# PDHG ordering per family: the splitting QP needs the prox-last version to
-# keep the slack block inside the nonnegativity domain
-DEFAULT_VERSION = {"pqp": 2}
-DEFAULT_SEED = {"bp": 5, "pqp": 8, "iidg": 7, "ntc": 7, "do": 0}
-# the families whose size n x m is set by ExperimentConfig.n and .m
-SIZED = ("iidg", "ntc", "pqp", "bp")
-# the families whose factory builds no reference solution, so no OG/FE
-NO_REFERENCE = ("pqp", "bp")
-# floor of a plotted series, so that zeros stay on a log axis
+# floor of a plotted series, so that zeros and round-off stay on a log axis
 PLOT_CLAMP = 1e-16
 
 
 @dataclass
 class ExperimentConfig:
+    """One run.  The solve defaults are SolveConfig's but ``criterion``: a run
+    waits for every gate, as Table 1 reports each crossing; ``solve`` stops at SDG."""
+
     instance: str = "1d"
     n: int | None = None            # None = family default (20 x 10)
     m: int | None = None
-    seed: int | None = None
+    seed: int | None = None         # None = the family's paper seed
     data_path: str | None = None
-    epsilon: float = 1e-8
-    max_iters: int = 100_000
+    epsilon: float = SolveConfig.epsilon
+    max_iters: int = SolveConfig.max_iters
     criterion: str = "all"          # stop gate; 'all' waits for every criterion
     criteria: tuple | None = None   # None = every criterion computable here
-    record_every: int = 1
+    record_every: int = SolveConfig.record_every
     version: int | None = None      # None = family default
     t2_constant: str = "proof"
     out_dir: str = "out"
 
     def solve_config(self, evaluate):
         """The run's SolveConfig over ``evaluate``, with the family's default version."""
-        version = DEFAULT_VERSION.get(self.instance, 1) if self.version is None else self.version
+        version = family(self.instance).version if self.version is None else self.version
         return SolveConfig(epsilon=self.epsilon, max_iters=self.max_iters,
                            criterion=self.criterion, evaluate=tuple(evaluate),
                            record_every=self.record_every, version=version)
 
     def validate(self):
-        if self.instance not in FAMILIES:
-            raise ConfigError(f"unknown instance family {self.instance!r}; "
-                              f"choose from {sorted(FAMILIES)}")
+        fam = family(self.instance)
         if self.criteria is not None:
             if not self.criteria:
                 raise ConfigError("criteria list must not be empty; omit it for defaults")
             if self.criterion != "all" and self.criterion not in self.criteria:
                 raise ConfigError("stop criterion must be among the evaluated criteria")
-        for name in ("n", "m"):
-            if getattr(self, name) is not None:
-                if self.instance not in SIZED:
-                    raise ConfigError(f"{name} sets the size of {'/'.join(SIZED)} "
-                                      f"instances only, not {self.instance!r}")
-                check_count(name, getattr(self, name))
-        if self.data_path is not None and self.instance != "do":
-            raise ConfigError(f"data_path sets the data of do instances only, "
-                              f"not {self.instance!r}")
+        for name, sets in (("n", "size"), ("m", "size"), ("data_path", "data")):
+            value = getattr(self, name)
+            if value is not None and name not in fam.reads:
+                raise ConfigError(f"{name} sets the {sets} of {'/'.join(readers(name))} "
+                                  f"instances only, not {self.instance!r}")
+            if value is not None and sets == "size":
+                check_count(name, value)
         # the solver's own checks, made before the instance is built
         self.solve_config(CRITERIA if self.criteria is None else self.criteria)
         if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(
@@ -83,7 +74,7 @@ class ExperimentConfig:
         if self.t2_constant not in T2_CONSTANTS:
             raise ConfigError(f"unknown t2_constant {self.t2_constant!r}; "
                               f"choose from {list(T2_CONSTANTS)}")
-        if self.instance in NO_REFERENCE and "ogfe" in (self.criterion, *(self.criteria or ())):
+        if not fam.reference and "ogfe" in (self.criterion, *(self.criteria or ())):
             # the solver's own refusal, before any solve; a small build names the instance
             raise ConfigError(f"{build_instance(self).label}: ogfe requested "
                               "but no reference solution")
@@ -91,14 +82,11 @@ class ExperimentConfig:
 
 
 def build_instance(config: ExperimentConfig):
-    name = config.instance
-    seed = DEFAULT_SEED.get(name, 0) if config.seed is None else config.seed
-    if name in SIZED:
-        size = {"n": config.n, "m": config.m}
-        return make_instance(name, seed=seed, **{k: v for k, v in size.items() if v is not None})
-    if name == "do":
-        return make_instance(name, data_path=config.data_path, seed=seed)
-    return make_instance(name)
+    """The family's factory over the set fields it reads; an unset seed is the paper's."""
+    fam = family(config.instance)
+    given = {"seed": fam.seed if config.seed is None else config.seed,
+             "n": config.n, "m": config.m, "data_path": config.data_path}
+    return fam.factory(**{k: given[k] for k in fam.reads if given[k] is not None})
 
 
 def make_output_dir(path):
@@ -205,8 +193,8 @@ def emit_plot_data(trace_path, selector, out_path):
     """Log-scale-ready series from a trace.
 
     selector 'criterion:<name>' emits iteration vs value; 'bound:<tid>'
-    emits iteration, lhs, rhs.  Zeros are clamped to ``PLOT_CLAMP`` with a
-    flag column marking clamped rows.  A selector with no numeric row (a
+    emits iteration, lhs, rhs.  Values below ``PLOT_CLAMP`` are raised to
+    it, and a flag column marks the rows where that happened.  A selector with no numeric row (a
     measure or theorem that does not apply) raises ConfigError.
     """
     try:
@@ -244,7 +232,7 @@ def emit_plot_data(trace_path, selector, out_path):
         vals = [parse(line, c, row[c]) for c in cols]
         if any(v is None for v in vals):
             continue
-        clamped = int(any(v == 0.0 for v in vals))
+        clamped = int(any(v < PLOT_CLAMP for v in vals))
         series.append([row["iteration"]] + [_fmt(max(v, PLOT_CLAMP)) for v in vals] + [clamped])
     if not series:
         # a measure or theorem that does not apply here is empty on every row

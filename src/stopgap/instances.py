@@ -10,6 +10,8 @@ reproducible byte for byte.
 import math
 import os
 import warnings
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,7 +148,6 @@ def make_do(data_path=None, M=3, n=14, m=84, seed=0):
     """
     if M < 2:
         raise ConfigError("the consensus chain needs M >= 2 blocks")
-    blocks = None
     if data_path is None:
         env = os.environ.get(DATA_DIR_ENV)
         if env:
@@ -224,21 +225,41 @@ def make_bp(n=20, m=10, seed=0):
         reference=None, label=f"bp(n={n},m={m},seed={seed})")
 
 
+@dataclass(frozen=True)
+class Family:
+    """One family: its factory, the ExperimentConfig fields the factory reads, the paper
+    seed, the default PDHG ordering, and whether it builds a reference (for OG/FE)."""
+
+    factory: Callable
+    reads: tuple
+    seed: int | None
+    version: int
+    reference: bool
+
+
+# pqp needs version 2 to keep its slack block nonnegative; bp's KKT stalls under version 1
 FAMILIES = {
-    "1d": make_1d,
-    "iidg": make_iidg,
-    "ntc": make_ntc,
-    "do": make_do,
-    "pqp": make_pqp,
-    "bp": make_bp,
+    "1d": Family(make_1d, (), seed=None, version=1, reference=True),
+    "iidg": Family(make_iidg, ("seed", "n", "m"), seed=7, version=1, reference=True),
+    "ntc": Family(make_ntc, ("seed", "n", "m"), seed=7, version=1, reference=True),
+    "do": Family(make_do, ("seed", "data_path"), seed=0, version=1, reference=True),
+    "pqp": Family(make_pqp, ("seed", "n", "m"), seed=8, version=2, reference=False),
+    "bp": Family(make_bp, ("seed", "n", "m"), seed=5, version=1, reference=False),
 }
 
 
+def family(name):
+    """The Family of ``name``; unknown names raise ConfigError."""
+    if name not in FAMILIES:
+        raise ConfigError(f"unknown instance family {name!r}; choose from {sorted(FAMILIES)}")
+    return FAMILIES[name]
+
+
+def readers(field):
+    """The families whose factory reads the ExperimentConfig ``field``."""
+    return [name for name, fam in FAMILIES.items() if field in fam.reads]
+
+
 def make_instance(name, **kwargs):
-    """Factory by family name; unknown names raise ConfigError."""
-    try:
-        factory = FAMILIES[name]
-    except KeyError:
-        raise ConfigError(f"unknown instance family {name!r}; "
-                          f"choose from {sorted(FAMILIES)}") from None
-    return factory(**kwargs)
+    """Factory by family name, with the factory's own defaults."""
+    return family(name).factory(**kwargs)

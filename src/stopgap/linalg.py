@@ -113,15 +113,6 @@ def rowwise(M, X):
     return out
 
 
-def eigh_psd(G):
-    """Eigendecomposition of a symmetric PSD matrix with negatives clipped.
-
-    Returns (lam, V) with G = V diag(lam) V^T and lam >= 0 ascending.
-    """
-    lam, V = np.linalg.eigh(0.5 * (G + G.T))
-    return np.clip(lam, 0.0, None), V
-
-
 def pinv_solve(M, rhs):
     """Least-squares / pseudo-inverse solution of M z = rhs with rank cutoff."""
     z, *_ = np.linalg.lstsq(M, rhs, rcond=RANK_RTOL)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError
-from .linalg import RANK_RTOL, aligned, check_finite, eigh_psd, rowwise
+from .linalg import RANK_RTOL, aligned, check_finite, rowwise
 
 INF = float("inf")
 CONJ_TOL = 1e-8  # relative slack of every conjugate-domain test
@@ -82,7 +82,8 @@ class LeastSquaresData:
         self.n = n
         self.gram = self.design.T @ self.design
         self.qtc = self.design.T @ self.target
-        self.lam, V = eigh_psd(self.gram)
+        lam, V = np.linalg.eigh(0.5 * (self.gram + self.gram.T))
+        self.lam = np.clip(lam, 0.0, None)  # Q^T Q is PSD: negatives are round-off
         self.V = aligned(V)
         self.lam_max = float(self.lam.max()) if self.lam.size else 0.0
         self.pos = self.lam > RANK_RTOL * max(self.lam_max, 1e-300)

@@ -90,8 +90,8 @@ class Trajectory:
 
     iterates: list = field(default_factory=list)  # (k, PrimalDualPoint) pairs
     stop_reason: str = "budget_exhausted"
-    iterations_used: int = 0
     crossings: dict = field(default_factory=dict)
+    iterations_used = property(lambda self: self.iterates[-1][0])  # solve records the last
 
 
 def step_v1(problem, z, steps: StepSizes):
@@ -176,7 +176,6 @@ def solve(problem, config: SolveConfig, steps: StepSizes | None = None):
         converged = all(traj.crossings[n] is not None for n in gating)
         if converged or k == config.max_iters or k % config.record_every == 0:
             traj.iterates.append((k, z))
-        traj.iterations_used = k
         if converged:
             traj.stop_reason = "converged"
             break

@@ -11,7 +11,7 @@ from stopgap.bounds import (THEOREMS, bound_C1, bound_P4, bound_T1, bound_T2, bo
                             ratio_stats)
 from stopgap.criteria import GRID_VALUES, PointValues, SdgGrid
 from stopgap.errors import ConfigError
-from stopgap.harness import DEFAULT_VERSION, ExperimentConfig, build_instance, run_experiment
+from stopgap.harness import ExperimentConfig, build_instance, run_experiment
 from stopgap.instances import FAMILIES
 from stopgap.pdhg import SolveConfig, solve
 from stopgap.problem import PrimalDualPoint
@@ -332,7 +332,7 @@ def test_selection_matches_the_per_beta_loop(rng):
         problem = build_instance(ExperimentConfig(instance=name))
         consts = lipschitz_constants(problem)
         traj = solve(problem, SolveConfig(criterion="kkt", max_iters=40, record_every=5,
-                                          version=DEFAULT_VERSION.get(name, 1)))
+                                          version=FAMILIES[name].version))
         # |x| keeps the pqp slack block inside its nonnegativity domain
         random_points = [PrimalDualPoint(np.abs(rng.standard_normal(problem.constraint.n)),
                                          rng.standard_normal(problem.constraint.m))
@@ -340,6 +340,20 @@ def test_selection_matches_the_per_beta_loop(rng):
         for k, z in traj.iterates + list(enumerate(random_points, start=-3)):
             assert_matches_reference(problem, z, consts, PointValues(problem, z),
                                      f"{name} point {k}")
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_t4_holds_with_half_the_papers_constant(name):
+    # for s in df(x), f(p) >= f(x) + <s, p - x> bounds the x-part of G_beta by
+    # ||s + A^T y||^2/(2 beta), and the y-part is ||Ax - b||^2/(2 beta), so
+    # G_beta <= K/(2 beta) at every beta; the T4 columns keep the paper's K/beta
+    config = ExperimentConfig(instance=name, max_iters=2000, record_every=7)
+    problem = build_instance(config)
+    traj = solve(problem, config.solve_config(("kkt", "sdg", "pdg")))
+    for k, z in traj.iterates:
+        values = PointValues(problem, z)
+        beta, G = values.sdg.beta, values.sdg.gap
+        assert bounds.holds(G, values.kkt / (2.0 * beta)).all(), f"{name} iteration {k}"
 
 
 class TestSelectionEdgeCases:

@@ -9,7 +9,7 @@ from stopgap.criteria import (GRID_VALUES, PointValues, SdgGrid, best_sdg, beta_
                               kkt_error, ogfe, projected_duality_gap, sdg_over_grid,
                               select_beta, smoothed_duality_gap)
 from stopgap.errors import ConfigError, StopgapError
-from stopgap.harness import DEFAULT_VERSION, ExperimentConfig, build_instance
+from stopgap.harness import ExperimentConfig, build_instance
 from stopgap.instances import FAMILIES, make_1d, make_do, make_iidg
 from stopgap.objectives import L1Norm, ObjectiveOracle
 from stopgap.pdhg import SolveConfig, solve
@@ -296,7 +296,7 @@ def test_sdg_grid_matches_pointwise():
     for name in FAMILIES:
         problem = build_instance(ExperimentConfig(instance=name))
         traj = solve(problem, SolveConfig(criterion="kkt", max_iters=40, record_every=5,
-                                          version=DEFAULT_VERSION.get(name, 1)))
+                                          version=FAMILIES[name].version))
         for k, z in traj.iterates:
             fe = float(np.linalg.norm(problem.constraint.residual(z.x)))
             grid = beta_grid(fe)
@@ -317,7 +317,7 @@ def test_point_values_share_products_with_the_same_bits():
     for name in FAMILIES:
         problem = build_instance(ExperimentConfig(instance=name))
         traj = solve(problem, SolveConfig(criterion="kkt", max_iters=40, record_every=10,
-                                          version=DEFAULT_VERSION.get(name, 1)))
+                                          version=FAMILIES[name].version))
         for k, z in traj.iterates:
             pv = PointValues(problem, z)
             where = f"{name} iteration {k}"

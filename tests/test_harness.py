@@ -83,9 +83,10 @@ class TestRunExperiment:
     @pytest.mark.parametrize("instance", FAMILIES)
     def test_no_reference_lists_the_families_built_without_one(self, instance):
         problem = build_instance(ExperimentConfig(instance=instance))
-        assert (problem.reference is None) == (instance in harness.NO_REFERENCE)
+        assert (problem.reference is None) == (not FAMILIES[instance].reference)
 
-    @pytest.mark.parametrize("instance", harness.NO_REFERENCE)
+    @pytest.mark.parametrize("instance", [name for name, fam in FAMILIES.items()
+                                          if not fam.reference])
     @pytest.mark.parametrize("settings", [{"criterion": "ogfe"},
                                           {"criterion": "ogfe", "criteria": ("ogfe", "kkt")},
                                           {"criterion": "kkt", "criteria": ("kkt", "ogfe")}])
@@ -181,6 +182,25 @@ class TestPlotData:
             rows = list(csv.DictReader(fh))
         clamped = [r for r in rows if r["clamped"] == "1"]
         assert all(float(r["og"]) == 1e-16 for r in clamped)
+
+    @pytest.mark.parametrize("selector", ["criterion:kkt", "criterion:pdg", "criterion:sdg",
+                                          "bound:T4_SDG_KKT", "bound:C1_FE_SDG"])
+    def test_every_raised_value_is_flagged(self, tmp_path, selector):
+        # a value below the floor, zero or round-off (the 1d KKT reads 3.1e-17
+        # at row 14), is raised to it and flags its row; every other value is
+        # the trace's own
+        res = run_1d(tmp_path)
+        with open(res["trace"], newline="") as fh:
+            trace = {r["iteration"]: r for r in csv.DictReader(fh)}
+        out = emit_plot_data(res["trace"], selector, str(tmp_path / "s.csv"))
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        cols = [c for c in rows[0] if c not in ("iteration", "clamped")]
+        for r in rows:
+            cells = [(float(r[c]), float(trace[r["iteration"]][c])) for c in cols]
+            raised = [got == 1e-16 and was < 1e-16 for got, was in cells]
+            assert all(got == was or up for (got, was), up in zip(cells, raised)), r
+            assert r["clamped"] == str(int(any(raised))), r
 
     def test_unknown_selector(self, tmp_path):
         res = run_1d(tmp_path)

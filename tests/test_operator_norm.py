@@ -15,11 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stopgap.errors import ConvergenceError, DegenerateProblemError
-from stopgap.instances import make_instance
+from stopgap.harness import ExperimentConfig, build_instance
+from stopgap.instances import FAMILIES, make_instance
 from stopgap.linalg import operator_norm
-
-FAMILIES = {"1d": {}, "iidg": {"seed": 7}, "ntc": {"seed": 7}, "pqp": {"seed": 8},
-            "bp": {"seed": 5}, "do": {}}
 
 
 def plain_power_iteration(A, rtol=1e-9, max_iters=10_000):
@@ -56,7 +54,7 @@ def outcome(norm, A):
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_same_bits_on_every_family(family):
-    A = make_instance(family, **FAMILIES[family]).constraint.matrix
+    A = build_instance(ExperimentConfig(instance=family)).constraint.matrix
     assert operator_norm(A) == plain_power_iteration(A)
 
 

@@ -6,7 +6,7 @@ import pytest
 from stopgap import criteria
 from stopgap.criteria import PointValues, beta_grid, kkt_error
 from stopgap.errors import ConfigError, DegenerateProblemError, DimensionMismatchError, StopgapError
-from stopgap.harness import DEFAULT_VERSION, ExperimentConfig, build_instance, run_experiment
+from stopgap.harness import ExperimentConfig, build_instance, run_experiment
 from stopgap.instances import FAMILIES
 from stopgap.objectives import L1Norm, LeastSquaresObjective
 from stopgap.pdhg import (SolveConfig, StepSizes, default_step_sizes, solve,
@@ -255,7 +255,7 @@ def test_crossings_match_a_loop_that_evaluates_everything(name):
     problem = build_instance(ExperimentConfig(instance=name))
     evaluate = ("kkt", "pdg", "sdg") + (("ogfe",) if problem.reference is not None else ())
     cfg = SolveConfig(epsilon=1e-4, max_iters=1500, criterion="all", evaluate=evaluate,
-                      version=DEFAULT_VERSION.get(name, 1))
+                      version=FAMILIES[name].version)
     crossings, last, z_ref = reference_solve(problem, cfg)
     traj = solve(problem, cfg)
     assert traj.crossings == crossings
@@ -273,7 +273,7 @@ def test_sdg_stop_is_an_epsilon_solution(name, epsilon):
     # is allowed
     problem = build_instance(ExperimentConfig(instance=name))
     traj = solve(problem, SolveConfig(epsilon=epsilon, criterion="sdg",
-                                      version=DEFAULT_VERSION.get(name, 1)))
+                                      version=FAMILIES[name].version))
     assert traj.stop_reason == "converged"
     z = traj.iterates[-1][1]
     assert float(np.linalg.norm(problem.constraint.residual(z.x))) <= epsilon
