@@ -161,18 +161,19 @@ def evaluate_bounds(values, consts, t2_constant="proof"):
     as three (len(THEOREMS),) float arrays: lhs, rhs and the beta used.
 
     Each array is nan where its theorem does not apply: T1-T3 without a
-    reference solution, T7 and P4 without their assumptions on the
-    objective, and the L6 floor where f(x) = +inf.  T1 has no beta.  Every
-    other bound is evaluated over the point's beta grid and reported at the
-    beta ``select_beta`` picks from its key: the rhs for a one-sided bound,
-    ``ratio_key(lhs, rhs)`` for T4, T6 and the L6 floor.  All keys go to one
-    ``select_beta`` call.
+    reference solution or without regularity constants, T7 and P4 without
+    their assumptions on the objective, and the L6 floor where f(x) = +inf.
+    T1 has no beta.  Every other bound is evaluated over the point's beta
+    grid and reported at the beta ``select_beta`` picks from its key: the
+    rhs for a one-sided bound, ``ratio_key(lhs, rhs)`` for T4, T6 and the
+    L6 floor.  All keys go to one ``select_beta`` call.
 
     Parameters
     ----------
     consts : RegularityConstants for the instance: gamma, and eta(beta)
-             through ``consts.eta``.  The Lipschitz constants of T5, T7 and
-             P4 are read from the objective.
+             through ``consts.eta``; None where the instance has none.  The
+             Lipschitz constants of T5, T7 and P4 are read from the
+             objective.
     """
     x_norm, y_norm = values.z.norms()
     og, fe, K, D = values.og, values.fe, values.kkt, values.pdg
@@ -180,7 +181,7 @@ def evaluate_bounds(values, consts, t2_constant="proof"):
     out = np.full((3, len(THEOREMS)), np.nan)   # lhs, rhs and beta per theorem
     rows = []   # (theorem id, lhs, rhs, selection key is the ratio)
 
-    if og is not None:
+    if og is not None and consts is not None:
         out[:2, THEOREMS.index("T1_OG_KKT")] = og, bound_T1(K, y_norm, consts.gamma)
         eta = np.array([consts.eta(b) for b in beta.tolist()])
         rows += [("T2_OG_SDG", og, bound_T2(G, y_norm, beta, eta, t2_constant), False),
@@ -189,7 +190,7 @@ def evaluate_bounds(values, consts, t2_constant="proof"):
     rows += [("T4_SDG_KKT", G, bound_T4(K, beta), True),
              ("T5_KKT_SDG", K, bound_T5(G, beta, obj.smooth_lipschitz), False),
              ("T6_SDG_PDG", G, bound_T6(D, x_norm, y_norm, beta), True)]
-    if obj.separable_conj and obj.conj_grad_lipschitz is not None:
+    if obj.conj_grad_lipschitz is not None and obj.conj_part_lipschitz is not None:
         rows.append(("T7_PDG_SDG_manifold", D, bound_T7(
             G, x_norm, y_norm, beta, obj.conj_grad_lipschitz, obj.conj_part_lipschitz), False))
     if obj.conj_lipschitz is not None:

@@ -31,8 +31,7 @@ def _add_build_flags(p):
     p.add_argument("--n", type=int, help=f"columns of an {sized} instance (default: 20)")
     p.add_argument("--m", type=int, help=f"rows of an {sized} instance (default: 10)")
     p.add_argument("--data-path",
-                   help="LIBSVM file for the distributed instance "
-                        "(default: $STOPGAP_DATA_DIR/bodyfat, else synthetic)")
+                   help="LIBSVM file for the distributed instance (default: synthetic)")
     p.add_argument("--out", dest="out_dir", metavar="OUT")
 
 

@@ -8,7 +8,6 @@ reproducible byte for byte.
 """
 
 import math
-import os
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -20,7 +19,11 @@ from .linalg import pinv_solve, stationarity_matrix
 from .objectives import L1Norm, LeastSquaresObjective, NonnegativeQuadratic
 from .problem import AffineConstraint, ProblemInstance, ReferenceSolution
 
-DATA_DIR_ENV = "STOPGAP_DATA_DIR"
+
+def _check_dims(*dims):
+    """ConfigError unless every size is at least 1."""
+    if min(dims) < 1:
+        raise ConfigError("dimensions must be positive")
 
 
 def _ls_instance(Q, c, A, b, label):
@@ -30,9 +33,9 @@ def _ls_instance(Q, c, A, b, label):
     does not satisfy that system."""
     problem = ProblemInstance(objective=LeastSquaresObjective(Q, c),
                               constraint=AffineConstraint(A, b), label=label)
-    n, data = problem.constraint.n, problem.objective.data
-    M = stationarity_matrix(data.gram, A)
-    rhs = np.concatenate([data.qtc, b])
+    n, obj = problem.constraint.n, problem.objective
+    M = stationarity_matrix(obj.gram, A)
+    rhs = np.concatenate([obj.qtc, b])
     sol = pinv_solve(M, rhs)
     x_star = sol[:n]
     feas = np.linalg.norm(A @ x_star - b)
@@ -64,8 +67,7 @@ def make_1d():
 
 def make_iidg(n=20, m=10, seed=0):
     """LC-LS with i.i.d. standard-normal Q, A (m x n) and c, b (m,)."""
-    if n < 1 or m < 1:
-        raise ConfigError("dimensions must be positive")
+    _check_dims(n, m)
     rng = np.random.default_rng(seed)
     Q = rng.standard_normal((m, n))
     c = rng.standard_normal(m)
@@ -87,6 +89,7 @@ def make_ntc(n=20, m=10, seed=0):
     """LC-LS with Q = Sigma X_q and A = Sigma X_a, where Sigma is the m x m
     symmetric Toeplitz covariance with first row 1, rho, rho^2, ... at
     rho = 0.5 (a Kac-Murdock-Szego matrix, eigenvalues in [1/3, 3])."""
+    _check_dims(n, m)
     rng = np.random.default_rng(seed)
     S = toeplitz_covariance(0.5 ** np.arange(m))
     Q = S @ rng.standard_normal((m, n))
@@ -140,20 +143,13 @@ def make_do(data_path=None, M=3, n=14, m=84, seed=0):
     """Distributed least squares: M data blocks coupled by a consensus chain
     x_i = x_{i+1}.
 
-    Block data comes from a LIBSVM regression file when available (explicit
-    ``data_path``, else $STOPGAP_DATA_DIR/bodyfat); otherwise a synthetic
-    Gaussian stand-in of the same shape is generated.  The reference solves
-    the aggregated normal equations (sum Q_i^T Q_i) x = sum Q_i^T c_i and is
-    replicated across blocks.
+    Block data comes from the LIBSVM regression file ``data_path`` when it
+    is given; otherwise a synthetic Gaussian stand-in of the same shape is
+    generated.  The reference solves the aggregated normal equations
+    (sum Q_i^T Q_i) x = sum Q_i^T c_i and is replicated across blocks.
     """
     if M < 2:
         raise ConfigError("the consensus chain needs M >= 2 blocks")
-    if data_path is None:
-        env = os.environ.get(DATA_DIR_ENV)
-        if env:
-            candidate = os.path.join(env, "bodyfat")
-            if os.path.exists(candidate):
-                data_path = candidate
     if data_path is not None:
         X, yv = read_libsvm(data_path)
         if X.shape[0] < M:
@@ -166,6 +162,7 @@ def make_do(data_path=None, M=3, n=14, m=84, seed=0):
         blocks = [(X[i * m:(i + 1) * m], yv[i * m:(i + 1) * m]) for i in range(M)]
         label = f"do(libsvm,M={M})"
     else:
+        _check_dims(n, m)
         rng = np.random.default_rng(seed)
         blocks = [(rng.standard_normal((m, n)), rng.standard_normal(m)) for _ in range(M)]
         label = f"do(synthetic,M={M},n={n},m={m},seed={seed})"
@@ -201,6 +198,7 @@ def make_do(data_path=None, M=3, n=14, m=84, seed=0):
 def make_pqp(n=20, m=10, seed=0):
     """Nonnegative LS via splitting: variables X = (x, xt), constraint
     [[A, 0], [Id, -Id]] X = (b, 0), objective LS(x) + indicator(xt >= 0)."""
+    _check_dims(n, m)
     rng = np.random.default_rng(seed)
     Q = rng.standard_normal((m, n))
     c = rng.standard_normal(m)
@@ -216,6 +214,7 @@ def make_pqp(n=20, m=10, seed=0):
 
 def make_bp(n=20, m=10, seed=0):
     """Basis pursuit: min ||x||_1 subject to Ax = b, Gaussian data."""
+    _check_dims(n, m)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     b = rng.standard_normal(m)

@@ -58,53 +58,61 @@ class ObjectiveOracle:
     dim = None
     smooth_lipschitz = None       # L for smooth f, else None
     conj_lipschitz = None         # L_{f*} on dom f*, else None
+    # T7 applies exactly where both are set: f* = f1* + f2*, f1* Lipschitz
+    # and f2* smooth on its affine domain
     conj_part_lipschitz = None    # L_{f1*} of the Lipschitz conjugate part
     conj_grad_lipschitz = None    # L_g of the smooth conjugate part
-    separable_conj = False        # whether the T7 assumption set holds
 
 
-class LeastSquaresData:
-    """f(x) = 0.5*||Q x - c||^2: every least-squares formula that
-    ``LeastSquaresObjective`` and the x-block of ``NonnegativeQuadratic`` call.
+class LeastSquaresObjective(ObjectiveOracle):
+    """f(x) = 0.5*||Q x - c||^2 (smooth; conjugate finite on Ran(Q^T) only).
 
-    Caches Q^T Q (``gram``, formed nowhere else), Q^T c and the
-    eigendecomposition Q^T Q = V diag(lam) V^T, and with it ``lam_max`` and
-    ``inv_lam_min_pos``, 1/(smallest positive eigenvalue) or None.  Rank is
-    decided by the relative cutoff RANK_RTOL on eigenvalues.  Q and V, which
-    every grid streams once per beta, start on a cache line (``aligned``).
+    Caches Q^T Q (``gram``, formed nowhere else), Q^T c (``qtc``) and the
+    eigendecomposition Q^T Q = V diag(lam) V^T, and with it L =
+    ``smooth_lipschitz``, the largest eigenvalue, and L_g =
+    ``conj_grad_lipschitz``, 1/(smallest positive eigenvalue) or None.  Rank
+    is decided by the relative cutoff RANK_RTOL on eigenvalues.  Q and V,
+    which every grid streams once per beta, start on a cache line
+    (``aligned``).  ``_prox`` and ``_value_diff`` take checked input: the
+    x-block of ``NonnegativeQuadratic`` calls them on its own block.
     """
+
+    conj_part_lipschitz = 0.0  # f1* = 0, f2* = f* on its affine domain
 
     def __init__(self, design, target):
         self.design = aligned(check_finite(np.atleast_2d(np.asarray(design, dtype=float)),
                                            "design Q"))
-        mq, n = self.design.shape
+        mq, self.dim = self.design.shape
         self.target = check_finite(_check_dim(target, mq, "target"), "target c")
-        self.n = n
         self.gram = self.design.T @ self.design
         self.qtc = self.design.T @ self.target
         lam, V = np.linalg.eigh(0.5 * (self.gram + self.gram.T))
         self.lam = np.clip(lam, 0.0, None)  # Q^T Q is PSD: negatives are round-off
         self.V = aligned(V)
-        self.lam_max = float(self.lam.max()) if self.lam.size else 0.0
-        self.pos = self.lam > RANK_RTOL * max(self.lam_max, 1e-300)
-        self.inv_lam_min_pos = 1.0 / float(self.lam[self.pos].min()) if self.pos.any() else None
+        self.smooth_lipschitz = float(self.lam.max()) if self.lam.size else 0.0
+        self.pos = self.lam > RANK_RTOL * max(self.smooth_lipschitz, 1e-300)
+        self.conj_grad_lipschitz = (1.0 / float(self.lam[self.pos].min())
+                                    if self.pos.any() else None)
         # coordinates of (Q^T Q)^dagger Q^T c in the eigenbasis
         self._dhat = np.where(self.pos, (self.V.T @ self.qtc) / np.where(self.pos, self.lam, 1.0), 0.0)
         resid = self.design @ (self.V @ self._dhat) - self.target
         self._conj_const = 0.5 * float(resid @ resid)
 
     @np.errstate(over="ignore")  # +inf where the residual overflows
-    def value(self, x):
-        r = self.design @ x - self.target
+    def __call__(self, x):
+        r = self.design @ _check_dim(x, self.dim, "x") - self.target
         return 0.5 * float(r @ r)
 
     @np.errstate(over="ignore")
     def stationarity_residual(self, x, g):
         """||Q^T Q x - Q^T c + g||^2, the gradient being a singleton."""
-        r = self.gram @ x - self.qtc + g
+        r = self.gram @ _check_dim(x, self.dim, "x") - self.qtc + _check_dim(g, self.dim, "g")
         return float(r @ r)
 
     def prox(self, s, v):
+        return self._prox(s, _check_dim(v, self.dim, "v", rows=True))
+
+    def _prox(self, s, v):
         """(Q^T Q + Id/s)^{-1} (Q^T c + v/s), solved in the eigenbasis, for a
         vector v or for every row of v with its own step."""
         s = _step(s, v)
@@ -114,6 +122,10 @@ class LeastSquaresData:
         return rowwise(self.V, w / (self.lam + 1.0 / s))
 
     def value_diff(self, x, p):
+        return self._value_diff(_check_dim(x, self.dim, "x"),
+                                _check_dim(p, self.dim, "p", rows=True))
+
+    def _value_diff(self, x, p):
         """0.5(||Qx-c||^2 - ||Qp-c||^2) = 0.5 <Q(x-p), (Qx-c) + (Qp-c)>, per
         row of a 2-D p: every factor scales with x - p, so no large-value
         cancellation."""
@@ -125,6 +137,7 @@ class LeastSquaresData:
     def conj(self, mu):
         """f*(mu): +inf when the distance of mu to Ran(Q^T) = Ran(Q^T Q) is
         above CONJ_TOL * ||mu||, else the quadratic of its range part."""
+        mu = _check_dim(mu, self.dim, "mu")
         mh = self.V.T @ mu
         if np.linalg.norm(mh[~self.pos]) > CONJ_TOL * np.linalg.norm(mu):
             return INF
@@ -132,51 +145,16 @@ class LeastSquaresData:
         quad = 0.5 * float(np.sum(np.where(self.pos, mh * mh / np.where(self.pos, self.lam, 1.0), 0.0)))
         return quad + float(mh @ self._dhat) - self._conj_const
 
-    def range_projection(self, mu):
-        mh = np.where(self.pos, self.V.T @ mu, 0.0)
+    def project_conj_domain(self, mu):
+        """The projection of mu onto Ran(Q^T)."""
+        mh = np.where(self.pos, self.V.T @ _check_dim(mu, self.dim, "mu"), 0.0)
         return self.V @ mh
 
     def prox_conj(self, s, w):
         """Prox of s*f* in the eigenbasis (zero outside Ran(Q^T))."""
-        wh = self.V.T @ w
+        wh = self.V.T @ _check_dim(w, self.dim, "w")
         mh = np.where(self.pos, self.lam * (wh - s * self._dhat) / (self.lam + s), 0.0)
         return self.V @ mh
-
-
-class LeastSquaresObjective(ObjectiveOracle):
-    """f(x) = 0.5*||Q x - c||^2 (smooth; conjugate finite on Ran(Q^T) only)."""
-
-    separable_conj = True  # f1* = 0, f2* = f* on its affine domain
-
-    def __init__(self, design, target):
-        self.data = LeastSquaresData(design, target)
-        self.dim = self.data.n
-        self.smooth_lipschitz = self.data.lam_max
-        self.conj_part_lipschitz = 0.0
-        self.conj_grad_lipschitz = self.data.inv_lam_min_pos
-
-    def __call__(self, x):
-        return self.data.value(_check_dim(x, self.dim, "x"))
-
-    def prox(self, s, v):
-        return self.data.prox(s, _check_dim(v, self.dim, "v", rows=True))
-
-    def conj(self, mu):
-        return self.data.conj(_check_dim(mu, self.dim, "mu"))
-
-    def project_conj_domain(self, mu):
-        return self.data.range_projection(_check_dim(mu, self.dim, "mu"))
-
-    def prox_conj(self, s, w):
-        return self.data.prox_conj(s, _check_dim(w, self.dim, "w"))
-
-    def stationarity_residual(self, x, g):
-        return self.data.stationarity_residual(_check_dim(x, self.dim, "x"),
-                                               _check_dim(g, self.dim, "g"))
-
-    def value_diff(self, x, p):
-        return self.data.value_diff(_check_dim(x, self.dim, "x"),
-                                    _check_dim(p, self.dim, "p", rows=True))
 
 
 class L1Norm(ObjectiveOracle):
@@ -239,18 +217,17 @@ class NonnegativeQuadratic(ObjectiveOracle):
     """Separable F(x, xt) = 0.5*||Q x - c||^2 + indicator(xt >= 0).
 
     The primal variable is the 2n-vector X = (x, xt).  All oracle operations
-    split into the least-squares block (``LeastSquaresData``) and the
-    nonnegativity block.
+    split into the least-squares block (``ls``, a ``LeastSquaresObjective``)
+    and the nonnegativity block.
     """
 
-    separable_conj = True  # f1* = indicator(mu_t <= 0), f2* = LS conjugate
-    conj_part_lipschitz = 0.0
+    conj_part_lipschitz = 0.0  # f1* = indicator(mu_t <= 0), f2* = LS conjugate
 
     def __init__(self, design, target):
-        self.data = LeastSquaresData(design, target)
-        self.block_dim = self.data.n
+        self.ls = LeastSquaresObjective(design, target)
+        self.block_dim = self.ls.dim
         self.dim = 2 * self.block_dim
-        self.conj_grad_lipschitz = self.data.inv_lam_min_pos
+        self.conj_grad_lipschitz = self.ls.conj_grad_lipschitz
 
     def _split(self, X, what="X"):
         X = _check_dim(X, self.dim, what)
@@ -260,27 +237,27 @@ class NonnegativeQuadratic(ObjectiveOracle):
         x, xt = self._split(X)
         if np.any(xt < 0.0):
             return INF
-        return self.data.value(x)
+        return self.ls(x)
 
     def prox(self, s, V):
         V = _check_dim(V, self.dim, "v", rows=True)
         nb = self.block_dim
-        return np.concatenate([self.data.prox(s, V[..., :nb]),
+        return np.concatenate([self.ls._prox(s, V[..., :nb]),
                                np.maximum(V[..., nb:], 0.0)], axis=-1)
 
     def conj(self, mu):
         m1, m2 = self._split(mu, "mu")
         if np.any(m2 > CONJ_TOL * max(np.linalg.norm(mu), 1.0)):
             return INF
-        return self.data.conj(m1)
+        return self.ls.conj(m1)
 
     def project_conj_domain(self, mu):
         m1, m2 = self._split(mu, "mu")
-        return np.concatenate([self.data.range_projection(m1), np.minimum(m2, 0.0)])
+        return np.concatenate([self.ls.project_conj_domain(m1), np.minimum(m2, 0.0)])
 
     def prox_conj(self, s, w):
         w1, w2 = self._split(w, "w")
-        return np.concatenate([self.data.prox_conj(s, w1), np.minimum(w2, 0.0)])
+        return np.concatenate([self.ls.prox_conj(s, w1), np.minimum(w2, 0.0)])
 
     def stationarity_residual(self, X, J):
         x, xt = self._split(X)
@@ -288,7 +265,7 @@ class NonnegativeQuadratic(ObjectiveOracle):
         if np.any(xt < 0.0):
             return INF
         extra = np.where(xt == 0.0, np.minimum(0.0, jb) ** 2, jb ** 2)
-        return self.data.stationarity_residual(x, jl) + float(extra.sum())
+        return self.ls.stationarity_residual(x, jl) + float(extra.sum())
 
     def value_diff(self, X, P):
         x, xt = self._split(X)
@@ -296,4 +273,4 @@ class NonnegativeQuadratic(ObjectiveOracle):
         if np.any(xt < 0.0):
             return INF if P.ndim == 1 else np.full(len(P), INF)
         # prox outputs are always feasible: only the least-squares block differs
-        return self.data.value_diff(x, P[..., :self.block_dim])
+        return self.ls._value_diff(x, P[..., :self.block_dim])

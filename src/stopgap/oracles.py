@@ -29,20 +29,21 @@ WITNESS_TOL = 1e-9
 # inner minimisers for the direct-sup smoothed gap
 
 
-def _min_quad_cg(gram, lin, shift, center, bx, tol):
-    """min over u of 0.5 u^T gram u - <lin, u> + <shift, u> + bx/2 ||u - center||^2.
+def _min_least_squares(ls, shift, center, bx, tol):
+    """min over u of 0.5||Q u - c||^2 + <shift, u> + bx/2 ||u - center||^2
+    for the LeastSquaresObjective ``ls``, as a value.
 
-    Solved as (gram + bx I) u = lin - shift + bx*center by CG; certified via
-    the strong-convexity bound value_gap <= ||grad||^2 / (2 bx).
+    Solved as (Q^T Q + bx I) u = Q^T c - shift + bx*center by CG; certified
+    via the strong-convexity bound value_gap <= ||grad||^2 / (2 bx).
     """
     # imported here so that solving and certifying never load scipy
     from scipy.sparse.linalg import LinearOperator, cg
 
     n = center.shape[0]
-    rhs = lin - shift + bx * center
+    rhs = ls.qtc - shift + bx * center
 
     def mv(u):
-        return gram @ u + bx * u
+        return ls.gram @ u + bx * u
 
     op = LinearOperator((n, n), matvec=mv)
     u, _ = cg(op, rhs, rtol=1e-14, atol=0.0, maxiter=20 * n + 200)
@@ -50,11 +51,7 @@ def _min_quad_cg(gram, lin, shift, center, bx, tol):
     cert = float(grad @ grad) / (2.0 * bx)
     if cert > tol:
         raise ConvergenceError(f"inner CG certificate {cert:.3e} above tolerance {tol:.3e}")
-    return u
-
-
-def _quad_value(Q, c, u, shift, center, bx):
-    r = Q @ u - c
+    r = ls.design @ u - ls.target
     return (0.5 * float(r @ r) + float(shift @ u)
             + 0.5 * bx * float((u - center) @ (u - center)))
 
@@ -86,18 +83,14 @@ def _inner_min(problem, dual, center, bx, tol):
     obj = problem.objective
     shift = problem.constraint.matrix.T @ dual
     if isinstance(obj, LeastSquaresObjective):
-        Q, c = obj.data.design, obj.data.target
-        u = _min_quad_cg(obj.data.gram, obj.data.qtc, shift, center, bx, tol)
-        return _quad_value(Q, c, u, shift, center, bx)
+        return _min_least_squares(obj, shift, center, bx, tol)
     if isinstance(obj, L1Norm):
         _, val = _min_abs_coord(shift, center, bx)
         return val
     if isinstance(obj, NonnegativeQuadratic):
         nb = obj.block_dim
-        u1 = _min_quad_cg(obj.data.gram, obj.data.qtc, shift[:nb], center[:nb], bx, tol)
-        v1 = _quad_value(obj.data.design, obj.data.target, u1, shift[:nb], center[:nb], bx)
         _, v2 = _min_nonneg_coord(shift[nb:], center[nb:], bx)
-        return v1 + v2
+        return _min_least_squares(obj.ls, shift[:nb], center[:nb], bx, tol) + v2
     raise StopgapError(f"no independent inner solver for {type(obj).__name__}")
 
 

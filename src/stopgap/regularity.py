@@ -2,16 +2,17 @@
 constant gamma (smallest nonzero |eigenvalue| of the stationarity matrix) and
 the quadratic-error-bound constant eta of the smoothed gap.
 
+Both exist here for least-squares instances only.  There the smoothed gap
+is a quadratic in z = (x, y) whose quadratic part z^T H z depends only on
+Q^T Q, A and beta; eta is half the smallest positive eigenvalue of H.  Both
+constants take Q^T Q as formed once by the objective
+(``LeastSquaresObjective.gram``).
+
 Set-up (``lipschitz_constants``) computes gamma once per instance.  eta
 depends on beta, so the constants carry an ``EtaCache`` (``.eta``), which
 solves for eta(beta) at each row's own beta on first use.  The Lipschitz
 constants of the objective and its conjugate parts are attributes of the
 objective (``objectives.ObjectiveOracle``), and the bounds read them there.
-
-For least-squares instances the smoothed gap is a quadratic in z = (x, y)
-whose quadratic part z^T H z depends only on Q^T Q, A and beta; eta is half
-the smallest positive eigenvalue of H.  Both constants take Q^T Q as formed
-once by the objective (``LeastSquaresData.gram``).
 """
 
 from dataclasses import dataclass
@@ -23,13 +24,10 @@ from .errors import DegenerateProblemError, StopgapError
 from .linalg import RANK_RTOL, stationarity_matrix
 from .objectives import LeastSquaresObjective
 
-DECLARED_DEFAULT = 1e-8  # gamma = eta fallback where computing them is intractable
-
 
 @dataclass
 class RegularityConstants:
     gamma: float
-    provenance: dict
     eta: "EtaCache"   # eta(beta) at the float beta
 
     def __post_init__(self):
@@ -89,25 +87,20 @@ def qeb_eta(gram, A, beta):
 
 
 def lipschitz_constants(instance, steps=None):
-    """Set-up constants of ``instance``: gamma, eta and their provenance.
-
-    Least squares: gamma from the spectrum of the stationarity matrix, and
-    eta per beta from the instance's ``EtaCache`` (``.eta``).  Other
-    objectives: gamma and eta fall back to the declared default 1e-8; the
-    provenance says which.  ``steps`` is unused; the keyword stays for
-    existing callers.
+    """Set-up constants of a least-squares ``instance``: gamma from the
+    spectrum of the stationarity matrix, and eta per beta from its
+    ``EtaCache`` (``.eta``).  None for any other objective, which has
+    neither.  ``steps`` is unused; the keyword stays for existing callers.
     """
-    eta = EtaCache(instance)
-    if eta.computable:
-        gamma = msr_gamma(instance.objective.data.gram, instance.constraint.matrix)
-        return RegularityConstants(gamma, {"gamma": "computed", "eta": "per-beta"}, eta)
-    return RegularityConstants(DECLARED_DEFAULT, {"gamma": "declared-default",
-                                                  "eta": "declared-default"}, eta)
+    obj = instance.objective
+    if not isinstance(obj, LeastSquaresObjective):
+        return None
+    return RegularityConstants(msr_gamma(obj.gram, instance.constraint.matrix),
+                               EtaCache(instance))
 
 
 class EtaCache:
-    """Memoised eta at the float beta for one least-squares instance; other
-    objectives return the declared default.
+    """Memoised eta at the float beta for one least-squares instance.
 
     Only the fixed grid beta (``criteria.GRID_VALUES``) are kept: every row
     reads them, while the one other beta of a row, its own feasibility error,
@@ -116,14 +109,11 @@ class EtaCache:
     def __init__(self, instance):
         self.instance = instance
         self._cache = {}
-        self.computable = isinstance(instance.objective, LeastSquaresObjective)
 
     def __call__(self, beta):
-        if not self.computable:
-            return DECLARED_DEFAULT
         eta = self._cache.get(beta)
         if eta is None:
-            eta = qeb_eta(self.instance.objective.data.gram,
+            eta = qeb_eta(self.instance.objective.gram,
                           self.instance.constraint.matrix, beta)[0]
             if beta in GRID_VALUES:
                 self._cache[beta] = eta

@@ -147,7 +147,7 @@ def test_criterion_5_regularity_certificates():
     ok = True
     for name in ("1d", "iidg", "ntc", "do"):
         problem = FAMILY_RUNS[name][0]()
-        Q, c = problem.objective.data.design, problem.objective.data.target
+        Q, c = problem.objective.design, problem.objective.target
         A, b = problem.constraint.matrix, problem.constraint.rhs
         n, m = A.shape[1], A.shape[0]
         gamma = msr_gamma(Q.T @ Q, A)

@@ -66,6 +66,6 @@ def test_rowwise_rows_carry_the_bits_of_the_vector_call(transpose):
 
 def test_the_streamed_matrices_of_a_large_instance_start_on_a_cache_line():
     problem = make_iidg(n=400, m=200, seed=7)
-    data = problem.objective.data
-    for a in (problem.constraint.matrix, data.design, data.V):
+    obj = problem.objective
+    for a in (problem.constraint.matrix, obj.design, obj.V):
         assert a.ctypes.data % CACHE_LINE == 0

@@ -13,8 +13,9 @@ from stopgap.criteria import GRID_VALUES, PointValues, SdgGrid
 from stopgap.errors import ConfigError
 from stopgap.harness import ExperimentConfig, build_instance, run_experiment
 from stopgap.instances import FAMILIES
+from stopgap.objectives import L1Norm, LeastSquaresObjective
 from stopgap.pdhg import SolveConfig, solve
-from stopgap.problem import PrimalDualPoint
+from stopgap.problem import AffineConstraint, PrimalDualPoint, ProblemInstance, ReferenceSolution
 from stopgap.regularity import lipschitz_constants
 
 INF = float("inf")
@@ -276,7 +277,7 @@ def reference_bounds(problem, z, consts, values):
         return Report(lhs, rhs, b)
 
     reports = {}
-    if og is not None:
+    if og is not None and consts is not None:
         reports["T1_OG_KKT"] = Report(og, bound_T1(K, y_norm, consts.gamma), None)
         reports["T2_OG_SDG"] = pick("T2_OG_SDG", "one-sided", lambda G: og, lambda b, G: bound_T2(
             G, y_norm, b, consts.eta(b)))
@@ -289,7 +290,7 @@ def reference_bounds(problem, z, consts, values):
                                  lambda b, G: bound_T5(G, b, obj.smooth_lipschitz))
     reports["T6_SDG_PDG"] = pick("T6_SDG_PDG", "ratio", lambda G: G,
                                  lambda b, G: bound_T6(D, x_norm, y_norm, b))
-    if obj.separable_conj and obj.conj_grad_lipschitz is not None:
+    if obj.conj_grad_lipschitz is not None and obj.conj_part_lipschitz is not None:
         reports["T7_PDG_SDG_manifold"] = pick(
             "T7_PDG_SDG_manifold", "one-sided", lambda G: D,
             lambda b, G: bound_T7(G, x_norm, y_norm, b, obj.conj_grad_lipschitz,
@@ -395,11 +396,17 @@ class TestSelectionEdgeCases:
 
 def test_columns_are_empty_exactly_where_a_theorem_does_not_apply(rng, tmp_path):
     # lhs, rhs and beta are nan together where a theorem does not apply: T1-T3
-    # without a reference (bp, pqp), T7 and P4 without their assumptions on
-    # the objective, and the L6 floor where f(x) = +inf; T1 never has a beta
-    for name in sorted(FAMILIES):
-        problem = build_instance(ExperimentConfig(instance=name))
-        obj = problem.objective
+    # without a reference (bp, pqp) or without the least-squares constants
+    # gamma and eta, T7 and P4 without their assumptions on the objective,
+    # and the L6 floor where f(x) = +inf; T1 never has a beta
+    problems = [build_instance(ExperimentConfig(instance=name)) for name in sorted(FAMILIES)]
+    # min |x| subject to 2x = 1: x* = 1/2, and 1 + 2 y* = 0
+    problems.append(ProblemInstance(
+        objective=L1Norm(1), constraint=AffineConstraint([[2.0]], [1.0]),
+        reference=ReferenceSolution(x_star=np.array([0.5]), f_star=0.5, y_star=np.array([-0.5])),
+        label="l1 with a reference"))
+    for problem in problems:
+        name, obj = problem.label, problem.objective
         consts = lipschitz_constants(problem)
         # |x| keeps the pqp slack block inside its nonnegativity domain
         z = PrimalDualPoint(np.abs(rng.standard_normal(problem.constraint.n)),
@@ -407,9 +414,9 @@ def test_columns_are_empty_exactly_where_a_theorem_does_not_apply(rng, tmp_path)
         lhs, rhs, beta = evaluate_bounds(PointValues(problem, z), consts)
         empty = {tid for tid, v in zip(THEOREMS, lhs.tolist()) if math.isnan(v)}
         want = set()
-        if problem.reference is None:
+        if problem.reference is None or not isinstance(obj, LeastSquaresObjective):
             want |= {"T1_OG_KKT", "T2_OG_SDG", "T3_OG_PDG"}
-        if not (obj.separable_conj and obj.conj_grad_lipschitz is not None):
+        if obj.conj_grad_lipschitz is None or obj.conj_part_lipschitz is None:
             want.add("T7_PDG_SDG_manifold")
         if obj.conj_lipschitz is None:
             want.add("P4_PDG_SDG_lipschitz")

@@ -15,7 +15,7 @@ from prox_oracles import prox_oracle_pg
 
 class TestOneDimensional:
     def test_data_and_reference(self, one_d):
-        assert one_d.objective.data.design[0, 0] == pytest.approx(1.0 / 9.0)
+        assert one_d.objective.design[0, 0] == pytest.approx(1.0 / 9.0)
         assert one_d.constraint.matrix[0, 0] == 9.0
         assert one_d.reference.x_star[0] == pytest.approx(7.0 / 9.0)
         assert np.linalg.norm(one_d.constraint.residual(one_d.reference.x_star)) == 0.0
@@ -26,8 +26,8 @@ class TestIidg:
     def test_shapes_and_seeding(self):
         p1 = make_iidg(20, 10, seed=5)
         p2 = make_iidg(20, 10, seed=5)
-        assert p1.objective.data.design.shape == (10, 20)
-        assert (p1.objective.data.design == p2.objective.data.design).all()
+        assert p1.objective.design.shape == (10, 20)
+        assert (p1.objective.design == p2.objective.design).all()
         assert (p1.constraint.matrix == p2.constraint.matrix).all()
         p3 = make_iidg(20, 10, seed=6)
         assert not (p1.constraint.matrix == p3.constraint.matrix).all()
@@ -59,7 +59,7 @@ class TestNtc:
         rng.standard_normal(10)
         X_a = rng.standard_normal((10, 20))
         S = 0.5 ** np.abs(np.subtract.outer(np.arange(10), np.arange(10)))
-        assert np.array_equal(p.objective.data.design, S @ X_q)
+        assert np.array_equal(p.objective.design, S @ X_q)
         assert np.array_equal(p.constraint.matrix, S @ X_a)
 
     def test_default_covariance_positive_definite(self):
@@ -118,7 +118,7 @@ class TestDistributed:
 
     def test_synthetic_shapes_and_reference(self):
         p = make_do(n=6, m=15, M=3, seed=2)
-        assert p.objective.data.design.shape == (45, 18)
+        assert p.objective.design.shape == (45, 18)
         assert p.constraint.matrix.shape == (12, 18)
         # consensus blocks: A X = (x1 - x2, x2 - x3)
         X = np.arange(18.0)
@@ -128,9 +128,9 @@ class TestDistributed:
         xs = p.reference.x_star
         assert np.linalg.norm(p.constraint.residual(xs)) <= 1e-9
         # aggregated normal equations hold at the reference
-        Qs = [p.objective.data.design[i * 15:(i + 1) * 15, i * 6:(i + 1) * 6]
+        Qs = [p.objective.design[i * 15:(i + 1) * 15, i * 6:(i + 1) * 6]
               for i in range(3)]
-        cs = [p.objective.data.target[i * 15:(i + 1) * 15] for i in range(3)]
+        cs = [p.objective.target[i * 15:(i + 1) * 15] for i in range(3)]
         gram = sum(Q.T @ Q for Q in Qs)
         rhs = sum(Q.T @ c for Q, c in zip(Qs, cs))
         assert np.linalg.norm(gram @ xs[:6] - rhs) <= 1e-9 * (1 + np.linalg.norm(rhs))
@@ -141,7 +141,7 @@ class TestDistributed:
         path.write_text("\n".join(lines) + "\n")
         with pytest.warns(UserWarning, match="trailing"):
             p = make_do(data_path=str(path), M=3)
-        assert p.objective.data.design.shape == (6, 6)  # 3 blocks of 2x2
+        assert p.objective.design.shape == (6, 6)  # 3 blocks of 2x2
         # A is (M - 1) n x M n, so with M = 3 the blocks are 2 x 2
         assert p.constraint.matrix.shape == (4, 6)
 
@@ -206,7 +206,7 @@ def test_every_built_in_reference_is_a_saddle_point(config):
     p = build_instance(ExperimentConfig(**config))
     xs, ys = p.reference.x_star, p.reference.y_star
     A, b = p.constraint.matrix, p.constraint.rhs
-    Q, c = p.objective.data.design, p.objective.data.target
+    Q, c = p.objective.design, p.objective.target
     assert np.linalg.norm(A @ xs - b) <= 1e-10 * (1.0 + np.linalg.norm(b))
     assert np.linalg.norm(Q.T @ (Q @ xs - c) + A.T @ ys) <= \
         1e-10 * (1.0 + np.linalg.norm(Q.T @ c))
@@ -216,6 +216,13 @@ def test_factory_dispatch():
     assert make_instance("1d").label == "1d"
     with pytest.raises(ConfigError):
         make_instance("nope")
+
+
+@pytest.mark.parametrize("name", ["iidg", "ntc", "do", "pqp", "bp"])
+def test_every_sized_factory_refuses_a_negative_dimension(name):
+    for size in ({"n": -1}, {"m": -1}):
+        with pytest.raises(ConfigError, match="^dimensions must be positive$"):
+            make_instance(name, **size)
 
 
 class TestNonFiniteInput:

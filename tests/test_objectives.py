@@ -60,8 +60,8 @@ class TestLeastSquaresProx:
         f = LeastSquaresObjective(Q, rng.standard_normal(5))
         s, v = 3.7, rng.standard_normal(8)
         p = f.prox(s, v)
-        lhs = f.data.gram @ p + p / s
-        rhs = f.data.qtc + v / s
+        lhs = f.gram @ p + p / s
+        rhs = f.qtc + v / s
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * (1 + np.linalg.norm(rhs))
 
     def test_matches_projected_gradient_oracle(self, rng):
@@ -69,7 +69,7 @@ class TestLeastSquaresProx:
         f = LeastSquaresObjective(Q, rng.standard_normal(4))
         for s in (0.1, 1.0, 10.0):
             v = rng.standard_normal(6)
-            ref = prox_oracle_pg(lambda u: f.data.gram @ u - f.data.qtc, lambda u: u, s, v,
+            ref = prox_oracle_pg(lambda u: f.gram @ u - f.qtc, lambda u: u, s, v,
                                  lipschitz=f.smooth_lipschitz)
             assert f.prox(s, v) == pytest.approx(ref, abs=1e-8)
 
@@ -105,7 +105,7 @@ class TestLeastSquaresConjugate:
         f = LeastSquaresObjective(Q, rng.standard_normal(4))
         for _ in range(20):
             x = rng.standard_normal(6)
-            g = f.data.gram @ x - f.data.qtc  # g in subdifferential at x
+            g = f.gram @ x - f.qtc  # g in subdifferential at x
             assert f(x) + f.conj(g) == pytest.approx(float(g @ x), abs=1e-8)
 
 
@@ -251,7 +251,7 @@ class TestNonnegativeQuadratic:
         V = np.concatenate([rng.standard_normal(5), np.array([-1.0, 2, -3, 0, 5])])
         p = F.prox(0.5, V)
         assert p[5:] == pytest.approx([0.0, 2, 0, 0, 5])
-        ls = LeastSquaresObjective(F.data.design, F.data.target)
+        ls = LeastSquaresObjective(F.ls.design, F.ls.target)
         assert p[:5] == pytest.approx(ls.prox(0.5, V[:5]))
 
     def test_conj_projection_second_block(self, rng):
@@ -263,7 +263,7 @@ class TestNonnegativeQuadratic:
     def test_stationarity_cases(self, rng):
         F = self.make(rng)
         x = rng.standard_normal(5)
-        smooth = F.data.gram @ x - F.data.qtc
+        smooth = F.ls.gram @ x - F.ls.qtc
         # xt = 0 with negative dual residual contributes its square
         X = np.concatenate([x, np.zeros(5)])
         J = np.concatenate([-smooth, np.array([-2.0, 3.0, 0, 0, 0])])
@@ -279,12 +279,12 @@ class TestNonnegativeQuadratic:
     def test_separable_composition(self, rng):
         # the pair oracle must equal the blockwise results everywhere
         F = self.make(rng)
-        ls = LeastSquaresObjective(F.data.design, F.data.target)
+        ls = LeastSquaresObjective(F.ls.design, F.ls.target)
         V = rng.standard_normal(10)
         s = 0.9
         assert F.prox(s, V) == pytest.approx(
             np.concatenate([ls.prox(s, V[:5]), np.maximum(V[5:], 0.0)]))
-        mu = np.concatenate([F.data.design.T @ rng.standard_normal(4),
+        mu = np.concatenate([F.ls.design.T @ rng.standard_normal(4),
                              -np.abs(rng.standard_normal(5))])
         assert F.conj(mu) == pytest.approx(ls.conj(mu[:5]))
         assert F.project_conj_domain(V) == pytest.approx(
@@ -298,19 +298,19 @@ class TestNonnegativeQuadratic:
             assert lhs == pytest.approx(v, abs=1e-9)
 
     def test_least_squares_block_has_the_bits_of_the_ls_objective(self, rng):
-        # both read the one LeastSquaresData formulas on the same (Q, c)
+        # the x-block is a LeastSquaresObjective on the same (Q, c)
         F = self.make(rng)
-        ls = LeastSquaresObjective(F.data.design, F.data.target)
+        ls = LeastSquaresObjective(F.ls.design, F.ls.target)
         x, g = rng.standard_normal(5), rng.standard_normal(5)
         X = np.concatenate([x, np.abs(rng.standard_normal(5))])
         assert np.float64(F(X)).tobytes() == np.float64(ls(x)).tobytes()
         J = np.concatenate([g, np.zeros(5)])
         assert (np.float64(F.stationarity_residual(X, J)).tobytes()
                 == np.float64(ls.stationarity_residual(x, g)).tobytes())
-        mu = np.concatenate([F.data.design.T @ rng.standard_normal(4),
+        mu = np.concatenate([F.ls.design.T @ rng.standard_normal(4),
                              -np.abs(rng.standard_normal(5))])
         assert np.float64(F.conj(mu)).tobytes() == np.float64(ls.conj(mu[:5])).tobytes()
-        kernel = np.linalg.svd(F.data.design)[2][-1]  # Q is 4 x 5: ker(Q) is a line
+        kernel = np.linalg.svd(F.ls.design)[2][-1]  # Q is 4 x 5: ker(Q) is a line
         assert F.conj(np.concatenate([kernel, np.zeros(5)])) == ls.conj(kernel) == INF
         V = rng.standard_normal((3, 10))
         for s, v in [(0.7, V[0]), (np.array([0.2, 1.0, 5.0]), V)]:

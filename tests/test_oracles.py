@@ -181,7 +181,7 @@ class TestDiffeomorphism:
         assert rep["passed"] and rep["dimension"] == 4
 
     def test_one_dimensional_range_line(self, one_d, rng):
-        span = one_d.objective.data.design.T  # Ran(Q^T) is a line
+        span = one_d.objective.design.T  # Ran(Q^T) is a line
         rep = diffeomorphism_checks(np.zeros(1), span, rng)
         assert rep["passed"] and rep["dimension"] == 1
 

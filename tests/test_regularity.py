@@ -18,7 +18,7 @@ from regularity_oracles import distance_to_saddle_set, qeb_model, saddle_set
 class TestMsrGamma:
     def test_one_dimensional_closed_form(self, one_d):
         # eigenvalues of [[1/81, 9], [9, 0]] are (t +/- sqrt(t^2 + 324))/2
-        g = msr_gamma(one_d.objective.data.gram, one_d.constraint.matrix)
+        g = msr_gamma(one_d.objective.gram, one_d.constraint.matrix)
         t = 1.0 / 81.0
         lam_minus = (t - math.sqrt(t * t + 4 * 81.0)) / 2.0
         assert g == pytest.approx(abs(lam_minus))
@@ -45,7 +45,7 @@ class TestQebEta:
     def test_model_matches_sdg_with_step_scaling(self, iidg, rng):
         # the model evaluates the gap at beta itself (unit steps), at a beta
         # below and one above 1
-        Q, c = iidg.objective.data.design, iidg.objective.data.target
+        Q, c = iidg.objective.design, iidg.objective.target
         A, b = iidg.constraint.matrix, iidg.constraint.rhs
         for beta in (0.8, 1.7):
             eta, model = qeb_model(Q, c, A, b, beta)
@@ -59,10 +59,10 @@ class TestQebEta:
     @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_beta(self, one_d, beta):
         with pytest.raises(ConfigError, match="^beta must be"):
-            qeb_eta(one_d.objective.data.gram, one_d.constraint.matrix, beta)
+            qeb_eta(one_d.objective.gram, one_d.constraint.matrix, beta)
 
     def test_model_minimum_is_zero(self, iidg):
-        Q, c = iidg.objective.data.design, iidg.objective.data.target
+        Q, c = iidg.objective.design, iidg.objective.target
         A, b = iidg.constraint.matrix, iidg.constraint.rhs
         _, model = qeb_model(Q, c, A, b, 1.0)
         # any minimiser of the quadratic: the pseudo-inverse stationary point
@@ -70,7 +70,7 @@ class TestQebEta:
         assert -1e-9 <= val <= 1e-9
 
     def test_one_dimensional_h_is_2x2(self, one_d):
-        eta, H = qeb_eta(one_d.objective.data.gram, one_d.constraint.matrix, 1.0)
+        eta, H = qeb_eta(one_d.objective.gram, one_d.constraint.matrix, 1.0)
         assert H.shape == (2, 2)
         assert eta > 0
 
@@ -80,7 +80,7 @@ class TestLipschitzConstants:
         consts = lipschitz_constants(one_d)
         assert one_d.objective.smooth_lipschitz == pytest.approx(1.0 / 81.0)
         assert one_d.objective.conj_part_lipschitz == 0.0
-        assert consts.provenance["gamma"] == "computed"
+        assert consts.gamma == msr_gamma(one_d.objective.gram, one_d.constraint.matrix)
 
     @pytest.mark.parametrize("family", ["1d", "iidg", "ntc", "do"])
     def test_ls_set_up_leaves_eta_to_the_per_beta_lookup(self, monkeypatch, family):
@@ -96,8 +96,7 @@ class TestLipschitzConstants:
         monkeypatch.setattr(regularity, "qeb_eta", counted)
         consts = lipschitz_constants(make_instance(family))
         assert len(calls) == 0
-        assert consts.provenance["eta"] == "per-beta"
-        assert consts.eta.computable
+        assert isinstance(consts.eta, EtaCache) and not consts.eta._cache
         assert consts.gamma > 0
 
     def test_scaled_orthogonal_rows(self):
@@ -109,29 +108,25 @@ class TestLipschitzConstants:
         assert obj.conj_grad_lipschitz == pytest.approx(0.25)
 
     def test_bp_defaults(self, bp):
-        consts = lipschitz_constants(bp)
+        # gamma and eta are computed for least squares only
+        assert lipschitz_constants(bp) is None
         assert bp.objective.smooth_lipschitz is None
         assert bp.objective.conj_lipschitz == 0.0
-        assert consts.gamma == 1e-8
-        assert consts.provenance["gamma"] == "declared-default"
-        assert [consts.eta(b) for b in (1e-8, 1.0)] == [1e-8, 1e-8]
 
     def test_qp_defaults(self, pqp):
-        consts = lipschitz_constants(pqp)
+        assert lipschitz_constants(pqp) is None
         assert pqp.objective.smooth_lipschitz is None
         assert pqp.objective.conj_part_lipschitz == 0.0
         assert pqp.objective.conj_grad_lipschitz is not None
-        assert consts.gamma == 1e-8
-        assert [consts.eta(b) for b in (1e-8, 1.0)] == [1e-8, 1e-8]
 
 
 @pytest.mark.parametrize("family", ["1d", "iidg", "ntc", "do"])
 def test_stationarity_matrix_has_the_bytes_of_np_block(family):
     problem = make_instance(family)
-    Q, A = problem.objective.data.design, problem.constraint.matrix
+    Q, A = problem.objective.design, problem.constraint.matrix
     m = A.shape[0]
     want = np.block([[Q.T @ Q, A.T], [A, np.zeros((m, m))]])
-    got = stationarity_matrix(problem.objective.data.gram, A)
+    got = stationarity_matrix(problem.objective.gram, A)
     assert got.shape == want.shape
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
@@ -139,7 +134,7 @@ def test_stationarity_matrix_has_the_bytes_of_np_block(family):
 
 class TestCertificates:
     def test_msr_certificate_near_saddle(self, iidg, rng):
-        Q, c = iidg.objective.data.design, iidg.objective.data.target
+        Q, c = iidg.objective.design, iidg.objective.target
         A, b = iidg.constraint.matrix, iidg.constraint.rhs
         gamma = msr_gamma(Q.T @ Q, A)
         z_p, kern = saddle_set(Q, c, A, b)
@@ -152,7 +147,7 @@ class TestCertificates:
             assert grad_norm >= gamma * dist - 1e-8
 
     def test_qeb_certificate_near_saddle(self, iidg, rng):
-        Q, c = iidg.objective.data.design, iidg.objective.data.target
+        Q, c = iidg.objective.design, iidg.objective.target
         A, b = iidg.constraint.matrix, iidg.constraint.rhs
         beta = 1.0
         eta, _ = qeb_eta(Q.T @ Q, A, beta)
@@ -171,9 +166,5 @@ class TestEtaCache:
         v1 = cache(0.3)
         v2 = cache(0.3)
         assert v1 == v2
-        direct = qeb_eta(iidg.objective.data.gram, iidg.constraint.matrix, 0.3)[0]
+        direct = qeb_eta(iidg.objective.gram, iidg.constraint.matrix, 0.3)[0]
         assert v1 == pytest.approx(direct)
-
-    def test_non_ls_returns_default(self, bp):
-        cache = EtaCache(bp)
-        assert cache(1.0) == 1e-8
