@@ -14,13 +14,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 
 from .bounds import THEOREMS
-from .errors import StopgapError
+from .errors import ConfigError, StopgapError, check_count
 from .harness import (ExperimentConfig, build_instance, emit_plot_data, make_output_dir,
                       run_experiment, write_json)
 from .instances import FAMILIES, readers
 from .oracles import (counterexample_kkt_vs_og, counterexample_kkt_vs_sdg,
                       verification_suite)
-from .pdhg import CRITERIA, check_count
+from .pdhg import CRITERIA
 
 
 def _add_build_flags(p):
@@ -69,12 +69,11 @@ def cmd_run(args):
 
 
 def cmd_verify(args):
-    config = _config(args).validate()
+    config = _config(args)
+    check_count("samples", args.samples)  # before the output directory is made
     problem = build_instance(config)
     path = os.path.join(make_output_dir(config.out_dir), "verification.json")
-    report = verification_suite(problem, seed=config.seed or 0,
-                                sdg_samples=args.samples,
-                                witness_samples=args.samples)
+    report = verification_suite(problem, seed=config.seed or 0, samples=args.samples)
     report["counterexample_kkt_vs_og"] = counterexample_kkt_vs_og(
         [10.0 ** -k for k in range(1, 9)])
     report["counterexample_kkt_vs_sdg"] = counterexample_kkt_vs_sdg([0.5, 0.1, 0.01])
@@ -91,12 +90,10 @@ def cmd_tables(args):
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         # each instance writes to out/<name>, so a repeat would overwrite itself
-        print(f"repeated instances: {repeated}", file=sys.stderr)
-        return 2
-    out = _config(args).out_dir
-    # every config is checked before the first solve writes out/<name>
-    configs = [_config(args, instance=name, out_dir=os.path.join(out, name)).validate()
-               for name in names]
+        raise ConfigError(f"repeated instances: {repeated}")
+    out = getattr(args, "out_dir", ExperimentConfig.out_dir)
+    # making a config checks it, so every one is checked before the first solve
+    configs = [_config(args, instance=name, out_dir=os.path.join(out, name)) for name in names]
     make_output_dir(out)
     # a fork-started pool forks all its workers at the first submit, so it
     # gets no more of them than there are instances

@@ -9,7 +9,6 @@ losslessly; +inf serialises as the string "inf".
 import csv
 import json
 import math
-import numbers
 import os
 from dataclasses import asdict, dataclass
 
@@ -17,19 +16,20 @@ import numpy as np
 
 from . import criteria as crit
 from .bounds import T2_CONSTANTS, THEOREMS, evaluate_bounds, ratio, ratio_stats
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 from .instances import family, readers
-from .pdhg import CRITERIA, SolveConfig, check_count, default_step_sizes, solve
+from .pdhg import CRITERIA, SolveConfig, default_step_sizes, solve
 from .regularity import lipschitz_constants
 
 # floor of a plotted series, so that zeros and round-off stay on a log axis
 PLOT_CLAMP = 1e-16
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """One run.  The solve defaults are SolveConfig's but ``criterion``: a run
-    waits for every gate, as Table 1 reports each crossing; ``solve`` stops at SDG."""
+    """One run, checked when it is made.  The solve defaults are SolveConfig's
+    but ``criterion``: a run waits for every gate, as Table 1 reports each
+    crossing; ``solve`` stops at SDG."""
 
     instance: str = "1d"
     n: int | None = None            # None = family default (20 x 10)
@@ -52,8 +52,10 @@ class ExperimentConfig:
                            criterion=self.criterion, evaluate=tuple(evaluate),
                            record_every=self.record_every, version=version)
 
-    def validate(self):
+    def __post_init__(self):
         fam = family(self.instance)
+        if isinstance(self.criteria, str):
+            raise ConfigError(f"criteria must be a list of criteria, got {self.criteria!r}")
         if self.criteria is not None:
             if not self.criteria:
                 raise ConfigError("criteria list must not be empty; omit it for defaults")
@@ -68,9 +70,8 @@ class ExperimentConfig:
                 check_count(name, value)
         # the solver's own checks, made before the instance is built
         self.solve_config(CRITERIA if self.criteria is None else self.criteria)
-        if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(
-                self.seed, numbers.Integral) or self.seed < 0):
-            raise ConfigError(f"seed must be None or a non-negative integer, got {self.seed!r}")
+        if self.seed is not None:
+            check_count("seed", self.seed, least=0)
         if self.t2_constant not in T2_CONSTANTS:
             raise ConfigError(f"unknown t2_constant {self.t2_constant!r}; "
                               f"choose from {list(T2_CONSTANTS)}")
@@ -78,7 +79,6 @@ class ExperimentConfig:
             # the solver's own refusal, before any solve; a small build names the instance
             raise ConfigError(f"{build_instance(self).label}: ogfe requested "
                               "but no reference solution")
-        return self
 
 
 def build_instance(config: ExperimentConfig):
@@ -124,7 +124,6 @@ def run_experiment(config: ExperimentConfig):
 
     Returns a dict with the output paths and the in-memory tables.
     """
-    config.validate()
     problem = build_instance(config)
     steps = default_step_sizes(problem.constraint)
     if config.criteria is not None:

@@ -14,16 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateProblemError
+from .errors import ConfigError, DegenerateProblemError, check_count
 from .linalg import pinv_solve, stationarity_matrix
 from .objectives import L1Norm, LeastSquaresObjective, NonnegativeQuadratic
 from .problem import AffineConstraint, ProblemInstance, ReferenceSolution
 
 
-def _check_dims(*dims):
-    """ConfigError unless every size is at least 1."""
-    if min(dims) < 1:
-        raise ConfigError("dimensions must be positive")
+def _rng(seed, **sizes):
+    """The generator of ``seed``, once the seed and every size are checked."""
+    for name, value in sizes.items():
+        check_count(name, value)
+    check_count("seed", seed, least=0)
+    return np.random.default_rng(seed)
 
 
 def _ls_instance(Q, c, A, b, label):
@@ -31,21 +33,19 @@ def _ls_instance(Q, c, A, b, label):
     its stationarity system [[Q^T Q, A^T], [A, 0]] [x; y] = [Q^T c; b], read
     from the objective's cached Q^T Q and Q^T c; no reference when the solve
     does not satisfy that system."""
-    problem = ProblemInstance(objective=LeastSquaresObjective(Q, c),
-                              constraint=AffineConstraint(A, b), label=label)
-    n, obj = problem.constraint.n, problem.objective
+    obj, con = LeastSquaresObjective(Q, c), AffineConstraint(A, b)
     M = stationarity_matrix(obj.gram, A)
     rhs = np.concatenate([obj.qtc, b])
     sol = pinv_solve(M, rhs)
-    x_star = sol[:n]
+    x_star = sol[:con.n]
     feas = np.linalg.norm(A @ x_star - b)
     stat = np.linalg.norm(M @ sol - rhs)
-    if feas > 1e-8 * (1.0 + np.linalg.norm(b)) or stat > 1e-6 * (1.0 + np.linalg.norm(rhs)):
-        return problem
-    f_star = 0.5 * float(np.linalg.norm(Q @ x_star - c) ** 2)
-    problem.reference = ReferenceSolution(x_star=x_star, f_star=f_star, y_star=sol[n:],
-                                          provenance="high-accuracy-solve")
-    return problem
+    reference = None
+    if not (feas > 1e-8 * (1.0 + np.linalg.norm(b)) or stat > 1e-6 * (1.0 + np.linalg.norm(rhs))):
+        f_star = 0.5 * float(np.linalg.norm(Q @ x_star - c) ** 2)
+        reference = ReferenceSolution(x_star=x_star, f_star=f_star, y_star=sol[con.n:],
+                                      provenance="high-accuracy-solve")
+    return ProblemInstance(objective=obj, constraint=con, reference=reference, label=label)
 
 
 def make_1d():
@@ -67,8 +67,7 @@ def make_1d():
 
 def make_iidg(n=20, m=10, seed=0):
     """LC-LS with i.i.d. standard-normal Q, A (m x n) and c, b (m,)."""
-    _check_dims(n, m)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed, n=n, m=m)
     Q = rng.standard_normal((m, n))
     c = rng.standard_normal(m)
     A = rng.standard_normal((m, n))
@@ -89,8 +88,7 @@ def make_ntc(n=20, m=10, seed=0):
     """LC-LS with Q = Sigma X_q and A = Sigma X_a, where Sigma is the m x m
     symmetric Toeplitz covariance with first row 1, rho, rho^2, ... at
     rho = 0.5 (a Kac-Murdock-Szego matrix, eigenvalues in [1/3, 3])."""
-    _check_dims(n, m)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed, n=n, m=m)
     S = toeplitz_covariance(0.5 ** np.arange(m))
     Q = S @ rng.standard_normal((m, n))
     c = rng.standard_normal(m)
@@ -148,8 +146,7 @@ def make_do(data_path=None, M=3, n=14, m=84, seed=0):
     generated.  The reference solves the aggregated normal equations
     (sum Q_i^T Q_i) x = sum Q_i^T c_i and is replicated across blocks.
     """
-    if M < 2:
-        raise ConfigError("the consensus chain needs M >= 2 blocks")
+    check_count("M", M, least=2)  # the consensus chain needs two blocks
     if data_path is not None:
         X, yv = read_libsvm(data_path)
         if X.shape[0] < M:
@@ -162,8 +159,7 @@ def make_do(data_path=None, M=3, n=14, m=84, seed=0):
         blocks = [(X[i * m:(i + 1) * m], yv[i * m:(i + 1) * m]) for i in range(M)]
         label = f"do(libsvm,M={M})"
     else:
-        _check_dims(n, m)
-        rng = np.random.default_rng(seed)
+        rng = _rng(seed, n=n, m=m)
         blocks = [(rng.standard_normal((m, n)), rng.standard_normal(m)) for _ in range(M)]
         label = f"do(synthetic,M={M},n={n},m={m},seed={seed})"
 
@@ -198,8 +194,7 @@ def make_do(data_path=None, M=3, n=14, m=84, seed=0):
 def make_pqp(n=20, m=10, seed=0):
     """Nonnegative LS via splitting: variables X = (x, xt), constraint
     [[A, 0], [Id, -Id]] X = (b, 0), objective LS(x) + indicator(xt >= 0)."""
-    _check_dims(n, m)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed, n=n, m=m)
     Q = rng.standard_normal((m, n))
     c = rng.standard_normal(m)
     A = rng.standard_normal((m, n))
@@ -214,8 +209,7 @@ def make_pqp(n=20, m=10, seed=0):
 
 def make_bp(n=20, m=10, seed=0):
     """Basis pursuit: min ||x||_1 subject to Ax = b, Gaussian data."""
-    _check_dims(n, m)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed, n=n, m=m)
     A = rng.standard_normal((m, n))
     b = rng.standard_normal(m)
     return ProblemInstance(

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .criteria import PointValues, check_beta, smoothed_duality_gap
-from .errors import ConfigError, ConvergenceError, StopgapError
+from .errors import ConvergenceError, StopgapError, check_count
 from .objectives import L1Norm, LeastSquaresObjective, NonnegativeQuadratic
 from .problem import PrimalDualPoint
 
@@ -245,19 +245,18 @@ def _feasible_random_point(problem, rng, scale=2.0):
     return PrimalDualPoint(x, z.y)
 
 
-def verification_suite(problem, seed=0, sdg_samples=100, witness_samples=200):
+def verification_suite(problem, seed=0, samples=100):
     """Cross-checks of the closed-form machinery against the independent
-    oracles on one instance; returns a JSON-ready summary.  Each check needs
-    at least one sample: with none it would check nothing and pass."""
-    for name, count in (("sdg_samples", sdg_samples), ("witness_samples", witness_samples)):
-        if count < 1:
-            raise ConfigError(f"{name} must be at least 1, got {count}")
+    oracles on one instance, each over ``samples`` random points; returns a
+    JSON-ready summary.  With no sample a check would check nothing and pass."""
+    check_count("seed", seed, least=0)
+    check_count("samples", samples)
     rng = np.random.default_rng(seed)
     lo, hi = np.log(SUITE_BETA_RANGE[0]), np.log(SUITE_BETA_RANGE[1])
     report = {"instance": problem.label, "seed": seed}
 
     max_err = 0.0
-    for _ in range(sdg_samples):
+    for _ in range(samples):
         z = _feasible_random_point(problem, rng)
         b = float(np.exp(rng.uniform(lo, hi)))
         closed = smoothed_duality_gap(PointValues(problem, z), b)[0]
@@ -267,7 +266,7 @@ def verification_suite(problem, seed=0, sdg_samples=100, witness_samples=200):
     report["sdg_direct_pass"] = max_err <= max(1e-6, 10.0 * SUITE_INNER_TOL)
 
     worst = {}
-    for _ in range(witness_samples):
+    for _ in range(samples):
         z = _random_point(problem, rng)
         b = float(np.exp(rng.uniform(lo, hi)))
         for name, slack in gap_witness(problem, z, b).items():

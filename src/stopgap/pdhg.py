@@ -6,14 +6,13 @@ takes the dual ascent first so the returned primal is a prox output (exact
 zeros/projections survive, which matters for the nonsmooth problems).
 """
 
-import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import criteria
-from .errors import ConfigError, StopgapError
+from .errors import ConfigError, StopgapError, check_count, check_positive
 from .problem import PrimalDualPoint
 
 CRITERIA = ("ogfe", "kkt", "pdg", "sdg")
@@ -27,10 +26,8 @@ class StepSizes:
     sigma: float
 
     def __post_init__(self):
-        for name in ("tau", "sigma"):
-            value = getattr(self, name)
-            if not (0.0 < value < math.inf):
-                raise ConfigError(f"step size {name} must be positive and finite, got {value}")
+        check_positive("step size tau", self.tau)
+        check_positive("step size sigma", self.sigma)
 
     def check(self, op_norm):
         if not self.tau * self.sigma * op_norm ** 2 < 1.0:
@@ -44,16 +41,7 @@ def default_step_sizes(constraint):
     return StepSizes(tau=0.95 / nrm, sigma=1.0 / nrm)
 
 
-def check_count(name, value):
-    """Raise a ConfigError naming ``name`` unless ``value`` is an integer, not
-    a bool, of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ConfigError(f"{name} must be at least 1, got {value}")
-
-
-@dataclass
+@dataclass(frozen=True)
 class SolveConfig:
     """Stopping target and bookkeeping for one solve."""
 
@@ -65,15 +53,17 @@ class SolveConfig:
     evaluate: tuple = ()            # extra criteria recorded along the way
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < math.inf):
-            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
-        for name in ("max_iters", "record_every"):
-            check_count(name, getattr(self, name))
+        check_positive("epsilon", self.epsilon)
+        check_count("max_iters", self.max_iters)
+        check_count("record_every", self.record_every)
         if self.criterion not in CRITERIA + ("all",):
             raise ConfigError(f"unknown stopping criterion {self.criterion!r}")
+        if isinstance(self.evaluate, str):
+            raise ConfigError(f"evaluate must be a list of criteria, got {self.evaluate!r}")
         if self.criterion == "all" and not self.evaluate:
             raise ConfigError("criterion 'all' needs a non-empty evaluate list")
-        if self.version not in (1, 2):
+        if isinstance(self.version, bool) or not isinstance(self.version, numbers.Integral) \
+                or self.version not in (1, 2):
             raise ConfigError("version must be 1 or 2")
         unknown = set(self.evaluate) - set(CRITERIA)
         if unknown:

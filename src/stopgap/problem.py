@@ -79,7 +79,7 @@ class ReferenceSolution:
     provenance: str = "analytic"  # analytic | normal-equations | high-accuracy-solve
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemInstance:
     """Objective + affine constraint (+ optional reference solution).
 

@@ -18,6 +18,7 @@ from stopgap.harness import (ExperimentConfig, build_instance, emit_plot_data,
                               run_experiment)
 from stopgap.instances import FAMILIES
 from stopgap.oracles import verification_suite
+from stopgap.pdhg import SolveConfig
 
 
 def unreachable(*args, **kwargs):
@@ -67,17 +68,17 @@ class TestRunExperiment:
 
     def test_empty_criteria_list_rejected(self):
         with pytest.raises(ConfigError, match="criteria"):
-            ExperimentConfig(instance="1d", criteria=()).validate()
+            ExperimentConfig(instance="1d", criteria=())
 
     def test_gate_must_be_evaluated(self):
         with pytest.raises(ConfigError, match="stop criterion"):
             ExperimentConfig(instance="1d", criteria=("kkt",),
-                             criterion="sdg").validate()
+                             criterion="sdg")
 
     def test_empty_criteria_on_no_reference_instance(self, tmp_path):
-        cfg = ExperimentConfig(instance="bp", criteria=("ogfe",),
-                               out_dir=str(tmp_path))
         with pytest.raises(ConfigError, match=r"^bp\(n=20,m=10,seed=5\): ogfe requested"):
+            cfg = ExperimentConfig(instance="bp", criteria=("ogfe",),
+                                   out_dir=str(tmp_path))
             run_experiment(cfg)
 
     @pytest.mark.parametrize("instance", FAMILIES)
@@ -94,7 +95,7 @@ class TestRunExperiment:
                                                              instance, settings):
         monkeypatch.setattr(harness, "solve", unreachable)
         with pytest.raises(ConfigError, match=rf"^{instance}\(.*\): ogfe requested"):
-            ExperimentConfig(instance=instance, **settings).validate()
+            ExperimentConfig(instance=instance, **settings)
         with pytest.raises(ConfigError, match="ogfe requested"):
             run_experiment(ExperimentConfig(instance=instance, out_dir=str(tmp_path / "out"),
                                             **settings))
@@ -103,7 +104,7 @@ class TestRunExperiment:
     def test_unknown_family_is_refused(self, monkeypatch):
         monkeypatch.setattr(harness, "build_instance", unreachable)
         with pytest.raises(ConfigError, match="^unknown instance family 'nope'; choose from"):
-            ExperimentConfig(instance="nope").validate()
+            ExperimentConfig(instance="nope")
 
     @pytest.mark.parametrize("instance", FAMILIES)
     def test_traced_run_keeps_the_benchmark_call_graph(self, tmp_path, monkeypatch, instance):
@@ -238,7 +239,7 @@ class TestCli:
         rc = cli_main(["tables", "--instances", "1d,iidg,1d", "--max-iters", "20",
                        "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert capsys.readouterr().err == "repeated instances: ['1d']\n"
+        assert capsys.readouterr().err == "stopgap: error: repeated instances: ['1d']\n"
         assert not (tmp_path / "out").exists()
 
     def test_every_config_is_checked_before_the_first_solve(self, tmp_path, capsys):
@@ -425,15 +426,21 @@ class TestCli:
     def test_verification_without_samples_is_refused(self, tmp_path, capsys, samples):
         # a suite that draws no sample checks nothing, and must not report a pass
         problem = build_instance(ExperimentConfig(instance="1d"))
-        for kwargs in ({"sdg_samples": samples}, {"witness_samples": samples}):
-            with pytest.raises(ConfigError, match="samples must be at least 1"):
-                verification_suite(problem, **kwargs)
+        with pytest.raises(ConfigError, match="samples must be at least 1"):
+            verification_suite(problem, samples=samples)
         rc = cli_main(["verify", "--instance", "1d", "--samples", str(samples),
                        "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err == f"stopgap: error: sdg_samples must be at least 1, got {samples}\n"
+        assert err == f"stopgap: error: samples must be at least 1, got {samples}\n"
         assert not (tmp_path / "verification.json").exists()
+
+    @pytest.mark.parametrize("samples", [2.5, True])
+    def test_verification_samples_must_be_a_count(self, samples):
+        # 2.5 used to die in a bare TypeError, and True drew one sample
+        problem = build_instance(ExperimentConfig(instance="1d"))
+        with pytest.raises(ConfigError, match="^samples must be an integer, got"):
+            verification_suite(problem, samples=samples)
 
     @pytest.mark.parametrize("instance", ["bp", "iidg"])
     def test_unknown_t2_constant_fails_before_the_solve(self, tmp_path, monkeypatch, instance):
@@ -497,13 +504,13 @@ class TestCli:
     @pytest.mark.parametrize("name", ["n", "m", "max_iters", "record_every"])
     def test_integer_settings_must_be_positive(self, name):
         with pytest.raises(ConfigError, match=f"{name} must be at least 1, got 0"):
-            ExperimentConfig(instance="iidg", **{name: 0}).validate()
+            ExperimentConfig(instance="iidg", **{name: 0})
 
     @pytest.mark.parametrize("seed", [2.5, 7.0, True, False, "7", -1, np.int64(-3)])
     def test_seed_must_be_a_non_negative_integer(self, tmp_path, monkeypatch, seed):
         # a float seed used to reach numpy's SeedSequence and die with a TypeError
         monkeypatch.setattr(harness, "build_instance", unreachable)
-        with pytest.raises(ConfigError, match="seed must be None or a non-negative integer"):
+        with pytest.raises(ConfigError, match="^seed must be (an integer|at least 0), got"):
             run_experiment(ExperimentConfig(instance="iidg", seed=seed, out_dir=str(tmp_path)))
 
     @pytest.mark.parametrize("settings, message", [
@@ -514,7 +521,10 @@ class TestCli:
         ({"epsilon": math.inf}, "epsilon must be positive and finite, got inf"),
         ({"epsilon": -math.inf}, "epsilon must be positive and finite, got -inf"),
         ({"epsilon": 0.0}, "epsilon must be positive and finite, got 0.0"),
-        ({"epsilon": -1e-8}, "epsilon must be positive and finite, got -1e-08")])
+        ({"epsilon": -1e-8}, "epsilon must be positive and finite, got -1e-08"),
+        ({"version": True}, "version must be 1 or 2"),
+        ({"version": 1.0}, "version must be 1 or 2"),
+        ({"epsilon": "1e-3"}, "epsilon must be positive and finite, got '1e-3'")])
     def test_solver_settings_fail_before_the_set_up(self, tmp_path, monkeypatch, settings,
                                                     message):
         # these used to build the instance first and fail only at SolveConfig
@@ -522,9 +532,22 @@ class TestCli:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             run_experiment(ExperimentConfig(instance="iidg", out_dir=str(tmp_path), **settings))
 
+    def test_a_config_is_checked_when_it_is_made(self):
+        # a config used to be checked only when a caller asked, after it was made
+        with pytest.raises(ConfigError, match="^n sets the size of iidg/ntc/pqp/bp instances"):
+            ExperimentConfig(instance="1d", n=5)
+
+    def test_a_string_is_not_a_criteria_list(self):
+        # a string used to be split into its characters and refused as
+        # "unknown criteria to evaluate: ['d', 'g', 's']"
+        with pytest.raises(ConfigError, match="^evaluate must be a list of criteria, got 'sdg'$"):
+            SolveConfig(evaluate="sdg")
+        with pytest.raises(ConfigError, match="^criteria must be a list of criteria, got 'sdg'$"):
+            ExperimentConfig(instance="1d", criteria="sdg", criterion="sdg")
+
     @pytest.mark.parametrize("seed", [None, 0, 7, np.int64(7), np.uint8(7)])
     def test_integer_seeds_are_accepted(self, seed):
-        ExperimentConfig(instance="iidg", seed=seed).validate()
+        ExperimentConfig(instance="iidg", seed=seed)
 
     def test_package_error_is_one_line_with_status_2(self, tmp_path, capsys):
         rc = cli_main(["run", "--instance", "1d", "--epsilon", "nan", "--out", str(tmp_path)])

@@ -221,8 +221,18 @@ def test_factory_dispatch():
 @pytest.mark.parametrize("name", ["iidg", "ntc", "do", "pqp", "bp"])
 def test_every_sized_factory_refuses_a_negative_dimension(name):
     for size in ({"n": -1}, {"m": -1}):
-        with pytest.raises(ConfigError, match="^dimensions must be positive$"):
+        with pytest.raises(ConfigError, match="^[nm] must be at least 1, got -1$"):
             make_instance(name, **size)
+
+
+@pytest.mark.parametrize("name", ["iidg", "ntc", "do", "pqp", "bp"])
+@pytest.mark.parametrize("setting", [{"n": 2.5}, {"n": True}, {"m": 3.0}, {"seed": -1},
+                                     {"seed": 2.5}])
+def test_every_sized_factory_refuses_a_size_or_seed_that_is_not_a_count(name, setting):
+    # a float size used to die in a bare TypeError, a negative seed in numpy's ValueError
+    (field,) = setting
+    with pytest.raises(ConfigError, match=f"^{field} must be (an integer|at least [01]), got"):
+        make_instance(name, **setting)
 
 
 class TestNonFiniteInput:

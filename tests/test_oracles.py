@@ -204,7 +204,7 @@ class TestDiffeomorphism:
 class TestVerificationSuite:
     def test_do_instance_full_report(self):
         problem = make_do(n=5, m=12, M=3, seed=1)
-        rep = verification_suite(problem, seed=0, sdg_samples=15, witness_samples=30)
+        rep = verification_suite(problem, seed=0, samples=30)
         assert rep["sdg_direct_pass"]
         assert rep["witness_pass"]
         assert rep["decomposition_pass"]
@@ -213,5 +213,5 @@ class TestVerificationSuite:
         assert rep["passed"]
 
     def test_bp_instance(self, bp):
-        rep = verification_suite(bp, seed=0, sdg_samples=15, witness_samples=30)
+        rep = verification_suite(bp, seed=0, samples=30)
         assert rep["passed"]
