@@ -1,7 +1,7 @@
 """sha256 of every artifact on the byte-identity list.
 
 Runs ``stopgap.harness.run_experiment`` on each config of the list in
-ROADMAP.md (seven fixed configs plus the benchmark workloads, imported from
+ROADMAP.md (six fixed configs plus the benchmark workloads, imported from
 ``perfbench/run.py``) and prints one line for each config (a hash of its
 keywords) and for each of its artifacts:
 
@@ -35,7 +35,6 @@ CONFIGS = {
     "pqp-eps1e-4": {"instance": "pqp", "epsilon": 1e-4, "max_iters": 3000},
     "bp-eps1e-4": {"instance": "bp", "epsilon": 1e-4, "max_iters": 3000},
     "do-eps1e-4": {"instance": "do", "epsilon": 1e-4, "max_iters": 2000, "record_every": 7},
-    "iidg-t2-statement": {"instance": "iidg", "t2_constant": "statement"},
 }
 
 

@@ -29,7 +29,6 @@ INF = float("inf")
 THEOREMS = ("T1_OG_KKT", "T2_OG_SDG", "T3_OG_PDG", "T4_SDG_KKT", "T5_KKT_SDG",
             "T6_SDG_PDG", "T7_PDG_SDG_manifold", "P4_PDG_SDG_lipschitz",
             "C1_FE_SDG", "L6_SDG_floor")
-T2_CONSTANTS = ("proof", "statement")  # see bound_T2
 
 
 @np.errstate(over="ignore")
@@ -156,7 +155,7 @@ def ratio_key(lhs, rhs):
     return np.divide(rhs, lhs, out=np.full(np.shape(ok), INF), where=ok)
 
 
-def evaluate_bounds(values, consts, t2_constant="proof"):
+def evaluate_bounds(values, consts):
     """Every bound at the point of ``values`` (a ``criteria.PointValues``),
     as three (len(THEOREMS),) float arrays: lhs, rhs and the beta used.
 
@@ -184,7 +183,7 @@ def evaluate_bounds(values, consts, t2_constant="proof"):
     if og is not None and consts is not None:
         out[:2, THEOREMS.index("T1_OG_KKT")] = og, bound_T1(K, y_norm, consts.gamma)
         eta = np.array([consts.eta(b) for b in beta.tolist()])
-        rows += [("T2_OG_SDG", og, bound_T2(G, y_norm, beta, eta, t2_constant), False),
+        rows += [("T2_OG_SDG", og, bound_T2(G, y_norm, beta, eta), False),
                  ("T3_OG_PDG", og, bound_T3(D, x_norm, y_norm, beta, eta), False)]
     obj = values.problem.objective
     rows += [("T4_SDG_KKT", G, bound_T4(K, beta), True),

@@ -15,10 +15,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import criteria as crit
-from .bounds import T2_CONSTANTS, THEOREMS, evaluate_bounds, ratio, ratio_stats
+from .bounds import THEOREMS, evaluate_bounds, ratio, ratio_stats
 from .errors import ConfigError, check_count
 from .instances import family, readers
-from .pdhg import CRITERIA, SolveConfig, default_step_sizes, solve
+from .pdhg import CRITERIA, SolveConfig, check_reference, default_step_sizes, solve
 from .regularity import lipschitz_constants
 
 # floor of a plotted series, so that zeros and round-off stay on a log axis
@@ -32,9 +32,9 @@ class ExperimentConfig:
     crossing; ``solve`` stops at SDG."""
 
     instance: str = "1d"
-    n: int | None = None            # None = family default (20 x 10)
+    n: int | None = None            # None = the factory default (20 x 10)
     m: int | None = None
-    seed: int | None = None         # None = the family's paper seed
+    seed: int | None = None         # None = the factory's paper seed
     data_path: str | None = None
     epsilon: float = SolveConfig.epsilon
     max_iters: int = SolveConfig.max_iters
@@ -42,7 +42,6 @@ class ExperimentConfig:
     criteria: tuple | None = None   # None = every criterion computable here
     record_every: int = SolveConfig.record_every
     version: int | None = None      # None = family default
-    t2_constant: str = "proof"
     out_dir: str = "out"
 
     def solve_config(self, evaluate):
@@ -72,21 +71,16 @@ class ExperimentConfig:
         self.solve_config(CRITERIA if self.criteria is None else self.criteria)
         if self.seed is not None:
             check_count("seed", self.seed, least=0)
-        if self.t2_constant not in T2_CONSTANTS:
-            raise ConfigError(f"unknown t2_constant {self.t2_constant!r}; "
-                              f"choose from {list(T2_CONSTANTS)}")
         if not fam.reference and "ogfe" in (self.criterion, *(self.criteria or ())):
             # the solver's own refusal, before any solve; a small build names the instance
-            raise ConfigError(f"{build_instance(self).label}: ogfe requested "
-                              "but no reference solution")
+            check_reference(build_instance(self), ("ogfe",))
 
 
 def build_instance(config: ExperimentConfig):
-    """The family's factory over the set fields it reads; an unset seed is the paper's."""
+    """The family's factory over the set fields it reads, with its own defaults for the rest."""
     fam = family(config.instance)
-    given = {"seed": fam.seed if config.seed is None else config.seed,
-             "n": config.n, "m": config.m, "data_path": config.data_path}
-    return fam.factory(**{k: given[k] for k in fam.reads if given[k] is not None})
+    return fam.factory(**{k: getattr(config, k) for k in fam.reads
+                          if getattr(config, k) is not None})
 
 
 def make_output_dir(path):
@@ -131,6 +125,8 @@ def run_experiment(config: ExperimentConfig):
     else:
         names = ["kkt", "sdg", "pdg"] + (["ogfe"] if problem.reference is not None else [])
     solve_cfg = config.solve_config(names)
+    # a sized family may build no reference: refuse before the directory is made
+    check_reference(problem, (solve_cfg.criterion, *solve_cfg.evaluate))
     make_output_dir(config.out_dir)
     traj = solve(problem, solve_cfg, steps)
     consts = lipschitz_constants(problem)
@@ -152,7 +148,7 @@ def run_experiment(config: ExperimentConfig):
             j, gate = crit.best_sdg(pv.sdg)
             cells = [k, _fmt(pv.og), _fmt(pv.fe), _fmt(pv.kkt), _fmt(pv.pdg),
                      _fmt(float(pv.sdg.gap[j])), _fmt(float(pv.sdg.beta[j])), _fmt(gate)]
-            lhs[:, i], rhs[:, i], beta = evaluate_bounds(pv, consts, config.t2_constant)
+            lhs[:, i], rhs[:, i], beta = evaluate_bounds(pv, consts)
             rho = np.where(np.isnan(lhs[:, i]), np.nan, ratio(lhs[:, i], rhs[:, i]))
             for cell in zip(lhs[:, i].tolist(), rhs[:, i].tolist(), rho.tolist(), beta.tolist()):
                 cells += map(_fmt, cell)

@@ -8,6 +8,7 @@ reproducible byte for byte.
 """
 
 import math
+import os
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -18,6 +19,8 @@ from .errors import ConfigError, DegenerateProblemError, check_count
 from .linalg import pinv_solve, stationarity_matrix
 from .objectives import L1Norm, LeastSquaresObjective, NonnegativeQuadratic
 from .problem import AffineConstraint, ProblemInstance, ReferenceSolution
+
+DO_BLOCKS = 3  # data blocks M of the distributed family
 
 
 def _rng(seed, **sizes):
@@ -43,8 +46,7 @@ def _ls_instance(Q, c, A, b, label):
     reference = None
     if not (feas > 1e-8 * (1.0 + np.linalg.norm(b)) or stat > 1e-6 * (1.0 + np.linalg.norm(rhs))):
         f_star = 0.5 * float(np.linalg.norm(Q @ x_star - c) ** 2)
-        reference = ReferenceSolution(x_star=x_star, f_star=f_star, y_star=sol[con.n:],
-                                      provenance="high-accuracy-solve")
+        reference = ReferenceSolution(x_star=x_star, f_star=f_star, y_star=sol[con.n:])
     return ProblemInstance(objective=obj, constraint=con, reference=reference, label=label)
 
 
@@ -65,7 +67,7 @@ def make_1d():
         reference=ReferenceSolution(x_star=x_star, f_star=f_star, y_star=y_star), label="1d")
 
 
-def make_iidg(n=20, m=10, seed=0):
+def make_iidg(n=20, m=10, seed=7):
     """LC-LS with i.i.d. standard-normal Q, A (m x n) and c, b (m,)."""
     rng = _rng(seed, n=n, m=m)
     Q = rng.standard_normal((m, n))
@@ -84,7 +86,7 @@ def toeplitz_covariance(first_row):
     return first_row[np.abs(np.subtract.outer(np.arange(k), np.arange(k)))]
 
 
-def make_ntc(n=20, m=10, seed=0):
+def make_ntc(n=20, m=10, seed=7):
     """LC-LS with Q = Sigma X_q and A = Sigma X_a, where Sigma is the m x m
     symmetric Toeplitz covariance with first row 1, rho, rho^2, ... at
     rho = 0.5 (a Kac-Murdock-Szego matrix, eigenvalues in [1/3, 3])."""
@@ -100,6 +102,9 @@ def make_ntc(n=20, m=10, seed=0):
 def read_libsvm(path):
     """LIBSVM regression format: 'label idx:val idx:val ...', 1-based
     indices, missing entries zero.  Returns (features, labels)."""
+    if not isinstance(path, (str, os.PathLike)):
+        # open() would take an integer as a file descriptor, and close it
+        raise ConfigError(f"data_path must be a str or os.PathLike, got {path!r}")
     rows = []
     labels = []
     width = 0
@@ -137,16 +142,16 @@ def read_libsvm(path):
     return X, np.asarray(labels)
 
 
-def make_do(data_path=None, M=3, n=14, m=84, seed=0):
-    """Distributed least squares: M data blocks coupled by a consensus chain
-    x_i = x_{i+1}.
+def make_do(data_path=None, n=14, m=84, seed=0):
+    """Distributed least squares: M = DO_BLOCKS data blocks coupled by a
+    consensus chain x_i = x_{i+1}.
 
     Block data comes from the LIBSVM regression file ``data_path`` when it
     is given; otherwise a synthetic Gaussian stand-in of the same shape is
     generated.  The reference solves the aggregated normal equations
     (sum Q_i^T Q_i) x = sum Q_i^T c_i and is replicated across blocks.
     """
-    check_count("M", M, least=2)  # the consensus chain needs two blocks
+    M = DO_BLOCKS
     if data_path is not None:
         X, yv = read_libsvm(data_path)
         if X.shape[0] < M:
@@ -187,11 +192,10 @@ def make_do(data_path=None, M=3, n=14, m=84, seed=0):
     return ProblemInstance(
         objective=LeastSquaresObjective(bigQ, bigc),
         constraint=AffineConstraint(A, b),
-        reference=ReferenceSolution(x_star=X_star, f_star=f_star, y_star=y_star,
-                                    provenance="normal-equations"), label=label)
+        reference=ReferenceSolution(x_star=X_star, f_star=f_star, y_star=y_star), label=label)
 
 
-def make_pqp(n=20, m=10, seed=0):
+def make_pqp(n=20, m=10, seed=8):
     """Nonnegative LS via splitting: variables X = (x, xt), constraint
     [[A, 0], [Id, -Id]] X = (b, 0), objective LS(x) + indicator(xt >= 0)."""
     rng = _rng(seed, n=n, m=m)
@@ -207,7 +211,7 @@ def make_pqp(n=20, m=10, seed=0):
         reference=None, label=f"pqp(n={n},m={m},seed={seed})")
 
 
-def make_bp(n=20, m=10, seed=0):
+def make_bp(n=20, m=10, seed=5):
     """Basis pursuit: min ||x||_1 subject to Ax = b, Gaussian data."""
     rng = _rng(seed, n=n, m=m)
     A = rng.standard_normal((m, n))
@@ -220,24 +224,23 @@ def make_bp(n=20, m=10, seed=0):
 
 @dataclass(frozen=True)
 class Family:
-    """One family: its factory, the ExperimentConfig fields the factory reads, the paper
-    seed, the default PDHG ordering, and whether it builds a reference (for OG/FE)."""
+    """One family: its factory, whose signature holds the paper seed and the sizes, the
+    ExperimentConfig fields it reads, its PDHG ordering, and whether it builds a reference."""
 
     factory: Callable
     reads: tuple
-    seed: int | None
     version: int
     reference: bool
 
 
 # pqp needs version 2 to keep its slack block nonnegative; bp's KKT stalls under version 1
 FAMILIES = {
-    "1d": Family(make_1d, (), seed=None, version=1, reference=True),
-    "iidg": Family(make_iidg, ("seed", "n", "m"), seed=7, version=1, reference=True),
-    "ntc": Family(make_ntc, ("seed", "n", "m"), seed=7, version=1, reference=True),
-    "do": Family(make_do, ("seed", "data_path"), seed=0, version=1, reference=True),
-    "pqp": Family(make_pqp, ("seed", "n", "m"), seed=8, version=2, reference=False),
-    "bp": Family(make_bp, ("seed", "n", "m"), seed=5, version=1, reference=False),
+    "1d": Family(make_1d, (), version=1, reference=True),
+    "iidg": Family(make_iidg, ("seed", "n", "m"), version=1, reference=True),
+    "ntc": Family(make_ntc, ("seed", "n", "m"), version=1, reference=True),
+    "do": Family(make_do, ("seed", "data_path"), version=1, reference=True),
+    "pqp": Family(make_pqp, ("seed", "n", "m"), version=2, reference=False),
+    "bp": Family(make_bp, ("seed", "n", "m"), version=1, reference=False),
 }
 
 
@@ -252,7 +255,3 @@ def readers(field):
     """The families whose factory reads the ExperimentConfig ``field``."""
     return [name for name, fam in FAMILIES.items() if field in fam.reads]
 
-
-def make_instance(name, **kwargs):
-    """Factory by family name, with the factory's own defaults."""
-    return family(name).factory(**kwargs)

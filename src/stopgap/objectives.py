@@ -28,12 +28,16 @@ def _check_dim(v, n, what, rows=False):
 
 def _step(s, v):
     """The prox step against ``v``: ``s`` itself for a vector, and the column
-    ``s[:, None]`` of a (k,) ``s`` for k rows."""
+    ``s[:, None]`` of a (k,) ``s`` for k rows; a step s <= 0 is refused."""
     if v.ndim == 1:
+        if s <= 0:
+            raise ConfigError(f"prox step s must be positive, got {s}")
         return s
     s = np.asarray(s, dtype=float)
     if s.shape != v.shape[:1]:
         raise DimensionMismatchError(f"prox steps: expected shape ({len(v)},), got {s.shape}")
+    if s.min() <= 0:
+        raise ConfigError(f"prox step s must be positive, got {s.min()}")
     return s[:, None]
 
 
@@ -116,8 +120,6 @@ class LeastSquaresObjective(ObjectiveOracle):
         """(Q^T Q + Id/s)^{-1} (Q^T c + v/s), solved in the eigenbasis, for a
         vector v or for every row of v with its own step."""
         s = _step(s, v)
-        if (s <= 0).any() if v.ndim == 2 else s <= 0:
-            raise ConfigError(f"prox step s must be positive, got {np.min(s)}")
         w = rowwise(self.V.T, self.qtc + v / s)
         return rowwise(self.V, w / (self.lam + 1.0 / s))
 

@@ -245,7 +245,7 @@ def _feasible_random_point(problem, rng, scale=2.0):
     return PrimalDualPoint(x, z.y)
 
 
-def verification_suite(problem, seed=0, samples=100):
+def verification_suite(problem, seed=0, *, samples):
     """Cross-checks of the closed-form machinery against the independent
     oracles on one instance, each over ``samples`` random points; returns a
     JSON-ready summary.  With no sample a check would check nothing and pass."""

@@ -128,6 +128,12 @@ def _gate_fires(name, epsilon, pv: criteria.PointValues):
     return criteria.best_sdg(pv.sdg)[1] <= epsilon
 
 
+def check_reference(problem, names):
+    """Refuse OG/FE among ``names`` when ``problem`` has no reference solution."""
+    if "ogfe" in names and problem.reference is None:
+        raise ConfigError(f"{problem.label}: ogfe requested but no reference solution")
+
+
 def solve(problem, config: SolveConfig, steps: StepSizes | None = None):
     """Iterate PDHG from z = 0 until every gating criterion (the configured
     one, or each of ``config.evaluate`` for ``"all"``) has fired, or the
@@ -150,8 +156,7 @@ def solve(problem, config: SolveConfig, steps: StepSizes | None = None):
 
     gating = tuple(config.evaluate) if config.criterion == "all" else (config.criterion,)
     names = list(dict.fromkeys(gating + tuple(config.evaluate)))
-    if "ogfe" in names and problem.reference is None:
-        raise ConfigError(f"{problem.label}: ogfe requested but no reference solution")
+    check_reference(problem, names)
 
     z = PrimalDualPoint(np.zeros(problem.constraint.n), np.zeros(problem.constraint.m))
     stepper = step_v1 if config.version == 1 else step_v2

@@ -70,13 +70,11 @@ class PrimalDualPoint:
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """Known saddle point (x*, y*), the optimal value f* = f(x*) and how they
-    were obtained."""
+    """Known saddle point (x*, y*) and the optimal value f* = f(x*)."""
 
     x_star: np.ndarray
     f_star: float
     y_star: np.ndarray
-    provenance: str = "analytic"  # analytic | normal-equations | high-accuracy-solve
 
 
 @dataclass(frozen=True)

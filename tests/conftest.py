@@ -11,22 +11,22 @@ def one_d():
 
 @pytest.fixture(scope="session")
 def iidg():
-    return make_iidg(n=20, m=10, seed=7)
+    return make_iidg()
 
 
 @pytest.fixture(scope="session")
 def ntc():
-    return make_ntc(n=20, m=10, seed=7)
+    return make_ntc()
 
 
 @pytest.fixture(scope="session")
 def pqp():
-    return make_pqp(n=20, m=10, seed=8)
+    return make_pqp()
 
 
 @pytest.fixture(scope="session")
 def bp():
-    return make_bp(n=20, m=10, seed=5)
+    return make_bp()
 
 
 @pytest.fixture()

@@ -25,7 +25,7 @@ FAMILY_RUNS = {
     "1d": (make_1d, 1, 1),
     "iidg": (lambda: make_iidg(20, 10, seed=7), 3, 1),
     "ntc": (lambda: make_ntc(20, 10, seed=7), 10, 1),
-    "do": (lambda: make_do(n=13, m=20, M=3, seed=0), 2, 1),
+    "do": (lambda: make_do(n=13, m=20, seed=0), 2, 1),
     "pqp": (lambda: make_pqp(20, 10, seed=8), 8, 2),
     "bp": (lambda: make_bp(20, 10, seed=5), 10, 1),
 }

@@ -38,7 +38,7 @@ class TestOgfe:
             ogfe(PointValues(bp, PrimalDualPoint(np.zeros(20), np.zeros(10))))
 
     def test_og_nonnegative_on_do(self, rng):
-        problem = make_do(n=6, m=12, M=3, seed=3)
+        problem = make_do(n=6, m=12, seed=3)
         for _ in range(20):
             z = PrimalDualPoint(rng.standard_normal(18), rng.standard_normal(12))
             og, _ = ogfe(PointValues(problem, z))

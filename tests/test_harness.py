@@ -101,6 +101,16 @@ class TestRunExperiment:
                                             **settings))
         assert not (tmp_path / "out").exists()
 
+    def test_ogfe_on_a_sized_instance_without_a_reference_leaves_no_directory(self, tmp_path):
+        # iidg builds no reference when Ax = b is inconsistent (m > n); the
+        # solve used to refuse only after the output directory was made
+        cfg = ExperimentConfig(instance="iidg", n=5, m=10, criterion="ogfe",
+                               out_dir=str(tmp_path / "out"))
+        with pytest.raises(ConfigError, match=r"^iidg\(n=5,m=10,seed=7\): ogfe requested "
+                                              "but no reference solution$"):
+            run_experiment(cfg)
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_family_is_refused(self, monkeypatch):
         monkeypatch.setattr(harness, "build_instance", unreachable)
         with pytest.raises(ConfigError, match="^unknown instance family 'nope'; choose from"):
@@ -441,16 +451,6 @@ class TestCli:
         problem = build_instance(ExperimentConfig(instance="1d"))
         with pytest.raises(ConfigError, match="^samples must be an integer, got"):
             verification_suite(problem, samples=samples)
-
-    @pytest.mark.parametrize("instance", ["bp", "iidg"])
-    def test_unknown_t2_constant_fails_before_the_solve(self, tmp_path, monkeypatch, instance):
-        # bp never evaluates T2 and used to finish silently; iidg raised only
-        # after the whole solve
-        monkeypatch.setattr(harness, "solve", unreachable)
-        with pytest.raises(ConfigError, match="t2_constant 'bogus'"):
-            run_experiment(ExperimentConfig(instance=instance, t2_constant="bogus",
-                                            out_dir=str(tmp_path / "out")))
-        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("instance", ["do", "1d"])
     @pytest.mark.parametrize("name", ["n", "m"])

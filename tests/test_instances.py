@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from stopgap.errors import ConfigError, DegenerateProblemError
 from stopgap.harness import ExperimentConfig, build_instance
-from stopgap.instances import (make_do, make_iidg, make_instance, make_ntc,
-                               read_libsvm, toeplitz_covariance)
+from stopgap.instances import (FAMILIES, family, make_do, make_iidg, make_ntc, read_libsvm,
+                               toeplitz_covariance)
 from stopgap.objectives import LeastSquaresObjective
 from stopgap.problem import AffineConstraint
 
@@ -112,12 +113,8 @@ class TestLibsvm:
 
 
 class TestDistributed:
-    def test_minimum_chain_length(self):
-        with pytest.raises(ConfigError):
-            make_do(M=1)
-
     def test_synthetic_shapes_and_reference(self):
-        p = make_do(n=6, m=15, M=3, seed=2)
+        p = make_do(n=6, m=15, seed=2)
         assert p.objective.design.shape == (45, 18)
         assert p.constraint.matrix.shape == (12, 18)
         # consensus blocks: A X = (x1 - x2, x2 - x3)
@@ -140,7 +137,7 @@ class TestDistributed:
         path = tmp_path / "data.libsvm"
         path.write_text("\n".join(lines) + "\n")
         with pytest.warns(UserWarning, match="trailing"):
-            p = make_do(data_path=str(path), M=3)
+            p = make_do(data_path=str(path))
         assert p.objective.design.shape == (6, 6)  # 3 blocks of 2x2
         # A is (M - 1) n x M n, so with M = 3 the blocks are 2 x 2
         assert p.constraint.matrix.shape == (4, 6)
@@ -151,7 +148,15 @@ class TestDistributed:
         path.write_text("1.0 1:2 2:3\n2.0 1:1\n")
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: too few data rows "
                                               r"\(2\) for 3 blocks$"):
-            make_do(data_path=str(path), M=3)
+            make_do(data_path=str(path))
+
+    def test_a_data_path_that_is_not_a_path_is_refused(self):
+        # open() takes an integer as a file descriptor: make_do(data_path=0)
+        # used to read standard input and then close it
+        stdin = os.fstat(0)
+        with pytest.raises(ConfigError, match="^data_path must be a str or os.PathLike, got 0$"):
+            make_do(data_path=0)
+        assert os.fstat(0) == stdin
 
 
 class TestQpSplitting:
@@ -213,16 +218,26 @@ def test_every_built_in_reference_is_a_saddle_point(config):
 
 
 def test_factory_dispatch():
-    assert make_instance("1d").label == "1d"
+    assert family("1d").factory().label == "1d"
     with pytest.raises(ConfigError):
-        make_instance("nope")
+        family("nope")
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_a_factory_without_arguments_builds_the_run_instance(name):
+    # the factory's signature is the one owner of the paper seed and sizes
+    mine = FAMILIES[name].factory()
+    run = build_instance(ExperimentConfig(instance=name))
+    assert mine.label == run.label
+    assert np.array_equal(mine.constraint.matrix, run.constraint.matrix)
+    assert np.array_equal(mine.constraint.rhs, run.constraint.rhs)
 
 
 @pytest.mark.parametrize("name", ["iidg", "ntc", "do", "pqp", "bp"])
 def test_every_sized_factory_refuses_a_negative_dimension(name):
     for size in ({"n": -1}, {"m": -1}):
         with pytest.raises(ConfigError, match="^[nm] must be at least 1, got -1$"):
-            make_instance(name, **size)
+            FAMILIES[name].factory(**size)
 
 
 @pytest.mark.parametrize("name", ["iidg", "ntc", "do", "pqp", "bp"])
@@ -232,7 +247,7 @@ def test_every_sized_factory_refuses_a_size_or_seed_that_is_not_a_count(name, se
     # a float size used to die in a bare TypeError, a negative seed in numpy's ValueError
     (field,) = setting
     with pytest.raises(ConfigError, match=f"^{field} must be (an integer|at least [01]), got"):
-        make_instance(name, **setting)
+        FAMILIES[name].factory(**setting)
 
 
 class TestNonFiniteInput:

@@ -328,8 +328,12 @@ def test_prox_rows_need_one_step_each(objective, s):
         objective.prox(s, np.ones((2, objective.dim)))
 
 
-@pytest.mark.parametrize("objective", [ls_1d(), NonnegativeQuadratic(np.eye(1), np.ones(1))])
-@pytest.mark.parametrize("s, rows", [(0.0, None), (-1.0, None), (np.array([1.0, -2.0]), 2)])
+# L1Norm used to return sign(v) (|v| - s) for any s; new cases go at the end of
+# each list, so that the earlier case ids keep their numbers
+@pytest.mark.parametrize("objective", [ls_1d(), NonnegativeQuadratic(np.eye(1), np.ones(1)),
+                                       L1Norm(3)])
+@pytest.mark.parametrize("s, rows", [(0.0, None), (-1.0, None), (np.array([1.0, -2.0]), 2),
+                                     (np.array([-1.0, 1.0]), 2)])
 def test_nonpositive_prox_step_is_a_config_error(objective, s, rows):
     v = np.ones(objective.dim) if rows is None else np.ones((rows, objective.dim))
     with pytest.raises(ConfigError, match="prox step s must be positive") as err:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from stopgap.errors import ConvergenceError, DegenerateProblemError
 from stopgap.harness import ExperimentConfig, build_instance
-from stopgap.instances import FAMILIES, make_instance
+from stopgap.instances import FAMILIES
 from stopgap.linalg import operator_norm
 
 
@@ -59,7 +59,7 @@ def test_same_bits_on_every_family(family):
 
 
 def test_same_bits_at_n400():
-    A = make_instance("iidg", n=400, m=200, seed=7).constraint.matrix
+    A = FAMILIES["iidg"].factory(n=400, m=200).constraint.matrix
     assert operator_norm(A) == plain_power_iteration(A)
 
 
@@ -80,7 +80,7 @@ def test_same_bits_on_random_matrices(seed, m, n, log_scale, zeroed, repeated):
 
 @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e300, 1e-300])
 def test_right_norm_at_extreme_scales(scale):
-    A = scale * make_instance("bp", seed=5).constraint.matrix
+    A = scale * FAMILIES["bp"].factory().constraint.matrix
     assert operator_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-8)
 
 

@@ -203,7 +203,7 @@ class TestDiffeomorphism:
 
 class TestVerificationSuite:
     def test_do_instance_full_report(self):
-        problem = make_do(n=5, m=12, M=3, seed=1)
+        problem = make_do(n=5, m=12, seed=1)
         rep = verification_suite(problem, seed=0, samples=30)
         assert rep["sdg_direct_pass"]
         assert rep["witness_pass"]

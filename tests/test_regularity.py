@@ -6,7 +6,7 @@ import pytest
 from stopgap import regularity
 from stopgap.criteria import PointValues, smoothed_duality_gap
 from stopgap.errors import ConfigError
-from stopgap.instances import make_instance
+from stopgap.instances import FAMILIES
 from stopgap.linalg import pinv_solve
 from stopgap.problem import PrimalDualPoint
 from stopgap.regularity import (EtaCache, lipschitz_constants, msr_gamma, qeb_eta,
@@ -94,7 +94,7 @@ class TestLipschitzConstants:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(regularity, "qeb_eta", counted)
-        consts = lipschitz_constants(make_instance(family))
+        consts = lipschitz_constants(FAMILIES[family].factory())
         assert len(calls) == 0
         assert isinstance(consts.eta, EtaCache) and not consts.eta._cache
         assert consts.gamma > 0
@@ -122,7 +122,7 @@ class TestLipschitzConstants:
 
 @pytest.mark.parametrize("family", ["1d", "iidg", "ntc", "do"])
 def test_stationarity_matrix_has_the_bytes_of_np_block(family):
-    problem = make_instance(family)
+    problem = FAMILIES[family].factory()
     Q, A = problem.objective.design, problem.constraint.matrix
     m = A.shape[0]
     want = np.block([[Q.T @ Q, A.T], [A, np.zeros((m, m))]])
