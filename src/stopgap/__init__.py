@@ -10,13 +10,12 @@ from .objectives import L1Norm, LeastSquaresObjective, NonnegativeQuadratic
 from .pdhg import (SolveConfig, StepSizes, Trajectory, default_step_sizes, solve,
                    step_v1, step_v2)
 from .problem import AffineConstraint, PrimalDualPoint, ProblemInstance, ReferenceSolution
-from .regularity import RegularityConstants, lipschitz_constants, msr_gamma, qeb_eta
+from .regularity import lipschitz_constants, msr_gamma, qeb_eta
 
 __all__ = [
     "AffineConstraint", "L1Norm",
     "LeastSquaresObjective", "NonnegativeQuadratic", "PointValues", "PrimalDualPoint",
-    "ProblemInstance", "ReferenceSolution",
-    "RegularityConstants", "SolveConfig", "StepSizes",
+    "ProblemInstance", "ReferenceSolution", "SolveConfig", "StepSizes",
     "Trajectory", "beta_grid", "default_step_sizes", "kkt_error", "lipschitz_constants",
     "make_1d", "make_bp", "make_do", "make_iidg", "make_ntc",
     "make_pqp", "msr_gamma", "ogfe", "operator_norm", "projected_duality_gap",

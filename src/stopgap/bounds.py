@@ -169,10 +169,10 @@ def evaluate_bounds(values, consts):
 
     Parameters
     ----------
-    consts : RegularityConstants for the instance: gamma, and eta(beta)
-             through ``consts.eta``; None where the instance has none.  The
-             Lipschitz constants of T5, T7 and P4 are read from the
-             objective.
+    consts : the instance's ``regularity.EtaCache``: ``consts.gamma``, and
+             eta(beta) as ``consts(beta)``; None where the instance has
+             none.  The Lipschitz constants of T5, T7 and P4 are read from
+             the objective.
     """
     x_norm, y_norm = values.z.norms()
     og, fe, K, D = values.og, values.fe, values.kkt, values.pdg
@@ -182,7 +182,7 @@ def evaluate_bounds(values, consts):
 
     if og is not None and consts is not None:
         out[:2, THEOREMS.index("T1_OG_KKT")] = og, bound_T1(K, y_norm, consts.gamma)
-        eta = np.array([consts.eta(b) for b in beta.tolist()])
+        eta = np.array([consts(b) for b in beta.tolist()])
         rows += [("T2_OG_SDG", og, bound_T2(G, y_norm, beta, eta), False),
                  ("T3_OG_PDG", og, bound_T3(D, x_norm, y_norm, beta, eta), False)]
     obj = values.problem.objective

@@ -77,9 +77,10 @@ def cmd_verify(args):
     report["counterexample_kkt_vs_og"] = counterexample_kkt_vs_og(
         [10.0 ** -k for k in range(1, 9)])
     report["counterexample_kkt_vs_sdg"] = counterexample_kkt_vs_sdg([0.5, 0.1, 0.01])
+    # the file's verdict is the command's: the suite and both counterexamples
+    report["passed"] = ok = (report["passed"] and report["counterexample_kkt_vs_og"]["passed"]
+                             and report["counterexample_kkt_vs_sdg"]["passed"])
     write_json(path, report)
-    ok = (report["passed"] and report["counterexample_kkt_vs_og"]["passed"]
-          and report["counterexample_kkt_vs_sdg"]["passed"])
     print(f"verification {'PASSED' if ok else 'FAILED'}: {path}")
     return 0 if ok else 1
 

@@ -73,12 +73,15 @@ def ogfe(values: PointValues):
 
     Requires a reference solution; OG is an oracle-only quantity.
     """
-    problem = values.problem
-    if problem.reference is None:
-        raise ConfigError(f"problem {problem.label!r} has no reference solution; "
-                          "the optimality gap is not computable")
-    og = max(values.fx - problem.reference.f_star, 0.0)
+    check_reference(values.problem, ("ogfe",))
+    og = max(values.fx - values.problem.reference.f_star, 0.0)
     return _checked("OG", og), _checked("FE", values.fe)
+
+
+def check_reference(problem, names):
+    """Refuse OG/FE among ``names`` when ``problem`` has no reference solution."""
+    if "ogfe" in names and problem.reference is None:
+        raise ConfigError(f"{problem.label}: ogfe requested but no reference solution")
 
 
 def kkt_error(values: PointValues):

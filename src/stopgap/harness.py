@@ -18,7 +18,7 @@ from . import criteria as crit
 from .bounds import THEOREMS, evaluate_bounds, ratio, ratio_stats
 from .errors import ConfigError, check_count
 from .instances import family, readers
-from .pdhg import CRITERIA, SolveConfig, check_reference, default_step_sizes, solve
+from .pdhg import CRITERIA, SolveConfig, default_step_sizes, solve
 from .regularity import lipschitz_constants
 
 # floor of a plotted series, so that zeros and round-off stay on a log axis
@@ -44,22 +44,17 @@ class ExperimentConfig:
     version: int | None = None      # None = family default
     out_dir: str = "out"
 
-    def solve_config(self, evaluate):
-        """The run's SolveConfig over ``evaluate``, with the family's default version."""
+    def solve_config(self, criteria):
+        """The run's SolveConfig over ``criteria``, with the family's default version."""
         version = family(self.instance).version if self.version is None else self.version
         return SolveConfig(epsilon=self.epsilon, max_iters=self.max_iters,
-                           criterion=self.criterion, evaluate=tuple(evaluate),
+                           criterion=self.criterion, criteria=criteria,
                            record_every=self.record_every, version=version)
 
     def __post_init__(self):
         fam = family(self.instance)
-        if isinstance(self.criteria, str):
-            raise ConfigError(f"criteria must be a list of criteria, got {self.criteria!r}")
-        if self.criteria is not None:
-            if not self.criteria:
-                raise ConfigError("criteria list must not be empty; omit it for defaults")
-            if self.criterion != "all" and self.criterion not in self.criteria:
-                raise ConfigError("stop criterion must be among the evaluated criteria")
+        if self.criteria is not None and not self.criteria:
+            raise ConfigError("criteria list must not be empty; omit it for defaults")
         for name, sets in (("n", "size"), ("m", "size"), ("data_path", "data")):
             value = getattr(self, name)
             if value is not None and name not in fam.reads:
@@ -68,12 +63,14 @@ class ExperimentConfig:
             if value is not None and sets == "size":
                 check_count(name, value)
         # the solver's own checks, made before the instance is built
-        self.solve_config(CRITERIA if self.criteria is None else self.criteria)
+        self.solve_config(self.criteria or CRITERIA)
+        if self.criteria is not None:
+            object.__setattr__(self, "criteria", tuple(self.criteria))
         if self.seed is not None:
             check_count("seed", self.seed, least=0)
         if not fam.reference and "ogfe" in (self.criterion, *(self.criteria or ())):
             # the solver's own refusal, before any solve; a small build names the instance
-            check_reference(build_instance(self), ("ogfe",))
+            crit.check_reference(build_instance(self), ("ogfe",))
 
 
 def build_instance(config: ExperimentConfig):
@@ -120,13 +117,12 @@ def run_experiment(config: ExperimentConfig):
     """
     problem = build_instance(config)
     steps = default_step_sizes(problem.constraint)
-    if config.criteria is not None:
-        names = list(config.criteria)
-    else:
-        names = ["kkt", "sdg", "pdg"] + (["ogfe"] if problem.reference is not None else [])
+    names = config.criteria or tuple(n for n in CRITERIA
+                                     if n != "ogfe" or problem.reference is not None)
+    # a sized family may build no reference: refuse before the directory is
+    # made, and before a default list without ogfe meets an ogfe gate
+    crit.check_reference(problem, (config.criterion, *names))
     solve_cfg = config.solve_config(names)
-    # a sized family may build no reference: refuse before the directory is made
-    check_reference(problem, (solve_cfg.criterion, *solve_cfg.evaluate))
     make_output_dir(config.out_dir)
     traj = solve(problem, solve_cfg, steps)
     consts = lipschitz_constants(problem)
@@ -156,7 +152,7 @@ def run_experiment(config: ExperimentConfig):
 
     table1 = {"instance": problem.label, "epsilon": config.epsilon,
               "budget": config.max_iters, "version": solve_cfg.version,
-              "iterations": {n: traj.crossings.get(n) for n in names},
+              "iterations": traj.crossings,
               "stop_reason": traj.stop_reason}
     write_json(os.path.join(config.out_dir, "table1.json"), table1)
 
@@ -209,9 +205,9 @@ def emit_plot_data(trace_path, selector, out_path):
         cols = [f"{name}_lhs", f"{name}_rhs"]
     else:
         raise ConfigError(f"unknown selector {selector!r}")
-    for c in cols:
+    for c in ("iteration", *cols):
         if c not in rows[0][1]:
-            raise ConfigError(f"selector column {c!r} not in trace")
+            raise ConfigError(f"{trace_path}: column {c!r} not in trace")
 
     def parse(line, column, v):
         if v in ("", None):
@@ -233,7 +229,11 @@ def emit_plot_data(trace_path, selector, out_path):
         # a measure or theorem that does not apply here is empty on every row
         raise ConfigError(f"{trace_path}: no row has a number in "
                           + " and ".join(map(repr, cols)))
-    with open(out_path, "w", newline="") as fh:
+    try:
+        fh = open(out_path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"{out_path}: cannot write plot series ({exc.strerror})") from exc
+    with fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration"] + cols + ["clamped"])
         writer.writerows(series)

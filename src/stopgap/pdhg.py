@@ -43,14 +43,15 @@ def default_step_sizes(constraint):
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Stopping target and bookkeeping for one solve."""
+    """Stopping target and bookkeeping for one solve.  The rules on which
+    criteria a run evaluates and which one stops it are checked here alone."""
 
     epsilon: float = 1e-8
     max_iters: int = 100_000
     criterion: str = "sdg"          # which gate stops the run
     record_every: int = 1
     version: int = 1                # PDHG step ordering
-    evaluate: tuple = ()            # extra criteria recorded along the way
+    criteria: tuple = ()            # evaluated criteria, with the gate; () = the gate alone
 
     def __post_init__(self):
         check_positive("epsilon", self.epsilon)
@@ -58,16 +59,19 @@ class SolveConfig:
         check_count("record_every", self.record_every)
         if self.criterion not in CRITERIA + ("all",):
             raise ConfigError(f"unknown stopping criterion {self.criterion!r}")
-        if isinstance(self.evaluate, str):
-            raise ConfigError(f"evaluate must be a list of criteria, got {self.evaluate!r}")
-        if self.criterion == "all" and not self.evaluate:
-            raise ConfigError("criterion 'all' needs a non-empty evaluate list")
+        if isinstance(self.criteria, str):
+            raise ConfigError(f"criteria must be a list of criteria, got {self.criteria!r}")
+        if self.criterion == "all" and not self.criteria:
+            raise ConfigError("criterion 'all' needs a non-empty criteria list")
         if isinstance(self.version, bool) or not isinstance(self.version, numbers.Integral) \
                 or self.version not in (1, 2):
             raise ConfigError("version must be 1 or 2")
-        unknown = set(self.evaluate) - set(CRITERIA)
+        unknown = set(self.criteria) - set(CRITERIA)
         if unknown:
             raise ConfigError(f"unknown criteria to evaluate: {sorted(unknown)}")
+        if self.criteria and self.criterion not in ("all", *self.criteria):
+            raise ConfigError("stop criterion must be among the evaluated criteria")
+        object.__setattr__(self, "criteria", tuple(self.criteria) or (self.criterion,))
 
 
 @dataclass
@@ -128,17 +132,11 @@ def _gate_fires(name, epsilon, pv: criteria.PointValues):
     return criteria.best_sdg(pv.sdg)[1] <= epsilon
 
 
-def check_reference(problem, names):
-    """Refuse OG/FE among ``names`` when ``problem`` has no reference solution."""
-    if "ogfe" in names and problem.reference is None:
-        raise ConfigError(f"{problem.label}: ogfe requested but no reference solution")
-
-
 def solve(problem, config: SolveConfig, steps: StepSizes | None = None):
     """Iterate PDHG from z = 0 until every gating criterion (the configured
-    one, or each of ``config.evaluate`` for ``"all"``) has fired, or the
-    budget runs out.  The gating criteria and those in ``config.evaluate``
-    are evaluated at each iterate until their first crossing is recorded.
+    one, or each of ``config.criteria`` for ``"all"``) has fired, or the
+    budget runs out.  Each of ``config.criteria``, which holds the gate, is
+    evaluated at each iterate until its first crossing is recorded.
     KKT, PDG and OG/FE are not evaluated while the feasibility error alone
     keeps their gate shut (see ``_gate_fires``), which leaves every crossing
     unchanged.  Their oracle checks are skipped there too: a
@@ -154,9 +152,9 @@ def solve(problem, config: SolveConfig, steps: StepSizes | None = None):
         steps = default_step_sizes(problem.constraint)
     steps.check(problem.constraint.norm())
 
-    gating = tuple(config.evaluate) if config.criterion == "all" else (config.criterion,)
-    names = list(dict.fromkeys(gating + tuple(config.evaluate)))
-    check_reference(problem, names)
+    names = config.criteria
+    gating = names if config.criterion == "all" else (config.criterion,)
+    criteria.check_reference(problem, names)
 
     z = PrimalDualPoint(np.zeros(problem.constraint.n), np.zeros(problem.constraint.m))
     stepper = step_v1 if config.version == 1 else step_v2

@@ -8,14 +8,12 @@ Q^T Q, A and beta; eta is half the smallest positive eigenvalue of H.  Both
 constants take Q^T Q as formed once by the objective
 (``LeastSquaresObjective.gram``).
 
-Set-up (``lipschitz_constants``) computes gamma once per instance.  eta
-depends on beta, so the constants carry an ``EtaCache`` (``.eta``), which
-solves for eta(beta) at each row's own beta on first use.  The Lipschitz
+Set-up (``lipschitz_constants``) makes the instance's ``EtaCache``, which
+computes gamma once.  eta depends on beta, so the cache solves for
+eta(beta) at each row's own beta on first use.  The Lipschitz
 constants of the objective and its conjugate parts are attributes of the
 objective (``objectives.ObjectiveOracle``), and the bounds read them there.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,16 +21,6 @@ from .criteria import GRID_VALUES, check_beta
 from .errors import DegenerateProblemError, StopgapError
 from .linalg import RANK_RTOL, stationarity_matrix
 from .objectives import LeastSquaresObjective
-
-
-@dataclass
-class RegularityConstants:
-    gamma: float
-    eta: "EtaCache"   # eta(beta) at the float beta
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise StopgapError("regularity constant gamma must be positive")
 
 
 def msr_gamma(gram, A):
@@ -87,20 +75,18 @@ def qeb_eta(gram, A, beta):
 
 
 def lipschitz_constants(instance, steps=None):
-    """Set-up constants of a least-squares ``instance``: gamma from the
-    spectrum of the stationarity matrix, and eta per beta from its
-    ``EtaCache`` (``.eta``).  None for any other objective, which has
+    """The ``EtaCache`` of a least-squares ``instance``, which holds gamma
+    and gives eta per beta; None for any other objective, which has
     neither.  ``steps`` is unused; the keyword stays for existing callers.
     """
-    obj = instance.objective
-    if not isinstance(obj, LeastSquaresObjective):
+    if not isinstance(instance.objective, LeastSquaresObjective):
         return None
-    return RegularityConstants(msr_gamma(obj.gram, instance.constraint.matrix),
-                               EtaCache(instance))
+    return EtaCache(instance)
 
 
 class EtaCache:
-    """Memoised eta at the float beta for one least-squares instance.
+    """The regularity constants of one least-squares instance: ``gamma``,
+    computed when the cache is made, and eta at the float beta, memoised.
 
     Only the fixed grid beta (``criteria.GRID_VALUES``) are kept: every row
     reads them, while the one other beta of a row, its own feasibility error,
@@ -108,6 +94,7 @@ class EtaCache:
 
     def __init__(self, instance):
         self.instance = instance
+        self.gamma = msr_gamma(instance.objective.gram, instance.constraint.matrix)
         self._cache = {}
 
     def __call__(self, beta):

@@ -53,7 +53,7 @@ def test_criterion_1_table1_one_dimensional():
     assert steps.tau == pytest.approx(0.95 / 9.0)
     assert steps.sigma == pytest.approx(1.0 / 9.0)
     t0 = time.perf_counter()
-    cfg = SolveConfig(epsilon=1e-8, criterion="all", evaluate=("kkt", "sdg", "pdg"))
+    cfg = SolveConfig(epsilon=1e-8, criterion="all", criteria=("kkt", "sdg", "pdg"))
     traj = solve(problem, cfg, steps)
     elapsed = time.perf_counter() - t0
     got = {k: traj.crossings[k] for k in ("kkt", "sdg", "pdg")}
@@ -203,7 +203,7 @@ def test_criterion_7_pdhg_stability_separation():
     rep = {}
     for version in (1, 2):
         cfg = SolveConfig(epsilon=epsilon, max_iters=budget, criterion="all",
-                          evaluate=("kkt", "sdg"), version=version, record_every=budget)
+                          criteria=("kkt", "sdg"), version=version, record_every=budget)
         traj = solve(problem, cfg, steps)
         x = traj.iterates[-1][1].x
         rep[f"v{version}"] = {

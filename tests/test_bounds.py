@@ -232,7 +232,7 @@ def test_eta_cache_keeps_only_the_grid_beta(iidg, monkeypatch):
         looked_up.update(values.sdg.beta.tolist())
         evaluate_bounds(values, consts)
     assert len(traj.iterates) == 31
-    assert set(consts.eta._cache) <= set(GRID_VALUES)
+    assert set(consts._cache) <= set(GRID_VALUES)
     assert sorted(solved) == sorted(looked_up)
 
 
@@ -280,9 +280,9 @@ def reference_bounds(problem, z, consts, values):
     if og is not None and consts is not None:
         reports["T1_OG_KKT"] = Report(og, bound_T1(K, y_norm, consts.gamma), None)
         reports["T2_OG_SDG"] = pick("T2_OG_SDG", "one-sided", lambda G: og, lambda b, G: bound_T2(
-            G, y_norm, b, consts.eta(b)))
+            G, y_norm, b, consts(b)))
         reports["T3_OG_PDG"] = pick("T3_OG_PDG", "one-sided", lambda G: og, lambda b, G: bound_T3(
-            D, x_norm, y_norm, b, consts.eta(b)))
+            D, x_norm, y_norm, b, consts(b)))
     reports["T4_SDG_KKT"] = pick("T4_SDG_KKT", "ratio", lambda G: G,
                                  lambda b, G: bound_T4(K, b))
     obj = problem.objective

@@ -12,13 +12,16 @@ import numpy as np
 import pytest
 
 from stopgap import harness
+from stopgap import cli
 from stopgap.cli import main as cli_main
+from stopgap.criteria import PointValues, ogfe
 from stopgap.errors import ConfigError
 from stopgap.harness import (ExperimentConfig, build_instance, emit_plot_data,
                               run_experiment)
 from stopgap.instances import FAMILIES
 from stopgap.oracles import verification_suite
-from stopgap.pdhg import SolveConfig
+from stopgap.pdhg import SolveConfig, solve
+from stopgap.problem import PrimalDualPoint
 
 
 def unreachable(*args, **kwargs):
@@ -432,6 +435,47 @@ class TestCli:
         with pytest.raises(ConfigError, match="no row has a number"):
             emit_plot_data(str(trace), selector, str(tmp_path / "series.csv"))
 
+    def test_plot_of_a_trace_without_iteration_is_a_one_line_error(self, tmp_path, capsys):
+        # it used to end in a KeyError traceback with exit status 1
+        trace = tmp_path / "trace.csv"
+        trace.write_text("sdg,kkt\n1e-3,2e-3\n")
+        rc = cli_main(["plot", str(trace), "criterion:sdg", str(tmp_path / "series.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"stopgap: error: {trace}: column 'iteration' "
+                                           "not in trace\n")
+        assert not (tmp_path / "series.csv").exists()
+
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_plot_to_an_unwritable_path_is_a_one_line_error(self, tmp_path, capsys, where):
+        # it used to end in an IsADirectoryError or FileNotFoundError traceback
+        cli_main(["run", "--instance", "1d", "--max-iters", "5", "--out", str(tmp_path)])
+        capsys.readouterr()
+        out = tmp_path / "series"
+        if where == "directory":
+            out.mkdir()
+        else:
+            out = out / "series.csv"
+        rc = cli_main(["plot", str(tmp_path / "trace.csv"), "criterion:sdg", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"stopgap: error: {out}: cannot write plot series (")
+        assert err.count("\n") == 1
+        assert (tmp_path / "series").is_dir() == (where == "directory")
+        assert where != "directory" or not any((tmp_path / "series").iterdir())
+
+    def test_verification_file_holds_the_command_verdict(self, tmp_path, capsys, monkeypatch):
+        # the file used to hold the suite's own verdict, "passed": true, while
+        # a failed counterexample made the command print FAILED and exit 1
+        real = cli.counterexample_kkt_vs_sdg
+        monkeypatch.setattr(cli, "counterexample_kkt_vs_sdg",
+                            lambda *a: {**real(*a), "passed": False})
+        rc = cli_main(["verify", "--instance", "1d", "--samples", "2", "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().out.startswith("verification FAILED")
+        rep = json.loads((tmp_path / "verification.json").read_text())
+        assert rep["passed"] is False
+        assert rep["counterexample_kkt_vs_og"]["passed"]
+
     @pytest.mark.parametrize("samples", [0, -1])
     def test_verification_without_samples_is_refused(self, tmp_path, capsys, samples):
         # a suite that draws no sample checks nothing, and must not report a pass
@@ -540,8 +584,8 @@ class TestCli:
     def test_a_string_is_not_a_criteria_list(self):
         # a string used to be split into its characters and refused as
         # "unknown criteria to evaluate: ['d', 'g', 's']"
-        with pytest.raises(ConfigError, match="^evaluate must be a list of criteria, got 'sdg'$"):
-            SolveConfig(evaluate="sdg")
+        with pytest.raises(ConfigError, match="^criteria must be a list of criteria, got 'sdg'$"):
+            SolveConfig(criteria="sdg")
         with pytest.raises(ConfigError, match="^criteria must be a list of criteria, got 'sdg'$"):
             ExperimentConfig(instance="1d", criteria="sdg", criterion="sdg")
 
@@ -555,3 +599,49 @@ class TestCli:
         assert rc == 2
         assert err == "stopgap: error: epsilon must be positive and finite, got nan\n"
         assert "Traceback" not in err
+
+
+class TestCriteriaRules:
+    def test_configs_are_hashable_and_store_a_tuple(self):
+        # both used to keep a list and raise "unhashable type: 'list'"
+        assert SolveConfig(criteria=["sdg"]) == SolveConfig(criteria=("sdg",))
+        assert hash(SolveConfig(criteria=["sdg"])) == hash(SolveConfig(criteria=("sdg",)))
+        exp = ExperimentConfig(criteria=["kkt", "sdg"])
+        assert exp == ExperimentConfig(criteria=("kkt", "sdg"))
+        assert hash(exp) == hash(ExperimentConfig(criteria=("kkt", "sdg")))
+        assert exp.criteria == ("kkt", "sdg")
+
+    def test_a_solve_evaluates_its_gate_at_least(self):
+        assert SolveConfig().criteria == ("sdg",)
+        assert SolveConfig(criterion="kkt", criteria=()).criteria == ("kkt",)
+
+    @pytest.mark.parametrize("settings, message, makers", [
+        ({"criterion": "sdg", "criteria": "sdg"}, "criteria must be a list of criteria, got 'sdg'",
+         (SolveConfig, ExperimentConfig)),
+        ({"criteria": ("sdg", "nope")}, "unknown criteria to evaluate: ['nope']",
+         (SolveConfig, ExperimentConfig)),
+        # a solve used to evaluate both and stop at kkt
+        ({"criterion": "kkt", "criteria": ("sdg",)},
+         "stop criterion must be among the evaluated criteria", (SolveConfig, ExperimentConfig)),
+        ({"criterion": "all", "criteria": ()}, "criterion 'all' needs a non-empty criteria list",
+         (SolveConfig,))], ids=["string", "unknown name", "gate missing", "all and empty"])
+    def test_the_configs_refuse_a_bad_criteria_setting_with_one_message(self, settings, message,
+                                                                         makers):
+        for make in makers:
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                make(**settings)
+
+    def test_ogfe_without_a_reference_has_one_message(self, tmp_path):
+        # ogfe used to say "problem '...' has no reference solution; the
+        # optimality gap is not computable"
+        sized = {"instance": "iidg", "n": 5, "m": 10}
+        problem = build_instance(ExperimentConfig(**sized))
+        assert problem.reference is None
+        message = "^iidg\\(n=5,m=10,seed=7\\): ogfe requested but no reference solution$"
+        z = PrimalDualPoint(np.zeros(5), np.zeros(10))
+        with pytest.raises(ConfigError, match=message):
+            ogfe(PointValues(problem, z))
+        with pytest.raises(ConfigError, match=message):
+            solve(problem, SolveConfig(criterion="ogfe"))
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(ExperimentConfig(**sized, criterion="ogfe", out_dir=str(tmp_path)))

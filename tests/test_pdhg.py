@@ -123,7 +123,7 @@ class TestSteps:
 class TestSolve:
     def test_table_one_dimensional_counts(self, one_d):
         cfg = SolveConfig(epsilon=1e-8, criterion="all",
-                          evaluate=("kkt", "sdg", "pdg"))
+                          criteria=("kkt", "sdg", "pdg"))
         traj = solve(one_d, cfg)
         assert traj.stop_reason == "converged"
         assert abs(traj.crossings["kkt"] - 12) <= 2
@@ -212,7 +212,7 @@ def test_a_gate_that_fires_at_iterate_zero_stops_the_run_there(criterion, evalua
     A = np.random.default_rng(3).standard_normal((10, 20))
     problem = ProblemInstance(objective=L1Norm(20), constraint=AffineConstraint(A, np.zeros(10)),
                               label="bp-zero-rhs")
-    traj = solve(problem, SolveConfig(criterion=criterion, evaluate=evaluate))
+    traj = solve(problem, SolveConfig(criterion=criterion, criteria=evaluate))
     assert traj.stop_reason == "converged"
     assert traj.iterations_used == 0
     assert [k for k, _ in traj.iterates] == [0]
@@ -223,11 +223,11 @@ def test_a_gate_that_fires_at_iterate_zero_stops_the_run_there(criterion, evalua
 
 def reference_solve(problem, config):
     """Crossings and final iterate of a loop that evaluates every criterion in
-    ``config.evaluate`` at every iterate, with no feasibility pre-check."""
+    ``config.criteria`` at every iterate, with no feasibility pre-check."""
     eps = config.epsilon
     stepper = step_v1 if config.version == 1 else step_v2
     steps = default_step_sizes(problem.constraint)
-    crossings = {name: None for name in config.evaluate}
+    crossings = {name: None for name in config.criteria}
     z = PrimalDualPoint(np.zeros(problem.constraint.n), np.zeros(problem.constraint.m))
     for k in range(config.max_iters + 1):
         if k:
@@ -254,7 +254,7 @@ def reference_solve(problem, config):
 def test_crossings_match_a_loop_that_evaluates_everything(name):
     problem = build_instance(ExperimentConfig(instance=name))
     evaluate = ("kkt", "pdg", "sdg") + (("ogfe",) if problem.reference is not None else ())
-    cfg = SolveConfig(epsilon=1e-4, max_iters=1500, criterion="all", evaluate=evaluate,
+    cfg = SolveConfig(epsilon=1e-4, max_iters=1500, criterion="all", criteria=evaluate,
                       version=FAMILIES[name].version)
     crossings, last, z_ref = reference_solve(problem, cfg)
     traj = solve(problem, cfg)
@@ -290,7 +290,7 @@ def test_kkt_is_evaluated_only_where_the_feasibility_error_allows(bp, monkeypatc
     monkeypatch.setattr(criteria, "kkt_error", lambda *a, **kw: calls.append(1) or kkt(*a, **kw))
     eps = 1e-4
     traj = solve(bp, SolveConfig(epsilon=eps, max_iters=3000, criterion="sdg",
-                                 evaluate=("kkt", "sdg", "pdg")))
+                                 criteria=("kkt", "sdg", "pdg")))
     assert traj.crossings["kkt"] is None
     assert len(traj.iterates) == traj.iterations_used + 1
     fe2 = [float(r @ r) for r in (bp.constraint.residual(z.x) for _, z in traj.iterates)]
@@ -307,7 +307,7 @@ def test_each_gate_iterate_forms_its_residual_once(iidg, monkeypatch):
     monkeypatch.setattr(AffineConstraint, "residual",
                         lambda self, x: calls.append(1) or residual(self, x))
     traj = solve(iidg, SolveConfig(epsilon=1e-8, criterion="all",
-                                   evaluate=("ogfe", "kkt", "pdg", "sdg")))
+                                   criteria=("ogfe", "kkt", "pdg", "sdg")))
     assert traj.stop_reason == "converged"
     assert len(calls) == traj.iterations_used + 1
 
@@ -318,7 +318,7 @@ def test_broken_conjugate_projection_is_still_caught_by_the_harness(bp, monkeypa
     # recorded iterate, so run_experiment still raises at its first row
     monkeypatch.setattr(L1Norm, "project_conj_domain", lambda self, mu: np.full_like(mu, 2.0))
     traj = solve(bp, SolveConfig(epsilon=1e-4, max_iters=20, criterion="sdg",
-                                 evaluate=("pdg", "sdg")))
+                                 criteria=("pdg", "sdg")))
     assert traj.crossings["pdg"] is None
     with pytest.raises(StopgapError, match="projection contract violated"):
         run_experiment(ExperimentConfig(instance="bp", max_iters=20, out_dir=str(tmp_path / "out")))

@@ -96,7 +96,7 @@ class TestLipschitzConstants:
         monkeypatch.setattr(regularity, "qeb_eta", counted)
         consts = lipschitz_constants(FAMILIES[family].factory())
         assert len(calls) == 0
-        assert isinstance(consts.eta, EtaCache) and not consts.eta._cache
+        assert isinstance(consts, EtaCache) and not consts._cache
         assert consts.gamma > 0
 
     def test_scaled_orthogonal_rows(self):
