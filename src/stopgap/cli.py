@@ -18,8 +18,7 @@ from .errors import ConfigError, StopgapError, check_count
 from .harness import (ExperimentConfig, build_instance, emit_plot_data, make_output_dir,
                       run_experiment, write_json)
 from .instances import FAMILIES, readers
-from .oracles import (counterexample_kkt_vs_og, counterexample_kkt_vs_sdg,
-                      verification_suite)
+from .oracles import verification_suite
 from .pdhg import CRITERIA
 
 
@@ -74,13 +73,8 @@ def cmd_verify(args):
     problem = build_instance(config)
     path = os.path.join(make_output_dir(config.out_dir), "verification.json")
     report = verification_suite(problem, seed=config.seed or 0, samples=args.samples)
-    report["counterexample_kkt_vs_og"] = counterexample_kkt_vs_og(
-        [10.0 ** -k for k in range(1, 9)])
-    report["counterexample_kkt_vs_sdg"] = counterexample_kkt_vs_sdg([0.5, 0.1, 0.01])
-    # the file's verdict is the command's: the suite and both counterexamples
-    report["passed"] = ok = (report["passed"] and report["counterexample_kkt_vs_og"]["passed"]
-                             and report["counterexample_kkt_vs_sdg"]["passed"])
     write_json(path, report)
+    ok = report["passed"]
     print(f"verification {'PASSED' if ok else 'FAILED'}: {path}")
     return 0 if ok else 1
 

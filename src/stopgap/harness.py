@@ -1,6 +1,6 @@
 """Experiment driver: configures a benchmark run, solves it, evaluates every
 criterion and bound along the trajectory, and writes the disk artifacts
-(trace.csv, table1.json, table2.json, plot CSVs).
+(trace.csv, table1.json, table2.json).
 
 All floats are serialised with 17 significant digits so traces round-trip
 losslessly; +inf serialises as the string "inf".

@@ -101,7 +101,8 @@ def make_ntc(n=20, m=10, seed=7):
 
 def read_libsvm(path):
     """LIBSVM regression format: 'label idx:val idx:val ...', 1-based
-    indices, missing entries zero.  Returns (features, labels)."""
+    indices, each at most once a line, missing entries zero.  Returns
+    (features, labels)."""
     if not isinstance(path, (str, os.PathLike)):
         # open() would take an integer as a file descriptor, and close it
         raise ConfigError(f"data_path must be a str or os.PathLike, got {path!r}")
@@ -134,7 +135,11 @@ def read_libsvm(path):
             if idx < 1:
                 raise ConfigError(f"{path}:{ln}: indices are 1-based")
             width = max(width, idx)
+        if len({idx for idx, _ in entries}) < len(entries):
+            raise ConfigError(f"{path}:{ln}: repeated feature index")
         rows.append(entries)
+    if rows and not width:
+        raise ConfigError(f"{path}: no feature columns")
     X = np.zeros((len(rows), width))
     for i, entries in enumerate(rows):
         for idx, val in entries:

@@ -2,8 +2,9 @@
 
 The direct-sup smoothed gap here deliberately avoids the closed-form prox
 path used by the criteria module: least-squares inner problems go through
-conjugate-gradient solves of the stationarity system, and separable
-nonsmooth pieces are minimised coordinate-wise by candidate enumeration.
+dense LU solves of the stationarity system, not the objective's eigenbasis,
+and separable nonsmooth pieces are minimised coordinate-wise by candidate
+enumeration.
 Certificates come from strong convexity of the inner objective.
 """
 
@@ -23,6 +24,9 @@ SUITE_INNER_TOL = 1e-8
 SUITE_BETA_RANGE = (1e-2, 1e2)
 # gap_witness: tolerance of its identities, relative to their scale
 WITNESS_TOL = 1e-9
+# verification_suite: the inputs of its two counterexamples
+KKT_OG_EPSILONS = tuple(10.0 ** -k for k in range(1, 9))
+KKT_SDG_POINTS = (0.5, 0.1, 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -33,24 +37,15 @@ def _min_least_squares(ls, shift, center, bx, tol):
     """min over u of 0.5||Q u - c||^2 + <shift, u> + bx/2 ||u - center||^2
     for the LeastSquaresObjective ``ls``, as a value.
 
-    Solved as (Q^T Q + bx I) u = Q^T c - shift + bx*center by CG; certified
+    Solved as (Q^T Q + bx I) u = Q^T c - shift + bx*center by LU; certified
     via the strong-convexity bound value_gap <= ||grad||^2 / (2 bx).
     """
-    # imported here so that solving and certifying never load scipy
-    from scipy.sparse.linalg import LinearOperator, cg
-
-    n = center.shape[0]
     rhs = ls.qtc - shift + bx * center
-
-    def mv(u):
-        return ls.gram @ u + bx * u
-
-    op = LinearOperator((n, n), matvec=mv)
-    u, _ = cg(op, rhs, rtol=1e-14, atol=0.0, maxiter=20 * n + 200)
-    grad = mv(u) - rhs
+    u = np.linalg.solve(ls.gram + bx * np.eye(center.shape[0]), rhs)
+    grad = ls.gram @ u + bx * u - rhs
     cert = float(grad @ grad) / (2.0 * bx)
     if cert > tol:
-        raise ConvergenceError(f"inner CG certificate {cert:.3e} above tolerance {tol:.3e}")
+        raise ConvergenceError(f"inner solve certificate {cert:.3e} above tolerance {tol:.3e}")
     r = ls.design @ u - ls.target
     return (0.5 * float(r @ r) + float(shift @ u)
             + 0.5 * bx * float((u - center) @ (u - center)))
@@ -61,21 +56,18 @@ def _min_abs_coord(g, center, bx):
     the stationary points of both linear branches plus the kink."""
     u_pos = center - (g + 1.0) / bx
     u_neg = center - (g - 1.0) / bx
-    out = np.zeros_like(center)
     best = 0.5 * bx * center * center  # value at the kink u = 0
     for cand in (np.where(u_pos > 0, u_pos, 0.0), np.where(u_neg < 0, u_neg, 0.0)):
         val = np.abs(cand) + g * cand + 0.5 * bx * (cand - center) ** 2
-        take = val < best
-        out = np.where(take, cand, out)
-        best = np.where(take, val, best)
-    return out, float(best.sum())
+        best = np.where(val < best, val, best)
+    return float(best.sum())
 
 
 def _min_nonneg_coord(g, center, bx):
     """Coordinate-wise min over u >= 0 of g u + bx/2 (u - center)^2."""
     u = np.maximum(center - g / bx, 0.0)
     val = g * u + 0.5 * bx * (u - center) ** 2
-    return u, float(val.sum())
+    return float(val.sum())
 
 
 def _inner_min(problem, dual, center, bx, tol):
@@ -85,12 +77,11 @@ def _inner_min(problem, dual, center, bx, tol):
     if isinstance(obj, LeastSquaresObjective):
         return _min_least_squares(obj, shift, center, bx, tol)
     if isinstance(obj, L1Norm):
-        _, val = _min_abs_coord(shift, center, bx)
-        return val
+        return _min_abs_coord(shift, center, bx)
     if isinstance(obj, NonnegativeQuadratic):
         nb = obj.block_dim
-        _, v2 = _min_nonneg_coord(shift[nb:], center[nb:], bx)
-        return _min_least_squares(obj.ls, shift[:nb], center[:nb], bx, tol) + v2
+        return (_min_least_squares(obj.ls, shift[:nb], center[:nb], bx, tol)
+                + _min_nonneg_coord(shift[nb:], center[nb:], bx))
     raise StopgapError(f"no independent inner solver for {type(obj).__name__}")
 
 
@@ -247,8 +238,9 @@ def _feasible_random_point(problem, rng, scale=2.0):
 
 def verification_suite(problem, seed=0, *, samples):
     """Cross-checks of the closed-form machinery against the independent
-    oracles on one instance, each over ``samples`` random points; returns a
-    JSON-ready summary.  With no sample a check would check nothing and pass."""
+    oracles on one instance, each over ``samples`` random points, and the two
+    counterexamples; returns a JSON-ready summary whose ``passed`` is the one
+    verdict of them all.  With no sample a check would check nothing and pass."""
     check_count("seed", seed, least=0)
     check_count("samples", samples)
     rng = np.random.default_rng(seed)
@@ -279,7 +271,7 @@ def verification_suite(problem, seed=0, *, samples):
         decomp_err = 0.0
         lemma10_worst = INF
         init_bound_worst = INF
-        for _ in range(10):
+        for _ in range(samples):
             z = _feasible_random_point(problem, rng, scale=1.0)
             b = float(np.exp(rng.uniform(np.log(1e-1), np.log(10.0))))
             gap, parts = sdg_decomposition_gap(problem, z, (xs, ys), b, SUITE_INNER_TOL)
@@ -304,5 +296,8 @@ def verification_suite(problem, seed=0, *, samples):
         report["initial_bound_min_slack"] = init_bound_worst
         report["initial_bound_pass"] = init_bound_worst >= 0.0
 
-    report["passed"] = all(v for k, v in report.items() if k.endswith("_pass"))
-    return report
+    counterexamples = {"counterexample_kkt_vs_og": counterexample_kkt_vs_og(KKT_OG_EPSILONS),
+                       "counterexample_kkt_vs_sdg": counterexample_kkt_vs_sdg(KKT_SDG_POINTS)}
+    report["passed"] = (all(v for k, v in report.items() if k.endswith("_pass"))
+                        and all(c["passed"] for c in counterexamples.values()))
+    return {**report, **counterexamples}

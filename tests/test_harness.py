@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from stopgap import harness
-from stopgap import cli
+from stopgap import oracles
 from stopgap.cli import main as cli_main
 from stopgap.criteria import PointValues, ogfe
 from stopgap.errors import ConfigError
@@ -466,8 +466,8 @@ class TestCli:
     def test_verification_file_holds_the_command_verdict(self, tmp_path, capsys, monkeypatch):
         # the file used to hold the suite's own verdict, "passed": true, while
         # a failed counterexample made the command print FAILED and exit 1
-        real = cli.counterexample_kkt_vs_sdg
-        monkeypatch.setattr(cli, "counterexample_kkt_vs_sdg",
+        real = oracles.counterexample_kkt_vs_sdg
+        monkeypatch.setattr(oracles, "counterexample_kkt_vs_sdg",
                             lambda *a: {**real(*a), "passed": False})
         rc = cli_main(["verify", "--instance", "1d", "--samples", "2", "--out", str(tmp_path)])
         assert rc == 1

@@ -111,6 +111,21 @@ class TestLibsvm:
         with pytest.raises(ConfigError, match=":2: non-finite"):
             read_libsvm(path)
 
+    def test_repeated_index_reports_line(self, tmp_path):
+        # the last value used to win: "1 1:1 1:2" read as feature 1 = 2.0
+        path = tmp_path / "twice.libsvm"
+        path.write_text("1.0 1:2.0\n1 1:1 1:2\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: repeated feature "
+                                              "index$"):
+            read_libsvm(path)
+
+    def test_labels_without_features_are_refused(self, tmp_path):
+        # make_do used to fail on the empty constraint matrix, naming no file
+        path = tmp_path / "labels.libsvm"
+        path.write_text("1.0\n2.0\n3.0\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: no feature columns$"):
+            make_do(data_path=str(path))
+
 
 class TestDistributed:
     def test_synthetic_shapes_and_reference(self):

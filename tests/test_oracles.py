@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stopgap import oracles
 from stopgap.criteria import PointValues, smoothed_duality_gap
 from stopgap.errors import ConfigError, StopgapError
-from stopgap.instances import make_do
+from stopgap.instances import make_1d, make_do
 from stopgap.linalg import RANK_RTOL
 from stopgap.objectives import L1Norm
 from stopgap.oracles import (counterexample_kkt_vs_og, counterexample_kkt_vs_sdg, gap_witness,
@@ -215,3 +220,38 @@ class TestVerificationSuite:
     def test_bp_instance(self, bp):
         rep = verification_suite(bp, seed=0, samples=30)
         assert rep["passed"]
+
+    def test_report_holds_both_counterexamples_in_its_verdict(self, monkeypatch):
+        # the command used to add the counterexamples and recompute the verdict,
+        # so the suite's own "passed" left them out
+        rep = verification_suite(make_1d(), samples=2)
+        og, sdg = rep["counterexample_kkt_vs_og"], rep["counterexample_kkt_vs_sdg"]
+        assert [r["epsilon"] for r in og["rows"]] == [10.0 ** -k for k in range(1, 9)]
+        assert [r["x"] for r in sdg["rows"]] == [0.5, 0.1, 0.01]
+        assert og["passed"] and sdg["passed"] and rep["passed"]
+        real = oracles.counterexample_kkt_vs_sdg
+        monkeypatch.setattr(oracles, "counterexample_kkt_vs_sdg",
+                            lambda *a: {**real(*a), "passed": False})
+        assert verification_suite(make_1d(), samples=2)["passed"] is False
+
+    def test_saddle_point_block_draws_every_sample(self, monkeypatch):
+        # it used to draw a fixed 10 points, whatever the sample count
+        calls = []
+        real = oracles.sdg_decomposition_gap
+        monkeypatch.setattr(oracles, "sdg_decomposition_gap",
+                            lambda *a: calls.append(a) or real(*a))
+        verification_suite(make_1d(), samples=3)
+        assert len(calls) == 3
+
+    def test_suite_does_not_load_scipy(self):
+        # the least-squares inner solve used to import scipy for a CG solve
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = ("import sys; from stopgap.instances import make_1d; "
+                "from stopgap.oracles import verification_suite; "
+                "assert verification_suite(make_1d(), samples=2)['passed']; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "[]"
