@@ -72,16 +72,10 @@ def bound_T1(K, y_norm, gamma):
 
 
 @np.errstate(invalid="ignore")
-def bound_T2(G, y_norm, beta, eta, constant="proof"):
+def bound_T2(G, y_norm, beta, eta):
     """OG <= (1 + c_beta) G + sqrt(2 beta) ||y|| sqrt(G) under the quadratic
-    error bound; c_beta is 2 sqrt(beta/eta) as established by the proof
-    ('statement' selects the printed 1 + sqrt(2 beta / eta))."""
-    if constant == "proof":
-        c = 2.0 * np.sqrt(beta / eta)
-    elif constant == "statement":
-        c = np.sqrt(2.0 * beta / eta)
-    else:
-        raise ConfigError(f"unknown T2 constant {constant!r}")
+    error bound, with the proof's c_beta = 2 sqrt(beta/eta)."""
+    c = 2.0 * np.sqrt(beta / eta)
     return _inf_unless_finite(G, (1.0 + c) * G + np.sqrt(2.0 * beta) * y_norm * np.sqrt(G))
 
 

@@ -17,7 +17,7 @@ class AffineConstraint:
     def __init__(self, matrix, rhs):
         self.matrix = aligned(check_finite(np.atleast_2d(np.asarray(matrix, dtype=float)),
                                            "constraint matrix A"))
-        self.rhs = check_finite(np.asarray(rhs, dtype=float).reshape(-1), "constraint rhs b")
+        self.rhs = check_finite(_vector(rhs, "constraint rhs b"), "constraint rhs b")
         m, n = self.matrix.shape
         if n < 1 or m < 1:
             raise DimensionMismatchError("constraint matrix needs at least one row and column")
@@ -45,11 +45,15 @@ class AffineConstraint:
         return self._norm
 
 
-def _vector(v):
-    """``v`` as a 1-D float array: a float vector as it is, anything else
-    converted and flattened."""
+def _vector(v, what):
+    """``v`` as a 1-D float array: a float vector as it is, a scalar as a
+    vector of one; an array of more axes raises, naming ``what``."""
     v = np.asarray(v, dtype=float)
-    return v if v.ndim == 1 else v.reshape(-1)
+    if v.ndim == 1:
+        return v
+    if v.ndim:
+        raise DimensionMismatchError(f"{what} must be a vector, got shape {v.shape}")
+    return v.reshape(-1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,8 +65,8 @@ class PrimalDualPoint:
     y: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _vector(self.x))
-        object.__setattr__(self, "y", _vector(self.y))
+        object.__setattr__(self, "x", _vector(self.x, "x"))
+        object.__setattr__(self, "y", _vector(self.y, "y"))
 
     def norms(self):
         return float(np.linalg.norm(self.x)), float(np.linalg.norm(self.y))

@@ -18,6 +18,8 @@ from stopgap.pdhg import SolveConfig, solve
 from stopgap.problem import AffineConstraint, PrimalDualPoint, ProblemInstance, ReferenceSolution
 from stopgap.regularity import lipschitz_constants
 
+from t2_search import printed_t2
+
 INF = float("inf")
 
 
@@ -55,15 +57,15 @@ class TestFormulas:
         assert holds("P4_PDG_SDG_lipschitz", 0.0, bound_P4(0.0, 0.0, 0.0, 1.0, 0.0))
         assert holds("C1_FE_SDG", 0.0, bound_C1(0.0, 1.0))
 
-    def test_t1_default_gamma_inflates_rhs(self):
+    def test_t1_small_gamma_inflates_rhs(self):
         small = bound_T1(1.0, 0.0, 1.0)
         huge = bound_T1(1.0, 0.0, 1e-8)
         assert huge == pytest.approx(2e8, rel=1e-6)
         assert huge > small and holds("T1_OG_KKT", 0.5, huge)
 
     def test_t2_constants(self):
-        proof = bound_T2(1.0, 0.0, 1.0, 4.0, constant="proof")
-        stmt = bound_T2(1.0, 0.0, 1.0, 4.0, constant="statement")
+        proof = bound_T2(1.0, 0.0, 1.0, 4.0)
+        stmt = printed_t2(1.0, 0.0, 1.0, 4.0)
         assert proof == pytest.approx(1.0 + 2.0 * math.sqrt(1.0 / 4.0))
         assert stmt == pytest.approx(1.0 + math.sqrt(2.0 / 4.0))
 

@@ -196,6 +196,19 @@ class TestSolve:
         with pytest.raises(DimensionMismatchError, match="at least one row"):
             AffineConstraint(np.zeros((0, 2)), np.zeros(0))
 
+    def test_arrays_of_more_than_one_axis_are_refused_by_name(self, bp):
+        with pytest.raises(DimensionMismatchError, match=r"^x must be a vector, got shape \(4, 5"):
+            PrimalDualPoint(np.ones((4, 5)), np.zeros(10))
+        with pytest.raises(DimensionMismatchError, match=r"^y must be a vector, got shape \(2, 5"):
+            PrimalDualPoint(np.ones(20), np.zeros((2, 5)))
+        with pytest.raises(DimensionMismatchError, match=r"^constraint rhs b must be a vector"):
+            AffineConstraint(np.ones((2, 3)), np.zeros((2, 1)))
+        # a scalar is still a vector of one, and a vector passes as it is
+        assert PrimalDualPoint(1.0, 2.0).y.shape == (1,)
+        assert AffineConstraint([[9.0]], 7.0).rhs.shape == (1,)
+        x = np.ones(20)
+        assert bp.check_point(PrimalDualPoint(x, np.zeros(10))).x is x
+
     def test_record_every_keeps_final_iterate(self, iidg):
         cfg = SolveConfig(epsilon=1e-8, max_iters=10_000, criterion="kkt",
                           record_every=97)
